@@ -684,51 +684,106 @@ fn e21() {
 }
 
 fn e22() {
+    use std::time::{Duration, Instant};
     use xnf_core::analyze::{analyze, e22_family, AnalyzeOptions};
-    println!("================ E22 — static analysis vs executed normalization ================");
-    // The static planner predicts the full Figure-4 run — plan, AP
-    // trace, revised (D, Σ), chase/cache counters, governed tick bill —
-    // without executing it. On specs whose iterations keep re-asking
-    // overlapping implication queries, its cross-iteration incremental
-    // caches transfer verdicts where the real run's per-iteration memo
-    // re-chases, so the analysis runs several times cheaper than the
-    // normalization it predicts. `e22_family(k)` pins that regime: k
-    // key FDs plus k reversed value FDs force k MoveAttribute repairs,
-    // one per fixpoint iteration, with heavily overlapping queries.
-    for k in [5, 10, 25] {
-        let (dtd, sigma) = e22_family(k);
-        let a = analyze(&dtd, &sigma, &AnalyzeOptions::default()).expect("analysis succeeds");
+    println!("================ E22 — analyze runs normalize: wall time and fuel ================");
+    // `analyze` runs `normalize` on its input (one thread, on its own
+    // metered budget) and adds anomaly provenance, a minimal cover and
+    // the FD graph, so it costs one normalize plus that surcharge. Per
+    // spec: check that the plan equals the normalize trace and that
+    // `predicted_fuel` equals the governed normalize tick bill, then
+    // time both calls.
+    let mut specs: Vec<(String, xnf_dtd::Dtd, XmlFdSet)> = [5, 10, 25]
+        .into_iter()
+        .map(|k| {
+            let (dtd, sigma) = e22_family(k);
+            (format!("e22_family({k})"), dtd, sigma)
+        })
+        .collect();
+    const WIDTH: usize = 12;
+    let wide_fds: String = (0..WIDTH)
+        .map(|i| format!("root.hub{i}.item{i}.@id{i} -> root.hub{i}.item{i}.@val{i}\n"))
+        .collect();
+    specs.push((
+        format!("wide_dtd({WIDTH})"),
+        xnf_gen::dtd::wide_dtd(WIDTH),
+        XmlFdSet::parse(&wide_fds).expect("FDs parse"),
+    ));
+    let base = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs");
+    for name in ["university", "dblp", "ebxml"] {
+        let read = |ext: &str| {
+            std::fs::read_to_string(format!("{base}/{name}.{ext}")).expect("paper spec exists")
+        };
+        let dtd = xnf_dtd::parse_dtd(&read("dtd")).expect("spec DTD parses");
+        let sigma = XmlFdSet::parse(&read("fds")).expect("spec FDs parse");
+        specs.push((name.to_string(), dtd, sigma));
+    }
+    let normalize_metered = |dtd: &xnf_dtd::Dtd, sigma: &XmlFdSet| {
         let budget = Budget::builder().build();
-        let r = normalize(
-            &dtd,
-            &sigma,
-            &NormalizeOptions {
-                budget: budget.clone(),
-                ..NormalizeOptions::default()
-            },
-        )
-        .expect("normalization succeeds");
-        let ticks = budget.ticks();
-        assert_eq!(a.plan, r.steps, "the predicted plan must be byte-exact");
-        assert_eq!(a.plan.len(), k, "one MoveAttribute per family member");
-        let saving = ticks as f64 / a.cost.analyze_fuel as f64;
+        let options = NormalizeOptions {
+            budget: budget.clone(),
+            ..NormalizeOptions::default()
+        };
+        let r = normalize(dtd, sigma, &options).expect("normalization succeeds");
+        (r, budget.ticks())
+    };
+    // A sample repeats a call until it has run for ~10 ms, so microsecond
+    // specs are timed as reliably as the k=25 family; each figure is the
+    // median of 7 interleaved samples per call.
+    const SAMPLES: usize = 7;
+    let per_call = |reps: u32, f: &dyn Fn()| -> Duration {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        t0.elapsed() / reps
+    };
+    let median = |mut v: Vec<Duration>| -> Duration {
+        v.sort();
+        v[v.len() / 2]
+    };
+    println!(
+        "{:<18} {:>12} {:>12} {:>9} {:>14} {:>15}",
+        "spec", "analyze", "normalize", "ratio", "analyze fuel", "normalize fuel"
+    );
+    for (name, dtd, sigma) in &specs {
+        let a = analyze(dtd, sigma, &AnalyzeOptions::default()).expect("analysis succeeds");
+        let (r, ticks) = normalize_metered(dtd, sigma);
+        assert_eq!(
+            a.plan, r.steps,
+            "{name}: analyze's plan is the normalize trace"
+        );
+        assert_eq!(
+            a.cost.predicted_fuel, ticks,
+            "{name}: predicted_fuel is the governed normalize tick bill"
+        );
+        let run_analyze = || {
+            analyze(dtd, sigma, &AnalyzeOptions::default()).expect("analysis succeeds");
+        };
+        let run_normalize = || {
+            normalize_metered(dtd, sigma);
+        };
+        let one = per_call(1, &run_analyze).max(Duration::from_micros(1));
+        let reps = (Duration::from_millis(10).as_nanos() / one.as_nanos()).clamp(1, 10_000) as u32;
+        let (mut ta, mut tn) = (Vec::new(), Vec::new());
+        for _ in 0..SAMPLES {
+            ta.push(per_call(reps, &run_analyze));
+            tn.push(per_call(reps, &run_normalize));
+        }
+        let (ta, tn) = (median(ta), median(tn));
         println!(
-            "  k={k:>2}: plan {:>2} step(s), analyze fuel {:>8}, normalize fuel {:>8}  ({saving:.2}x cheaper)",
-            a.plan.len(),
+            "{name:<18} {:>12.3?} {:>12.3?} {:>8.2}x {:>14} {:>15}",
+            ta,
+            tn,
+            ta.as_secs_f64() / tn.as_secs_f64(),
             a.cost.analyze_fuel,
             ticks
         );
-        if k == 25 {
-            println!(
-                "acceptance: analyze >= 5x cheaper than normalize at k=25 (see EXPERIMENTS.md E22)"
-            );
-            assert!(
-                a.cost.analyze_fuel * 5 <= ticks,
-                "analyze spent {} vs normalize {ticks} — less than the 5x saving",
-                a.cost.analyze_fuel
-            );
-        }
     }
+    println!(
+        "acceptance: per spec, analyze's plan equals normalize's and its predicted_fuel equals \
+         the governed normalize tick bill (see EXPERIMENTS.md E22)"
+    );
 }
 
 fn e23(budget: &Budget) {

@@ -15,7 +15,7 @@
 //! ```
 
 use std::fmt::Write as _;
-use xnf_obs::CounterSnapshot;
+use xnf_obs::{escape, CounterSnapshot};
 
 /// One experiment run: its id, wall time, and the counter totals the
 /// run's recorder accumulated (empty for experiments that do not drive
@@ -45,24 +45,6 @@ pub fn git_sha() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the `BENCH_obs.json` document for one `reproduce` run.

@@ -852,7 +852,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             };
             let outcome = ops::analyze_spec(&dtd_src, &fds_src, &spec_options, &budget);
             obs_flags.write()?;
-            out.push_str(&outcome.map_err(|e| obs_flags.tag_failure(e))?.rendered);
+            out.push_str(&outcome.map_err(|e| obs_flags.tag_failure(e))?);
         }
         "lint" => {
             let mut format_json = false;
@@ -1325,7 +1325,7 @@ courses.course, courses.course.taken_by.student.@sno -> courses.course.taken_by.
         let dtd = write_tmp("a2.dtd", DBLP_DTD);
         let fds = write_tmp("a2.fds", DBLP_FDS);
         let json = run_ok(&["analyze", &dtd, &fds, "--format", "json"]);
-        assert!(json.contains("\"version\": 1"), "{json}");
+        assert!(json.contains("\"version\": 2"), "{json}");
         assert!(json.contains("\"plan\":"), "{json}");
         assert!(json.contains("\"predicted_fuel\":"), "{json}");
         let dot = run_ok(&["analyze", &dtd, &fds, "--format", "dot"]);

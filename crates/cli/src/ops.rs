@@ -257,19 +257,6 @@ pub enum AnalyzeFormat {
     Dot,
 }
 
-/// Structured result of [`analyze_spec`]: the rendering plus the fuel
-/// forecast the service's admission controller feeds on.
-#[derive(Debug, Clone)]
-pub struct AnalyzeOutcome {
-    /// The rendered analysis in the requested format.
-    pub rendered: String,
-    /// Predicted fuel cost of running `normalize` on this spec
-    /// ([`xnf_core::CostEstimate::predicted_fuel`]).
-    pub predicted_fuel: u64,
-    /// Whether the prediction is tick-exact.
-    pub fuel_exact: bool,
-}
-
 /// Options of [`analyze_spec`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyzeSpecOptions {
@@ -293,7 +280,7 @@ pub fn analyze_spec(
     fds_src: &str,
     options: &AnalyzeSpecOptions,
     budget: &Budget,
-) -> Result<AnalyzeOutcome, CliError> {
+) -> Result<String, CliError> {
     let _op_span = budget.recorder().span("op.analyze", "op");
     let mut out = String::new();
     let trust = options.trust.unwrap_or(Trust::Local);
@@ -372,12 +359,7 @@ pub fn analyze_spec(
                 "cache:           {} lookups, {} hits, {} misses",
                 c.cache_lookups, c.cache_hits, c.cache_misses
             )?;
-            writeln!(
-                out,
-                "predicted fuel:  {} ({})",
-                c.predicted_fuel,
-                if c.fuel_exact { "exact" } else { "estimate" }
-            )?;
+            writeln!(out, "predicted fuel:  {}", c.predicted_fuel)?;
             writeln!(out, "analyze fuel:    {}", c.analyze_fuel)?;
         }
     }
@@ -385,11 +367,7 @@ pub fn analyze_spec(
     if analysis.exhausted.is_some() {
         return Err(CliError::Exhausted(out));
     }
-    Ok(AnalyzeOutcome {
-        rendered: out,
-        predicted_fuel: analysis.cost.predicted_fuel,
-        fuel_exact: analysis.cost.fuel_exact,
-    })
+    Ok(out)
 }
 
 /// Options of [`lint_sources`].

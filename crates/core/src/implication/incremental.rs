@@ -380,9 +380,9 @@ impl IncrementalCache {
                 self.budget.checkpoint("cache.lookup")?;
                 let resolved = fd.resolve(paths)?;
                 // Governed + traced: charge the installed budget for the
-                // chase work (the analyze fuel meter depends on this) and
-                // drop the batch on exhaustion — `fresh` is only committed
-                // below, so a partial batch never pollutes the cache.
+                // chase work and drop the batch on exhaustion — `fresh` is
+                // only committed below, so a partial batch never pollutes
+                // the cache.
                 let (outcome, trace) = chase.try_run_traced(sigma, &resolved)?;
                 fresh.push((fd.clone(), Entry::from_trace(outcome, trace, paths)));
             }
@@ -481,7 +481,7 @@ impl IncrementalCache {
         // against the old paths), so a not-implied verdict whose query
         // still resolves transfers semantically.
         let monotone_edit = changed.is_empty() && added.is_empty();
-        #[derive(Clone, Copy, PartialEq)]
+        #[derive(Clone, Copy)]
         enum Keep {
             Drop,
             Trace,
@@ -489,7 +489,6 @@ impl IncrementalCache {
         }
         // Decide first (fallible), mutate after: an exhausted budget
         // leaves the cache untouched and consistent with the old spec.
-        let dbg_drops = std::env::var_os("XNF_DBG_INVALIDATE").is_some();
         let mut decisions: Vec<Keep> = Vec::with_capacity(self.entries.len());
         for (query, entry) in &self.entries {
             self.budget.checkpoint("cache.invalidate")?;
@@ -524,15 +523,6 @@ impl IncrementalCache {
                 Keep::Drop
             };
             decisions.push(keep);
-            if dbg_drops && keep == Keep::Drop {
-                eprintln!(
-                    "DROP {query}: order_ok={order_ok} query_ok={query_ok} touched_clean={} removed_fired={:?} removed_pivot={:?} touched_dirty={:?}",
-                    entry.touched.iter().all(|p| !dirty(p)),
-                    removed_idx.iter().map(|&j| entry.fired[j]).collect::<Vec<_>>(),
-                    removed_idx.iter().map(|&j| entry.pivot_source[j]).collect::<Vec<_>>(),
-                    entry.touched.iter().filter(|p| dirty(p)).collect::<Vec<_>>(),
-                );
-            }
         }
         // Infallible from here on. Kept entries move (footprints are
         // reused, not cloned); only their Σ-indexed vectors are rebuilt

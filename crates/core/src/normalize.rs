@@ -168,13 +168,7 @@ pub struct NormalizeResult {
 
 /// One main-loop decision of Figure 4 — what the algorithm will do next,
 /// given the current `(D, Σ)`.
-///
-/// Produced by [`decide_iteration`], which is shared verbatim between
-/// [`normalize`] (which applies the action) and [`crate::analyze`] (which
-/// simulates it): both consumers run the *same* decision code over
-/// equivalent oracle verdicts, which is what makes the predicted plan
-/// byte-exact by construction rather than by parallel reimplementation.
-pub(crate) enum Action {
+enum Action {
     /// No anomalous FD remains: the design is in XNF.
     Done,
     /// Step 2: move the attribute at the first path to the element at the
@@ -188,55 +182,21 @@ pub(crate) enum Action {
     Fold(Path),
 }
 
-/// Checkpoint-level accounting of one [`decide_iteration`] call: every
-/// field counts budget charges the governed [`normalize`] loop makes for
-/// the same decision, which is how [`crate::analyze`] predicts govern
-/// fuel without running the loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct DecideCost {
-    /// `(FD, value path)` candidates enumerated by the anomalous-FD
-    /// search — each charges `xnf.candidate` once.
-    pub candidates: u64,
-    /// Shards of the natural plan — each charges `chase.shard` once (the
-    /// merge adds one `chase.merge` charge per iteration).
-    pub shards: u64,
-    /// `(D,Σ)`-minimality rounds — each charges `normalize.minimize`.
-    pub minimize_rounds: u64,
-    /// FDs visited by the guard pass — each charges `normalize.guard`.
-    /// Zero when the action is [`Action::Done`] (no guard pass runs).
-    pub guard_checks: u64,
-}
-
 /// The decide phase of one Figure 4 iteration: search for anomalous FDs,
 /// push the `|AP|` sample onto `ap_trace`, pick the action (step 2 move /
 /// step 3 create / fold / done) and materialize the implied guards.
 ///
-/// Extracted from [`normalize`]'s main loop so that [`crate::analyze`]
-/// can drive the identical decision logic against its own incremental
-/// oracle. Mutates nothing but `stats`/`ap_trace`; the caller owns
-/// applying the action. Exhaustion mid-decide leaves a pushed AP sample
-/// in `ap_trace` (matching the historical partial-trace shape).
-pub(crate) fn decide_iteration<O: Implication + Sync>(
+/// Mutates nothing but `stats`/`ap_trace`; the caller owns applying the
+/// action. Exhaustion mid-decide leaves a pushed AP sample in `ap_trace`
+/// (matching the historical partial-trace shape).
+fn decide_iteration<O: Implication + Sync>(
     oracle: &O,
     paths: &PathSet,
     resolved: &[ResolvedFd],
     options: &NormalizeOptions,
     stats: &mut NormalizeStats,
     ap_trace: &mut Vec<usize>,
-) -> std::result::Result<(Action, Vec<XmlFd>, DecideCost), Exhausted> {
-    let mut cost = DecideCost::default();
-    {
-        // Cost bookkeeping only: mirror the candidate enumeration and the
-        // natural shard plan of `find_anomalous_fd` (which recomputes them
-        // internally) so the analyze cost model sees the exact charge
-        // counts of the sweep below.
-        let keys: Vec<Option<PathId>> = resolved
-            .iter()
-            .flat_map(|fd| fd.rhs.iter().map(|&q| candidate_fragment(paths, fd, q)))
-            .collect();
-        cost.candidates = keys.len() as u64;
-        cost.shards = ShardPlan::new(&keys).shards().len() as u64;
-    }
+) -> std::result::Result<(Action, Vec<XmlFd>), Exhausted> {
     let search_start = Instant::now();
     let search_span = options
         .budget
@@ -314,7 +274,6 @@ pub(crate) fn decide_iteration<O: Implication + Sync>(
                         fd.lhs.clone(),
                         q_attr,
                         &options.budget,
-                        &mut cost.minimize_rounds,
                     )?
                 } else {
                     (fd.lhs.clone(), q_attr)
@@ -352,7 +311,6 @@ pub(crate) fn decide_iteration<O: Implication + Sync>(
     let guards = if matches!(action, Action::Done) {
         Vec::new()
     } else {
-        cost.guard_checks = resolved.len() as u64;
         let mut guards: Vec<XmlFd> = Vec::new();
         for fd in resolved {
             options.budget.checkpoint("normalize.guard")?;
@@ -374,7 +332,7 @@ pub(crate) fn decide_iteration<O: Implication + Sync>(
     };
     drop(guard_span);
     stats.guard_time += guard_start.elapsed();
-    Ok((action, guards, cost))
+    Ok((action, guards))
 }
 
 /// Runs the XNF decomposition algorithm of Figure 4.
@@ -453,7 +411,7 @@ pub fn normalize(
             stats.chase += chase.stats().snapshot();
             decided
         };
-        let (action, guards, _cost) = match decided {
+        let (action, guards) = match decided {
             Ok(decided) => decided,
             Err(e) => {
                 exhausted_out = Some(e);
@@ -602,14 +560,12 @@ fn minimize(
     mut lhs: Vec<xnf_dtd::PathId>,
     mut target: xnf_dtd::PathId,
     budget: &Budget,
-    rounds: &mut u64,
 ) -> std::result::Result<(Vec<xnf_dtd::PathId>, xnf_dtd::PathId), Exhausted> {
     use xnf_dtd::PathId;
     let _span = budget.recorder().span("normalize.minimize", "normalize");
     // Each round strictly shrinks or rewrites the candidate; the cap
     // guards against pathological ping-pong between same-size FDs.
     for _ in 0..64 {
-        *rounds += 1;
         budget.checkpoint("normalize.minimize")?;
         let elem_paths: Vec<PathId> = lhs
             .iter()
@@ -692,7 +648,7 @@ fn minimize(
 }
 
 /// Applies `D[p.@l := q.@m]` and rewrites Σ.
-pub(crate) fn apply_move(
+fn apply_move(
     dtd: &mut Dtd,
     sigma: &mut XmlFdSet,
     paths: &PathSet,
@@ -744,7 +700,7 @@ pub(crate) fn apply_move(
 }
 
 /// Applies `D[p.@l := q.τ[τ₁.@l₁, …, τₙ.@lₙ, @l]]` and builds Σ'.
-pub(crate) fn apply_create(
+fn apply_create(
     dtd: &mut Dtd,
     sigma: &mut XmlFdSet,
     paths: &PathSet,
@@ -967,7 +923,7 @@ pub fn rename_element(dtd: &mut Dtd, sigma: &mut XmlFdSet, old: &str, new: &str)
 /// Folds one `p.τ.S` path into an attribute `@τ` of `last(p)`, rewriting
 /// the DTD and the FDs (Section 6: "`p.S` can always be replaced by a
 /// path of the form `p.@l`").
-pub(crate) fn fold_one_text_path(
+fn fold_one_text_path(
     dtd: &mut Dtd,
     fds: &mut [XmlFd],
     s_path: &Path,

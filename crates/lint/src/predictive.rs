@@ -165,13 +165,8 @@ pub fn from_analysis(analysis: &Analysis) -> Vec<Diagnostic> {
                 ),
             )
             .note(format!(
-                "predicted governed cost: {} fuel ticks{}",
-                analysis.cost.predicted_fuel,
-                if analysis.cost.fuel_exact {
-                    " (exact)"
-                } else {
-                    " (estimate)"
-                }
+                "predicted governed cost: {} fuel ticks (exact)",
+                analysis.cost.predicted_fuel
             )),
         );
     }

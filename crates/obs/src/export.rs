@@ -36,7 +36,7 @@ impl ObsFormat {
 }
 
 /// Escapes `s` as the body of a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -28,11 +28,9 @@
 //!    with `Retry-After` *before* reading a byte of body (load is shed
 //!    at the cheapest possible point).
 //! 2. **Cost-model admission** — spec operations are admitted against
-//!    an estimated-fuel-in-flight watermark. The estimate book is
-//!    seeded by the static planner's fuel forecast
-//!    ([`xnf_cli::ops::AnalyzeOutcome::predicted_fuel`]) and refined
-//!    with each request's observed [`Budget::ticks`], so the admission
-//!    controller learns the true cost of hot specs.
+//!    an estimated-fuel-in-flight watermark. The estimate book learns
+//!    each computed request's observed [`Budget::ticks`], so the
+//!    admission controller learns the true cost of hot specs.
 //! 3. **Per-tenant quotas** — API keys map to [`TokenBucket`] request
 //!    rates and per-request budget caps (wall clock, fuel, memory).
 //!    Budget exhaustion mid-request answers `503` carrying the partial
@@ -1181,28 +1179,24 @@ fn run_spec_op(inner: &Arc<Inner>, op: &str, body: &Json, budget: &Budget) -> Re
     };
 
     let cacheable = op != "normalize" || field(body, "doc").is_none();
-    let mut outcome_fuel: Option<u64> = None;
     let computed = if cacheable {
         inner.cache.get_or_compute(&cache_key, || {
-            compute_op(op, body, dtd_src, fds_src, budget, &mut outcome_fuel).map(|s| {
+            compute_op(op, body, dtd_src, fds_src, budget).map(|s| {
                 let bytes = s.len();
                 (s, bytes)
             })
         })
     } else {
-        compute_op(op, body, dtd_src, fds_src, budget, &mut outcome_fuel)
-            .map(|s| (Arc::new(s), false))
+        compute_op(op, body, dtd_src, fds_src, budget).map(|s| (Arc::new(s), false))
     };
 
     match computed {
         Ok((output, hit)) => {
             if !hit {
-                // Learn the real cost for the next admission decision:
-                // the observed ticks, or the planner's forecast when it
-                // is the better signal (analyze runs are cheaper than
-                // the normalize they predict).
-                let observed = outcome_fuel.unwrap_or(0).max(budget.ticks());
-                inner.learn_estimate(&spec_key, observed);
+                // Learn the real cost for the next admission decision.
+                // An analyze request runs the normalize it forecasts, so
+                // its ticks already cover that forecast.
+                inner.learn_estimate(&spec_key, budget.ticks());
             }
             let mut reply = Reply::ok_output(&output, "ok");
             reply.cache = Some(if hit { "hit" } else { "miss" });
@@ -1220,7 +1214,6 @@ fn compute_op(
     dtd_src: &str,
     fds_src: &str,
     budget: &Budget,
-    outcome_fuel: &mut Option<u64>,
 ) -> Result<String, Box<Reply>> {
     let trust = Some(Trust::Network);
     match op {
@@ -1272,10 +1265,6 @@ fn compute_op(
                 trust,
             };
             ops::analyze_spec(dtd_src, fds_src, &options, budget)
-                .map(|outcome| {
-                    *outcome_fuel = Some(outcome.predicted_fuel);
-                    outcome.rendered
-                })
                 .map_err(|e| Box::new(cli_reply(&e)))
         }
     }

@@ -1,14 +1,13 @@
-//! Differential tests: the static planner (`xnf_core::analyze`) against
-//! the real normalizer.
+//! Differential tests: the decomposition planner (`xnf_core::analyze`)
+//! against a separate governed `normalize` run.
 //!
-//! `analyze` promises a *byte-exact* prediction: the plan it computes
-//! without executing `normalize` must equal the executed step trace —
-//! step for step — along with the AP trace, the revised `(D, Σ)`, and
-//! the chase/cache counters. When the analysis reports `fuel_exact`,
-//! `predicted_fuel` must equal the governed run's tick bill to the tick;
-//! otherwise it must land within a 2× band. This suite pins that promise
-//! on the fuzz-found oracle corpus, the paper's three specs, the
-//! `e22_family` stress family, a generated corpus of 200+ random
+//! `analyze` runs `normalize` itself (one thread, on its own metered
+//! budget) and reports that run, so its plan must equal the standalone
+//! step trace — step for step — along with the AP trace, the revised
+//! `(D, Σ)`, the chase/cache counters, and, to the tick, the governed
+//! run's fuel bill (`predicted_fuel`). This suite pins that on the
+//! fuzz-found oracle corpus, the paper's three specs, the `e22_family`
+//! stress family, the E20 wide spec, a generated corpus of 200+ random
 //! instances, and the bad-spec corpus (error parity).
 
 use std::path::PathBuf;
@@ -37,8 +36,8 @@ fn normalize_metered(
     Ok((r, budget.ticks()))
 }
 
-/// Full differential comparison for one spec: when both engines accept,
-/// the prediction must be byte-exact; when either rejects, both must
+/// Full differential comparison for one spec: when both accept, the
+/// prediction must be byte-exact; when either rejects, both must
 /// reject with the same rendered error. Returns whether the accepting
 /// branch was exercised.
 fn assert_prediction_matches(dtd: &Dtd, sigma: &XmlFdSet, label: &str) -> bool {
@@ -57,7 +56,7 @@ fn assert_prediction_matches(dtd: &Dtd, sigma: &XmlFdSet, label: &str) -> bool {
     }
 }
 
-/// The byte-exact comparison for a spec both engines accepted.
+/// The byte-exact comparison for a spec both calls accepted.
 fn assert_prediction_exact(
     a: &xnf::core::Analysis,
     r: &xnf::core::NormalizeResult,
@@ -97,18 +96,10 @@ fn assert_prediction_exact(
         r.stats.chase.get("cache.misses"),
         "{label}"
     );
-    if a.cost.fuel_exact {
-        assert_eq!(
-            a.cost.predicted_fuel, ticks,
-            "{label}: fuel_exact but prediction missed the tick bill"
-        );
-    } else {
-        assert!(
-            (ticks / 2..=ticks * 2).contains(&a.cost.predicted_fuel),
-            "{label}: inexact fuel estimate {} outside 2x band of {ticks}",
-            a.cost.predicted_fuel
-        );
-    }
+    assert_eq!(
+        a.cost.predicted_fuel, ticks,
+        "{label}: prediction missed the tick bill"
+    );
 }
 
 fn corpus_dir(name: &str) -> PathBuf {
@@ -196,11 +187,11 @@ fn paper_spec_predictions_are_byte_exact() {
     }
 }
 
-/// The E22 stress family stays exact (plan-wise) across sizes, even
-/// where the fuel estimate goes inexact.
+/// The E22 stress family stays exact across sizes, up to the k = 25 of
+/// experiment E22.
 #[test]
 fn e22_family_predictions_are_byte_exact() {
-    for k in [1, 2, 4, 8] {
+    for k in [1, 2, 4, 8, 12, 25] {
         let (dtd, sigma) = xnf::core::analyze::e22_family(k);
         assert!(assert_prediction_matches(
             &dtd,
@@ -208,6 +199,23 @@ fn e22_family_predictions_are_byte_exact() {
             &format!("e22_family({k})")
         ));
     }
+}
+
+/// The E20 wide spec: `wide_dtd(12)` with one planted anomalous FD
+/// `item_i.@id_i -> item_i.@val_i` per hub.
+#[test]
+fn wide_spec_predictions_are_byte_exact() {
+    const WIDTH: usize = 12;
+    let dtd = xnf_gen::dtd::wide_dtd(WIDTH);
+    let fds: String = (0..WIDTH)
+        .map(|i| format!("root.hub{i}.item{i}.@id{i} -> root.hub{i}.item{i}.@val{i}\n"))
+        .collect();
+    let sigma = XmlFdSet::parse(&fds).unwrap();
+    assert!(assert_prediction_matches(
+        &dtd,
+        &sigma,
+        &format!("wide_dtd({WIDTH})")
+    ));
 }
 
 /// 200+ generated instances: random simple DTDs × random FD sets.
@@ -260,7 +268,7 @@ fn bad_specs_fail_identically() {
     assert_eq!(format!("{a_err}"), format!("{n_err}"));
 
     // Every parseable bad-spec DTD, paired with an FD pool over it: the
-    // two engines agree verdict-for-verdict (both accept with identical
+    // two calls agree verdict-for-verdict (both accept with identical
     // plans, or both reject with the same rendered error).
     let dir = corpus_dir("bad_specs");
     let mut compared = 0;

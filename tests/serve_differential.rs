@@ -79,20 +79,17 @@ fn reference_output(op: &str, dtd: &str, fds: &str) -> String {
             &Recorder::disabled(),
         )
         .expect("reference normalize"),
-        "analyze" => {
-            ops::analyze_spec(
-                dtd,
-                fds,
-                &AnalyzeSpecOptions {
-                    format: AnalyzeFormat::Json,
-                    sigma_only: false,
-                    trust: Some(Trust::Network),
-                },
-                &budget,
-            )
-            .expect("reference analyze")
-            .rendered
-        }
+        "analyze" => ops::analyze_spec(
+            dtd,
+            fds,
+            &AnalyzeSpecOptions {
+                format: AnalyzeFormat::Json,
+                sigma_only: false,
+                trust: Some(Trust::Network),
+            },
+            &budget,
+        )
+        .expect("reference analyze"),
         "lint" => ops::lint_sources(dtd, Some(fds), &LintSpecOptions::default(), &budget)
             .expect("reference lint"),
         other => panic!("unknown op {other}"),
