@@ -15,7 +15,8 @@
 //! ```
 
 use std::fmt::Write as _;
-use xnf_obs::{escape, CounterSnapshot};
+use xnf_obs::json::{self, quoted, Json};
+use xnf_obs::CounterSnapshot;
 
 /// One experiment run: its id, wall time, and the counter totals the
 /// run's recorder accumulated (empty for experiments that do not drive
@@ -50,19 +51,15 @@ pub fn git_sha() -> String {
 /// Renders the `BENCH_obs.json` document for one `reproduce` run.
 pub fn render(git_sha: &str, records: &[ExperimentRecord]) -> String {
     let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"git_sha\":\"{}\",\"experiments\":[",
-        escape(git_sha)
-    );
+    let _ = write!(out, "{{\"git_sha\":{},\"experiments\":[", quoted(git_sha));
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "\n{{\"id\":\"{}\",\"wall_micros\":{},\"spans_dropped\":{},\"counters\":{{",
-            escape(&r.id),
+            "\n{{\"id\":{},\"wall_micros\":{},\"spans_dropped\":{},\"counters\":{{",
+            quoted(&r.id),
             r.wall_micros,
             r.spans_dropped
         );
@@ -70,7 +67,7 @@ pub fn render(git_sha: &str, records: &[ExperimentRecord]) -> String {
             if j > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", escape(name), value);
+            let _ = write!(out, "{}:{}", quoted(name), value);
         }
         out.push_str("}}");
     }
@@ -78,56 +75,31 @@ pub fn render(git_sha: &str, records: &[ExperimentRecord]) -> String {
     out
 }
 
-/// A tiny schema check over a `BENCH_obs.json` document: well-formed
-/// JSON quoting/nesting, the two top-level keys, and the three required
-/// keys on every experiment record. Returns the first problem found.
-pub fn check_schema(json: &str) -> Result<(), String> {
-    // Structural well-formedness: balanced braces/brackets outside
-    // strings, and strings themselves terminated.
-    let mut depth: i64 = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in json.chars() {
-        if in_string {
-            match (escaped, c) {
-                (true, _) => escaped = false,
-                (false, '\\') => escaped = true,
-                (false, '"') => in_string = false,
-                _ => {}
-            }
-            continue;
+/// The schema check over a `BENCH_obs.json` document: it parses as
+/// JSON, carries a string `git_sha` and an `experiments` array, and
+/// every experiment record has a string `id`, numeric `wall_micros`
+/// and `spans_dropped`, and a `counters` object of numbers. Returns the
+/// first problem found.
+pub fn check_schema(doc: &str) -> Result<(), String> {
+    let doc = json::parse(doc).map_err(|e| e.to_string())?;
+    if doc.get("git_sha").and_then(Json::as_str).is_none() {
+        return Err("missing top-level string `git_sha`".into());
+    }
+    let Some(experiments) = doc.get("experiments").and_then(Json::as_arr) else {
+        return Err("missing top-level array `experiments`".into());
+    };
+    let is_num = |v: &Json| matches!(v, Json::Num(_));
+    for (i, r) in experiments.iter().enumerate() {
+        let counters = r.get("counters").and_then(Json::as_obj);
+        if r.get("id").and_then(Json::as_str).is_none()
+            || !r.get("wall_micros").is_some_and(is_num)
+            || !r.get("spans_dropped").is_some_and(is_num)
+            || !counters.is_some_and(|c| c.values().all(is_num))
+        {
+            return Err(format!(
+                "experiment record {i} is missing id/wall_micros/spans_dropped/counters"
+            ));
         }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err("unbalanced closing brace/bracket".into());
-                }
-            }
-            _ => {}
-        }
-    }
-    if in_string {
-        return Err("unterminated string".into());
-    }
-    if depth != 0 {
-        return Err(format!("unbalanced nesting (depth {depth} at end)"));
-    }
-    for key in ["\"git_sha\":", "\"experiments\":["] {
-        if !json.contains(key) {
-            return Err(format!("missing top-level key {key}"));
-        }
-    }
-    // Every experiment record carries all four keys: equal counts.
-    let count = |needle: &str| json.matches(needle).count();
-    let ids = count("\"id\":");
-    if ids != count("\"wall_micros\":")
-        || ids != count("\"spans_dropped\":")
-        || ids != count("\"counters\":{")
-    {
-        return Err("an experiment record is missing id/wall_micros/spans_dropped/counters".into());
     }
     Ok(())
 }

@@ -1,9 +1,8 @@
 //! Trace-export validation at the process level: `normalize --trace`
 //! on each paper spec must produce a Chrome-trace JSON document that a
-//! viewer (`chrome://tracing`, Perfetto) would accept — structurally
-//! well-formed JSON, every event carrying the complete-event required
-//! fields — with at least one span for every instrumented phase the
-//! spec exercises.
+//! viewer (`chrome://tracing`, Perfetto) would accept — JSON, every
+//! event carrying the complete-event required fields — with at least
+//! one span for every instrumented phase the spec exercises.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -15,37 +14,6 @@ fn workspace_file(rel: &str) -> String {
     p.pop();
     p.push(rel);
     p.to_string_lossy().into_owned()
-}
-
-/// Minimal structural JSON check: balanced braces/brackets outside
-/// strings, terminated strings. Not a full parser, but any document that
-/// fails this is one no JSON viewer will load.
-fn assert_well_formed_json(doc: &str, what: &str) {
-    let mut depth: i64 = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in doc.chars() {
-        if in_string {
-            match (escaped, c) {
-                (true, _) => escaped = false,
-                (false, '\\') => escaped = true,
-                (false, '"') => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                assert!(depth >= 0, "{what}: unbalanced closing brace/bracket");
-            }
-            _ => {}
-        }
-    }
-    assert!(!in_string, "{what}: unterminated string");
-    assert_eq!(depth, 0, "{what}: unbalanced nesting");
 }
 
 fn trace_for(name: &str) -> String {
@@ -76,7 +44,7 @@ fn trace_for(name: &str) -> String {
 fn traces_are_loadable_chrome_trace_json_with_all_phases() {
     for name in ["university", "dblp", "ebxml"] {
         let doc = trace_for(name);
-        assert_well_formed_json(&doc, name);
+        xnf_obs::json::parse(&doc).unwrap_or_else(|e| panic!("{name}: not JSON: {e}"));
         // The Chrome trace object form with complete ("X") events:
         // every event carries ph/ts/dur/name/cat (plus pid/tid for
         // lanes).

@@ -37,7 +37,7 @@ use crate::{CoreError, Result};
 use std::collections::{BTreeSet, HashMap};
 use xnf_dtd::{Dtd, Path, PathSet, Step as PathStep};
 use xnf_govern::{Budget, Exhausted};
-use xnf_obs::escape as esc;
+use xnf_obs::json::quoted;
 
 /// Options controlling [`analyze`].
 #[derive(Debug, Clone)]
@@ -557,23 +557,23 @@ impl Analysis {
     /// consumers against future changes).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"version\": 2,\n");
-        out.push_str(&format!("  \"dtd\": \"{}\",\n", esc(&self.dtd.to_string())));
+        out.push_str(&format!("  \"dtd\": {},\n", quoted(&self.dtd.to_string())));
         out.push_str(&format!(
-            "  \"sigma\": \"{}\",\n",
-            esc(&self.sigma.to_string())
+            "  \"sigma\": {},\n",
+            quoted(&self.sigma.to_string())
         ));
         out.push_str(&format!(
             "  \"cover\": [{}],\n",
             join(
                 self.cover
                     .iter()
-                    .map(|fd| format!("\"{}\"", esc(&fd.to_string())))
+                    .map(|fd| quoted(&fd.to_string()).to_string())
             )
         ));
         out.push_str("  \"graph\": {\n");
         out.push_str(&format!(
             "    \"nodes\": [{}],\n",
-            join(self.graph.nodes.iter().map(|n| format!("\"{}\"", esc(n))))
+            join(self.graph.nodes.iter().map(|n| quoted(n).to_string()))
         ));
         out.push_str(&format!(
             "    \"feeds\": [{}],\n",
@@ -600,22 +600,18 @@ impl Analysis {
         out.push_str(&format!(
             "  \"anomalies\": [{}],\n",
             join(self.anomalies.iter().map(|a| format!(
-                "{{\"fd\": \"{}\", \"path\": \"{}\", \"predicted_move\": \"{}\", \
+                "{{\"fd\": {}, \"path\": {}, \"predicted_move\": {}, \
                  \"resolved_by_step\": {}}}",
-                esc(&a.fd),
-                esc(&a.path),
-                esc(&a.predicted_move),
+                quoted(&a.fd),
+                quoted(&a.path),
+                quoted(&a.predicted_move),
                 a.resolved_by_step
                     .map_or("null".to_string(), |i| i.to_string())
             )))
         ));
         out.push_str(&format!(
             "  \"dead_attributes\": [{}],\n",
-            join(
-                self.dead_attributes
-                    .iter()
-                    .map(|p| format!("\"{}\"", esc(p)))
-            )
+            join(self.dead_attributes.iter().map(|p| quoted(p).to_string()))
         ));
         out.push_str(&format!(
             "  \"plan\": [{}],\n",
@@ -643,10 +639,7 @@ impl Analysis {
             "  \"exhausted\": {}\n}}\n",
             self.exhausted
                 .as_ref()
-                .map_or("null".to_string(), |e| format!(
-                    "\"{}\"",
-                    esc(&e.to_string())
-                ))
+                .map_or("null".to_string(), |e| quoted(&e.to_string()).to_string())
         ));
         out
     }
@@ -656,21 +649,21 @@ impl Analysis {
 fn step_json(step: &Step) -> String {
     match step {
         Step::FoldText { elem_path, attr } => format!(
-            "{{\"kind\": \"fold_text\", \"elem_path\": \"{}\", \"attr\": \"{}\"}}",
-            esc(&elem_path.to_string()),
-            esc(attr)
+            "{{\"kind\": \"fold_text\", \"elem_path\": {}, \"attr\": {}}}",
+            quoted(&elem_path.to_string()),
+            quoted(attr)
         ),
         Step::AddId { elem_path, attr } => format!(
-            "{{\"kind\": \"add_id\", \"elem_path\": \"{}\", \"attr\": \"{}\"}}",
-            esc(&elem_path.to_string()),
-            esc(attr)
+            "{{\"kind\": \"add_id\", \"elem_path\": {}, \"attr\": {}}}",
+            quoted(&elem_path.to_string()),
+            quoted(attr)
         ),
         Step::MoveAttribute { from, to, new_attr } => format!(
-            "{{\"kind\": \"move_attribute\", \"from\": \"{}\", \"to\": \"{}\", \
-             \"new_attr\": \"{}\"}}",
-            esc(&from.to_string()),
-            esc(&to.to_string()),
-            esc(new_attr)
+            "{{\"kind\": \"move_attribute\", \"from\": {}, \"to\": {}, \
+             \"new_attr\": {}}}",
+            quoted(&from.to_string()),
+            quoted(&to.to_string()),
+            quoted(new_attr)
         ),
         Step::CreateElement {
             q,
@@ -679,17 +672,13 @@ fn step_json(step: &Step) -> String {
             tau,
             tau_children,
         } => format!(
-            "{{\"kind\": \"create_element\", \"q\": \"{}\", \"lhs_attrs\": [{}], \
-             \"value_attr\": \"{}\", \"tau\": \"{}\", \"tau_children\": [{}]}}",
-            esc(&q.to_string()),
-            join(
-                lhs_attrs
-                    .iter()
-                    .map(|p| format!("\"{}\"", esc(&p.to_string())))
-            ),
-            esc(&value_attr.to_string()),
-            esc(tau),
-            join(tau_children.iter().map(|t| format!("\"{}\"", esc(t))))
+            "{{\"kind\": \"create_element\", \"q\": {}, \"lhs_attrs\": [{}], \
+             \"value_attr\": {}, \"tau\": {}, \"tau_children\": [{}]}}",
+            quoted(&q.to_string()),
+            join(lhs_attrs.iter().map(|p| quoted(&p.to_string()).to_string())),
+            quoted(&value_attr.to_string()),
+            quoted(tau),
+            join(tau_children.iter().map(|t| quoted(t).to_string()))
         ),
     }
 }
@@ -928,26 +917,6 @@ mod tests {
         assert!(json.contains("\"version\": 2"));
         assert!(json.contains("\"predicted_fuel\""));
         assert!(json.contains("\"move_attribute\""));
-        // Balanced braces/brackets outside strings — a cheap
-        // well-formedness smoke (the schema job in CI does it properly).
-        let mut depth: i64 = 0;
-        let mut in_str = false;
-        let mut escaped = false;
-        for c in json.chars() {
-            if escaped {
-                escaped = false;
-                continue;
-            }
-            match c {
-                '\\' if in_str => escaped = true,
-                '"' => in_str = !in_str,
-                '{' | '[' if !in_str => depth += 1,
-                '}' | ']' if !in_str => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_str);
+        xnf_obs::json::parse(&json).expect("the analysis is JSON");
     }
 }

@@ -17,12 +17,13 @@
 //! behind a [`Mutex`] — so one instance can serve all workers of the
 //! parallel anomalous-FD search.
 
-use super::chase::Chase;
+use super::chase::{Chase, ChaseOutcome};
 use super::Implication;
 use crate::fd::ResolvedFd;
+use crate::UNLIMITED;
 use std::collections::HashMap;
 use std::sync::Mutex;
-use xnf_govern::Exhausted;
+use xnf_govern::{Budget, Exhausted};
 
 /// Interned-key memo tables; all lookups are exact (no fingerprint
 /// collisions possible).
@@ -122,35 +123,17 @@ impl<'a> ImplicationCache<'a> {
             tables.intern_sigma(sigma)
         }
     }
-}
 
-impl Implication for ImplicationCache<'_> {
-    fn implies(&self, sigma: &[ResolvedFd], fd: &ResolvedFd) -> bool {
-        let key = {
-            let mut tables = self.tables.lock().expect("cache lock");
-            let sid = self.sigma_id(&mut tables, sigma);
-            let fid = tables.intern_fd(fd);
-            if let Some(&verdict) = tables.verdicts.get(&(sid, fid)) {
-                self.chase.stats().cache_hits.bump();
-                return verdict;
-            }
-            (sid, fid)
-        };
-        // Chase outside the lock: concurrent workers may race on the same
-        // key, but the chase is deterministic, so both compute the same
-        // verdict and the duplicated work is bounded by the worker count.
-        self.chase.stats().cache_misses.bump();
-        let verdict = self.chase.implies(sigma, fd);
-        self.tables
-            .lock()
-            .expect("cache lock")
-            .verdicts
-            .insert(key, verdict);
-        verdict
-    }
-
-    fn try_implies(&self, sigma: &[ResolvedFd], fd: &ResolvedFd) -> Result<bool, Exhausted> {
-        self.chase.budget().checkpoint("cache.lookup")?;
+    /// The memo lookup behind both trait methods. `budget` meters the
+    /// lookup and, on a miss, the chase run: [`Implication::implies`]
+    /// passes the unlimited budget, whose checkpoints are no-ops.
+    fn lookup(
+        &self,
+        budget: &Budget,
+        sigma: &[ResolvedFd],
+        fd: &ResolvedFd,
+    ) -> Result<bool, Exhausted> {
+        budget.checkpoint("cache.lookup")?;
         let key = {
             let mut tables = self.tables.lock().expect("cache lock");
             let sid = self.sigma_id(&mut tables, sigma);
@@ -161,17 +144,34 @@ impl Implication for ImplicationCache<'_> {
             }
             (sid, fid)
         };
+        // Chase outside the lock: concurrent workers may race on the same
+        // key, but the chase is deterministic, so both compute the same
+        // verdict and the duplicated work is bounded by the worker count.
         self.chase.stats().cache_misses.bump();
         // Only completed verdicts are memoized: an exhausted chase run
         // returns here via `?` without touching the tables, so a rerun
         // with a larger budget starts from trustworthy entries only.
-        let verdict = self.chase.try_implies(sigma, fd)?;
+        let outcome = self.chase.run_with(budget, sigma, fd, None)?;
+        let verdict = matches!(outcome, ChaseOutcome::Implied);
         self.tables
             .lock()
             .expect("cache lock")
             .verdicts
             .insert(key, verdict);
         Ok(verdict)
+    }
+}
+
+impl Implication for ImplicationCache<'_> {
+    fn implies(&self, sigma: &[ResolvedFd], fd: &ResolvedFd) -> bool {
+        match self.lookup(UNLIMITED, sigma, fd) {
+            Ok(verdict) => verdict,
+            Err(_) => unreachable!("an unlimited budget cannot exhaust"),
+        }
+    }
+
+    fn try_implies(&self, sigma: &[ResolvedFd], fd: &ResolvedFd) -> Result<bool, Exhausted> {
+        self.lookup(self.chase.budget(), sigma, fd)
     }
 }
 

@@ -442,7 +442,7 @@ impl<'a> Chase<'a> {
         self.run_with(&self.budget, sigma, fd, None)
     }
 
-    fn run_with(
+    pub(super) fn run_with(
         &self,
         budget: &Budget,
         sigma: &[ResolvedFd],

@@ -43,7 +43,6 @@
 pub mod analyze;
 pub mod encode;
 pub mod fd;
-pub mod flight;
 pub mod implication;
 pub mod keys;
 pub mod lossless;
@@ -56,7 +55,6 @@ pub mod xnf;
 
 pub use crate::analyze::{analyze, Analysis, AnalyzeOptions, AnomalyInfo, CostEstimate, FdGraph};
 pub use crate::fd::{XmlFd, XmlFdSet};
-pub use crate::flight::{spec_cache_key, CacheStats, ShardedCache};
 pub use crate::implication::{
     Chase, ChaseConfig, ChaseStats, ChaseStatsSnapshot, CounterexampleSearch, DtdDelta,
     Implication, ImplicationCache, IncrementalCache, InvalidationReport, RunTrace, ShardPlan,

@@ -1,28 +1,10 @@
-//! A minimal hand-rolled JSON writer.
+//! The lint report's pretty-printing JSON builder.
 //!
-//! The build environment vendors no serde, and the lint report is the only
-//! JSON this workspace emits, so a small append-only writer with correct
-//! string escaping is all that is needed. Output is pretty-printed with
-//! two-space indentation and stable key order (insertion order).
+//! Output is pretty-printed with two-space indentation and stable key
+//! order (insertion order); strings go through the workspace's one
+//! escaping table, [`xnf_obs::json::write_str`].
 
-/// Escapes `s` as the body of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use xnf_obs::json::write_str;
 
 /// An in-progress JSON object.
 #[derive(Debug)]
@@ -57,17 +39,14 @@ impl Object {
         self.empty = false;
         self.buf.push('\n');
         self.buf.push_str(&"  ".repeat(self.indent));
-        self.buf.push('"');
-        self.buf.push_str(&escape(key));
-        self.buf.push_str("\": ");
+        write_str(&mut self.buf, key);
+        self.buf.push_str(": ");
     }
 
     /// Adds a string member.
     pub fn string(&mut self, key: &str, value: &str) {
         self.key(key);
-        self.buf.push('"');
-        self.buf.push_str(&escape(value));
-        self.buf.push('"');
+        write_str(&mut self.buf, value);
     }
 
     /// Adds an unsigned-number member.
@@ -164,9 +143,7 @@ impl Array {
     /// Appends a string element.
     pub fn string(&mut self, value: &str) {
         self.slot();
-        self.buf.push('"');
-        self.buf.push_str(&escape(value));
-        self.buf.push('"');
+        write_str(&mut self.buf, value);
     }
 
     /// Appends an object element, built by `f`.
@@ -191,12 +168,6 @@ impl Array {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_covers_controls_and_quotes() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn nested_structure_renders() {

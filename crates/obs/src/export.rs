@@ -1,10 +1,9 @@
 //! Exporters: Chrome trace JSON, JSONL event stream, Prometheus text.
 //!
-//! The build environment vendors no serde (same constraint as
-//! `xnf-lint`'s report writer), and every record here is a flat object
-//! of known shape, so the JSON is assembled by hand with proper string
-//! escaping.
+//! Every JSON record here is a flat object of known shape, so it is
+//! assembled with `write!`, its strings escaped by [`quoted`].
 
+use crate::json::quoted;
 use crate::{Histogram, Recorder, SpanEvent};
 use std::fmt::Write as _;
 
@@ -33,25 +32,6 @@ impl ObsFormat {
 
     /// The CLI names this parser accepts, for usage messages.
     pub const NAMES: &'static str = "chrome|jsonl|prometheus";
-}
-
-/// Escapes `s` as the body of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders nanoseconds as a decimal microsecond literal with nanosecond
@@ -100,9 +80,9 @@ pub fn chrome_trace_events(spans: &[SpanEvent]) -> String {
         }
         let _ = write!(
             out,
-            "\n{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"{}\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-            escape(span.name),
-            escape(span.cat),
+            "\n{{\"ph\":\"X\",\"name\":{},\"cat\":{},\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
+            quoted(span.name),
+            quoted(span.cat),
             micros(span.ts_ns),
             micros(span.dur_ns),
             span.tid
@@ -137,9 +117,9 @@ impl Recorder {
         for span in self.spans() {
             let _ = writeln!(
                 out,
-                "{{\"type\":\"span\",\"name\":\"{}\",\"cat\":\"{}\",\"ts_us\":{},\"dur_us\":{},\"tid\":{}}}",
-                escape(span.name),
-                escape(span.cat),
+                "{{\"type\":\"span\",\"name\":{},\"cat\":{},\"ts_us\":{},\"dur_us\":{},\"tid\":{}}}",
+                quoted(span.name),
+                quoted(span.cat),
                 micros(span.ts_ns),
                 micros(span.dur_ns),
                 span.tid
@@ -148,8 +128,8 @@ impl Recorder {
         for (site, tally) in self.sites() {
             let _ = writeln!(
                 out,
-                "{{\"type\":\"site\",\"site\":\"{}\",\"visits\":{},\"units\":{}}}",
-                escape(site),
+                "{{\"type\":\"site\",\"site\":{},\"visits\":{},\"units\":{}}}",
+                quoted(site),
                 tally.visits,
                 tally.units
             );
@@ -157,16 +137,16 @@ impl Recorder {
         for (name, value) in self.counters() {
             let _ = writeln!(
                 out,
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
-                escape(name),
+                "{{\"type\":\"counter\",\"name\":{},\"value\":{}}}",
+                quoted(name),
                 value
             );
         }
         for (name, h) in self.histograms() {
             let _ = writeln!(
                 out,
-                "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{}}}",
-                escape(name),
+                "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{}}}",
+                quoted(name),
                 h.count,
                 h.sum
             );
@@ -248,36 +228,6 @@ fn render_histogram(out: &mut String, name: &str, h: &Histogram) {
 mod tests {
     use super::*;
 
-    /// A minimal JSON scanner: validates syntax and returns the token
-    /// stream of a flat-ish document — enough to check the Chrome trace
-    /// without a JSON dependency.
-    fn assert_valid_json(s: &str) {
-        let mut depth = 0i32;
-        let mut in_string = false;
-        let mut escaped = false;
-        for c in s.chars() {
-            if in_string {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_string = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_string = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0, "unbalanced JSON:\n{s}");
-        }
-        assert_eq!(depth, 0, "unbalanced JSON:\n{s}");
-        assert!(!in_string, "unterminated string:\n{s}");
-    }
-
     fn sample() -> Recorder {
         let r = Recorder::enabled();
         {
@@ -293,7 +243,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_required_fields_per_event() {
         let trace = sample().chrome_trace();
-        assert_valid_json(&trace);
+        crate::json::parse(&trace).expect("the trace is JSON");
         assert!(trace.contains("\"traceEvents\""), "{trace}");
         // Every event line carries the five required Chrome fields.
         let events: Vec<&str> = trace.lines().filter(|l| l.contains("\"ph\"")).collect();
@@ -338,7 +288,7 @@ mod tests {
         let out = sample().jsonl();
         assert!(!out.is_empty());
         for line in out.lines() {
-            assert_valid_json(line);
+            crate::json::parse(line).expect("each line is JSON");
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
         assert!(out.contains("\"type\":\"span\""), "{out}");
@@ -382,12 +332,6 @@ mod tests {
         assert_eq!(ObsFormat::parse("jsonl"), Some(ObsFormat::Jsonl));
         assert_eq!(ObsFormat::parse("prometheus"), Some(ObsFormat::Prometheus));
         assert_eq!(ObsFormat::parse("xml"), None);
-    }
-
-    #[test]
-    fn escaping_covers_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]

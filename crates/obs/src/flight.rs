@@ -30,7 +30,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::export::{chrome_trace_events, escape, escape_label};
+use crate::export::{chrome_trace_events, escape_label};
+use crate::json::quoted;
 use crate::{Histogram, SpanEvent};
 
 /// Mints a process-unique request id: 32 lowercase hex characters (the
@@ -223,14 +224,14 @@ impl FlightRecorder {
             use std::fmt::Write as _;
             let _ = write!(
                 out,
-                "\n{{\"id\":\"{}\",\"tenant\":\"{}\",\"route\":\"{}\",\"status\":{},\
-                 \"cache\":\"{}\",\"shed\":\"{}\",\"fuel\":{},\"wall_micros\":{},\"spans\":{}}}",
-                escape(&s.id),
-                escape(&s.tenant),
-                escape(&s.route),
+                "\n{{\"id\":{},\"tenant\":{},\"route\":{},\"status\":{},\
+                 \"cache\":{},\"shed\":{},\"fuel\":{},\"wall_micros\":{},\"spans\":{}}}",
+                quoted(&s.id),
+                quoted(&s.tenant),
+                quoted(&s.route),
                 s.status,
-                escape(&s.cache),
-                escape(&s.shed),
+                quoted(&s.cache),
+                quoted(&s.shed),
                 s.fuel,
                 s.wall_micros,
                 s.spans

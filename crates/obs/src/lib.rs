@@ -30,6 +30,11 @@
 //! relaxed atomics while work is in flight, mergeable snapshots after,
 //! and [`Recorder::merge`] to publish the totals into the export
 //! pipeline.
+//!
+//! [`json`] is the workspace's one JSON codec — the parser the service
+//! decodes requests with and the string-escaping table every JSON
+//! writer (the exporters here included) shares. It lives in this
+//! dependency-free leaf crate so every other crate can reach it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,9 +42,10 @@
 mod counter;
 mod export;
 mod flight;
+pub mod json;
 
 pub use counter::{Counter, CounterSnapshot};
-pub use export::{chrome_trace_events, escape, escape_label, ObsFormat};
+pub use export::{chrome_trace_events, escape_label, ObsFormat};
 pub use flight::{
     mint_request_id, FlightRecorder, LabeledHistograms, RequestRecord, RequestSummary,
 };

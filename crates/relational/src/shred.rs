@@ -29,6 +29,7 @@ use crate::fd::{AttrSet, Fd, FdSet, RelSchema};
 use crate::table::Value;
 use crate::{RelError, Result};
 use std::fmt::Write as _;
+use xnf_obs::json::quoted;
 
 /// What a column stores; fixes both its SQL type and how the shredder
 /// fills it.
@@ -222,7 +223,7 @@ impl RelDesign {
                 out.push(',');
             }
             out.push_str("\n    {\n");
-            let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(&t.name));
+            let _ = writeln!(out, "      \"name\": {},", quoted(&t.name));
             out.push_str("      \"columns\": [");
             for (j, c) in t.columns.iter().enumerate() {
                 if j > 0 {
@@ -230,27 +231,24 @@ impl RelDesign {
                 }
                 let _ = write!(
                     out,
-                    "\n        {{\"name\": \"{}\", \"role\": \"{}\", \"type\": \"{}\", \"nullable\": {}}}",
-                    json_escape(&c.name),
+                    "\n        {{\"name\": {}, \"role\": \"{}\", \"type\": \"{}\", \"nullable\": {}}}",
+                    quoted(&c.name),
                     c.role.as_str(),
                     c.role.sql_type(),
                     c.role.nullable()
                 );
             }
             out.push_str("\n      ],\n");
-            let pk = t.primary_key().map_or("null".to_string(), |c| {
-                format!("\"{}\"", json_escape(&c.name))
-            });
+            let pk = t
+                .primary_key()
+                .map_or("null".to_string(), |c| quoted(&c.name).to_string());
             let _ = writeln!(out, "      \"primary_key\": {pk},");
             out.push_str("      \"unique_keys\": [");
             for (j, key) in t.unique_keys.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let cols: Vec<String> = key
-                    .iter()
-                    .map(|k| format!("\"{}\"", json_escape(k)))
-                    .collect();
+                let cols: Vec<String> = key.iter().map(|k| quoted(k).to_string()).collect();
                 let _ = write!(out, "[{}]", cols.join(", "));
             }
             out.push_str("],\n");
@@ -258,10 +256,10 @@ impl RelDesign {
                 Some(fk) => {
                     let _ = writeln!(
                         out,
-                        "      \"foreign_key\": {{\"column\": \"{}\", \"parent_table\": \"{}\", \"parent_column\": \"{}\"}}",
-                        json_escape(&fk.column),
-                        json_escape(&fk.parent_table),
-                        json_escape(&fk.parent_column)
+                        "      \"foreign_key\": {{\"column\": {}, \"parent_table\": {}, \"parent_column\": {}}}",
+                        quoted(&fk.column),
+                        quoted(&fk.parent_table),
+                        quoted(&fk.parent_column)
                     );
                 }
                 None => out.push_str("      \"foreign_key\": null\n"),
@@ -343,7 +341,7 @@ impl ShreddedDoc {
                 out.push(',');
             }
             out.push_str("\n    {");
-            let _ = write!(out, "\"name\": \"{}\", \"rows\": [", json_escape(&t.table));
+            let _ = write!(out, "\"name\": {}, \"rows\": [", quoted(&t.table));
             for (j, row) in t.rows.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
@@ -363,7 +361,7 @@ impl ShreddedDoc {
 fn sql_value(v: &Value) -> String {
     match v {
         Value::Null => "NULL".to_string(),
-        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+        Value::Str(s) => format!("'{}'", s.replace("'", "''")),
         Value::Vert(n) => n.to_string(),
     }
 }
@@ -372,28 +370,9 @@ fn sql_value(v: &Value) -> String {
 fn json_value(v: &Value) -> String {
     match v {
         Value::Null => "null".to_string(),
-        Value::Str(s) => format!("\"{}\"", json_escape(s)),
+        Value::Str(s) => quoted(s).to_string(),
         Value::Vert(n) => n.to_string(),
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -489,13 +468,6 @@ mod tests {
         assert!(json.contains("\"primary_key\": \"xnf_id\""));
         assert!(json.contains("\"unique_keys\": [[\"cno\"]]"));
         assert!(json.contains("\"parent_table\": \"courses\""));
-        // Balanced braces/brackets as a cheap well-formedness probe.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close} in {json}"
-            );
-        }
+        xnf_obs::json::parse(&json).expect("the schema rendering is JSON");
     }
 }

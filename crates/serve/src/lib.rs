@@ -36,8 +36,8 @@
 //!    Budget exhaustion mid-request answers `503` carrying the partial
 //!    step trace — never a hung connection.
 //! 4. **Shared single-flight cache** — results are cached in a
-//!    [`ShardedCache`] keyed by the *canonical* parsed spec
-//!    ([`xnf_core::spec_cache_key`]), so formatting-different but
+//!    sharded single-flight cache (the private `cache` module) keyed by
+//!    the *canonical* parsed spec, so formatting-different but
 //!    semantically identical requests coalesce, concurrent identical
 //!    requests compute once, and failed computations are never cached.
 //! 5. **Graceful drain** — `POST /admin/drain` (or stdin EOF on the
@@ -71,8 +71,12 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod cache;
 pub mod http;
-pub mod json;
+// The request/response codec is the workspace's one JSON module.
+pub use xnf_obs::json;
+
+pub use cache::CacheStats;
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -81,6 +85,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use crate::cache::{spec_cache_key, ShardedCache};
 use crate::http::{HttpError, Request};
 use crate::json::Json;
 use xnf_cli::ops::{
@@ -264,7 +269,7 @@ struct Inner {
     labeled: LabeledHistograms,
     /// The JSONL access log, when configured.
     access_log: Option<Mutex<std::fs::File>>,
-    cache: xnf_core::ShardedCache<String>,
+    cache: ShardedCache<String>,
     /// Spec → learned fuel cost, feeding the admission controller.
     estimates: Mutex<HashMap<String, u64>>,
     fuel_in_flight: AtomicU64,
@@ -570,7 +575,7 @@ impl Server {
             flight: FlightRecorder::new(config.flight_cap, config.flight_sample),
             labeled: LabeledHistograms::new(512),
             access_log,
-            cache: xnf_core::ShardedCache::new(config.cache_shards, config.cache_bytes),
+            cache: ShardedCache::new(config.cache_shards, config.cache_bytes),
             estimates: Mutex::new(HashMap::new()),
             fuel_in_flight: AtomicU64::new(0),
             draining: AtomicBool::new(false),
@@ -623,7 +628,7 @@ impl Server {
     }
 
     /// Point-in-time counters of the shared result cache.
-    pub fn cache_stats(&self) -> xnf_core::CacheStats {
+    pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.stats()
     }
 
@@ -1161,8 +1166,8 @@ fn run_spec_op(inner: &Arc<Inner>, op: &str, body: &Json, budget: &Budget) -> Re
         Err(reply) => return reply,
     };
     let options_key = options_fingerprint(op, body);
-    let cache_key = xnf_core::spec_cache_key(op, &dtd, &sigma, &options_key);
-    let spec_key = xnf_core::spec_cache_key("spec", &dtd, &sigma, "");
+    let cache_key = spec_cache_key(op, &dtd, &sigma, &options_key);
+    let spec_key = spec_cache_key("spec", &dtd, &sigma, "");
     drop((dtd, sigma));
 
     // Admission: refuse work that would push estimated fuel in flight

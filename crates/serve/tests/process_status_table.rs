@@ -99,11 +99,12 @@ fn get(addr: SocketAddr, path: &str) -> u16 {
 }
 
 fn spec_body() -> String {
-    format!(
-        "{{\"dtd\":\"{}\",\"fds\":\"{}\"}}",
-        FLAT_DTD.replace('"', "\\\""),
-        FLAT_FDS
-    )
+    let mut body = String::from("{\"dtd\":");
+    xnf_serve::json::write_str(&mut body, FLAT_DTD);
+    body.push_str(",\"fds\":");
+    xnf_serve::json::write_str(&mut body, FLAT_FDS);
+    body.push('}');
+    body
 }
 
 /// Waits for exit, with a deadline so a hung drain fails the test

@@ -97,11 +97,12 @@ fn post_with_id(addr: SocketAddr, path: &str, body: &str, id: &str) -> String {
 }
 
 fn spec_body() -> String {
-    format!(
-        "{{\"dtd\":\"{}\",\"fds\":\"{}\"}}",
-        FLAT_DTD.replace('"', "\\\""),
-        FLAT_FDS
-    )
+    let mut body = String::from("{\"dtd\":");
+    xnf_serve::json::write_str(&mut body, FLAT_DTD);
+    body.push_str(",\"fds\":");
+    xnf_serve::json::write_str(&mut body, FLAT_FDS);
+    body.push('}');
+    body
 }
 
 fn access_log_path(tag: &str) -> std::path::PathBuf {
