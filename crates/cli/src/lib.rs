@@ -64,13 +64,15 @@
 //! even when the run exhausts its budget — a trace of the partial run is
 //! exactly what the flags are for.
 //!
-//! `normalize` and `is-xnf` run the linter as a preflight: hard lint
-//! errors abort with the rendered report and a nonzero exit before the
-//! engine touches the spec; `--no-lint` opts out. Warnings and infos never
-//! block (and stay silent in preflight — use `lint` to see them). `shred`
-//! preflights with the shred tier included (`xnf_lint::lint_spec_shred`),
-//! so recursive DTDs and mixed content fail with the `XNF3xx` explanation
-//! rather than a bare engine error.
+//! `normalize`, `is-xnf`, `verify` and `shred` run the linter as a
+//! preflight (`xnf_lint::preflight`): hard lint errors abort with the
+//! rendered report and a nonzero exit before the engine touches the spec;
+//! `--no-lint` opts out. Warnings and infos never block, and the
+//! preflight neither shows nor computes them — use `lint` to see them. A
+//! spec with an error gets the full report, rendered under the
+//! subcommand's resource limits. `shred` preflights with the shred tier
+//! included, so recursive DTDs and mixed content fail with the `XNF3xx`
+//! explanation rather than a bare engine error.
 //!
 //! The command logic lives in [`run`] so it is unit-testable; `main` only
 //! forwards `std::env::args` and prints.
@@ -196,33 +198,25 @@ fn parse_governed_dtd(src: &str, budget: &Budget) -> Result<Dtd, CliError> {
     )?)
 }
 
-/// Runs the linter over raw spec sources and fails with the rendered
-/// report when it finds hard errors. Clean specs (and specs with only
-/// warnings or infos) pass silently.
-pub(crate) fn preflight_lint(dtd_src: &str, fds_src: Option<&str>) -> Result<(), CliError> {
-    let report = xnf_lint::lint_spec(dtd_src, fds_src);
-    if report.has_errors() {
-        Err(CliError::Lint(format!(
+/// The lint preflight: fails with the rendered report when the spec has
+/// hard errors, and passes silently otherwise. With `shred_tier` it adds
+/// the shred tier (`XNF3xx`), so `shred` refuses recursive DTDs and mixed
+/// content with the shredding-specific diagnostic instead of a bare
+/// engine error. Runs [`xnf_lint::preflight`] under the op's `budget`: a
+/// clean spec costs no chase, and a failing one renders its full report
+/// under the op's limits (exhaustion is exit 4 / HTTP 503).
+pub(crate) fn preflight_lint(
+    dtd_src: &str,
+    fds_src: Option<&str>,
+    shred_tier: bool,
+    budget: &Budget,
+) -> Result<(), CliError> {
+    match xnf_lint::preflight(dtd_src, fds_src, shred_tier, budget)? {
+        None => Ok(()),
+        Some(report) => Err(CliError::Lint(format!(
             "{}preflight lint failed; fix the errors above or rerun with --no-lint\n",
             report.render_human()
-        )))
-    } else {
-        Ok(())
-    }
-}
-
-/// [`preflight_lint`] plus the opt-in shred tier (`XNF3xx`): the `shred`
-/// subcommand refuses recursive DTDs and mixed content with the full
-/// shredding-specific diagnostic instead of a bare engine error.
-fn preflight_lint_shred(dtd_src: &str, fds_src: Option<&str>) -> Result<(), CliError> {
-    let report = xnf_lint::lint_spec_shred(dtd_src, fds_src, &Budget::unlimited())?;
-    if report.has_errors() {
-        Err(CliError::Lint(format!(
-            "{}preflight lint failed; fix the errors above or rerun with --no-lint\n",
-            report.render_human()
-        )))
-    } else {
-        Ok(())
+        ))),
     }
 }
 
@@ -639,10 +633,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             };
             let dtd_src = read(dtd_path)?;
             let fds_src = read(fds_path)?;
-            if !no_lint {
-                preflight_lint(&dtd_src, Some(&fds_src))?;
-            }
             let budget = obs_flags.build_budget(&budget_flags);
+            if !no_lint {
+                preflight_lint(&dtd_src, Some(&fds_src), false, &budget)?;
+            }
             let parse_span = budget.recorder().span("spec.parse", "parse");
             let dtd = parse_governed_dtd(&dtd_src, &budget)?;
             let sigma = XmlFdSet::parse(&fds_src)?;
@@ -723,10 +717,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             };
             let dtd_src = read(dtd_path)?;
             let fds_src = read(fds_path)?;
-            if !no_lint {
-                preflight_lint_shred(&dtd_src, Some(&fds_src))?;
-            }
             let budget = obs_flags.build_budget(&budget_flags);
+            if !no_lint {
+                preflight_lint(&dtd_src, Some(&fds_src), true, &budget)?;
+            }
             let parse_span = budget.recorder().span("spec.parse", "parse");
             let dtd = parse_governed_dtd(&dtd_src, &budget)?;
             let sigma = XmlFdSet::parse(&fds_src)?;

@@ -112,7 +112,7 @@ pub fn is_xnf(
     let _op_span = budget.recorder().span("op.is-xnf", "op");
     let mut out = String::new();
     if !options.no_lint {
-        preflight_lint(dtd_src, Some(fds_src))?;
+        preflight_lint(dtd_src, Some(fds_src), false, budget)?;
     }
     let trust = options.trust.unwrap_or(Trust::Local);
     let (dtd, sigma) = parse_spec(dtd_src, fds_src, trust, budget)?;
@@ -170,7 +170,7 @@ pub fn normalize_spec(
     let _op_span = budget.recorder().span("op.normalize", "op");
     let mut out = String::new();
     if !options.no_lint {
-        preflight_lint(dtd_src, Some(fds_src))?;
+        preflight_lint(dtd_src, Some(fds_src), false, budget)?;
     }
     let trust = options.trust.unwrap_or(Trust::Local);
     let (dtd, sigma) = parse_spec(dtd_src, fds_src, trust, budget)?;

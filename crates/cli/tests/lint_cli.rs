@@ -96,3 +96,35 @@ fn is_xnf_preflight_aborts_and_no_lint_opts_out() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("xnf-tool:"));
     assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
 }
+
+/// A failing preflight renders its full report — the chase-backed rules
+/// included — under the op's budget. On the pathological general DTD
+/// with one unknown FD path, that report exhausts `--fuel 5000`: exit 4,
+/// not the exit 1 of a report computed without the op's limits.
+#[test]
+fn failing_preflight_renders_under_the_op_budget() {
+    let dtd = workspace_file("tests/data/pathological-general.dtd");
+    let fds = std::fs::read_to_string(workspace_file("tests/data/pathological-general.fds"))
+        .expect("fixture");
+    let fds = write_tmp(
+        "pre-exhaust.fds",
+        &format!("{}\ne0.nope -> e0\n", fds.trim_end()),
+    );
+    let doc = write_tmp("pre-exhaust.xml", "<e0/>");
+    for op in [
+        vec!["is-xnf", &dtd, &fds],
+        vec!["normalize", &dtd, &fds],
+        vec!["verify", &dtd, &fds],
+        vec!["shred", &dtd, &fds, &doc],
+    ] {
+        let mut governed = op.clone();
+        governed.extend(["--fuel", "5000"]);
+        let out = xnf_tool(&governed);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(4), "{governed:?}: {stdout}");
+        assert!(
+            stdout.contains("budget exhausted"),
+            "{governed:?}: {stdout}"
+        );
+    }
+}

@@ -888,28 +888,25 @@ impl Session<'_, '_> {
                 .iter()
                 .all(|&l| self.state[l.index()].eq == Ternary::True)
         {
-            let undecided: Vec<PathId> = fd
-                .lhs
-                .iter()
-                .copied()
-                .filter(|&l| {
-                    let s = self.state[l.index()];
-                    s.n1 != Ternary::False && s.n2 != Ternary::False
-                })
-                .collect();
-            if let [b] = undecided[..] {
-                if self.state[b.index()].n1 != Ternary::True {
-                    self.set_null(0, b, Ternary::True);
-                    progressed = true;
+            let mut undecided = fd.lhs.iter().copied().filter(|&l| {
+                let s = self.state[l.index()];
+                s.n1 != Ternary::False && s.n2 != Ternary::False
+            });
+            match (undecided.next(), undecided.next()) {
+                (Some(b), None) => {
+                    if self.state[b.index()].n1 != Ternary::True {
+                        self.set_null(0, b, Ternary::True);
+                        progressed = true;
+                    }
+                    if self.state[b.index()].n2 != Ternary::True {
+                        self.set_null(1, b, Ternary::True);
+                        progressed = true;
+                    }
                 }
-                if self.state[b.index()].n2 != Ternary::True {
-                    self.set_null(1, b, Ternary::True);
-                    progressed = true;
-                }
-            } else if undecided.is_empty() {
                 // Fully non-null equal premise with a differing RHS:
                 // direct contradiction.
-                self.contradiction = true;
+                (None, _) => self.contradiction = true,
+                (Some(_), Some(_)) => {}
             }
         }
         if progressed {
@@ -925,19 +922,16 @@ impl Session<'_, '_> {
     /// aligned by re-choosing).
     fn zone_root(&self, l: PathId) -> Option<PathId> {
         let paths = self.chase.paths;
-        let mut chain = Vec::new();
+        // Walk l … root; the last non-True path seen is the shallowest.
+        let mut zone = None;
         let mut cur = Some(l);
         while let Some(c) = cur {
-            chain.push(c);
+            if self.state[c.index()].eq != Ternary::True {
+                zone = Some(c);
+            }
             cur = paths.parent(c);
         }
-        // chain: l … root; scan from the root end for the first non-True.
-        for &a in chain.iter().rev() {
-            if self.state[a.index()].eq != Ternary::True {
-                return (a != paths.root()).then_some(a);
-            }
-        }
-        None
+        zone.filter(|&a| a != paths.root())
     }
 
     fn apply_structural(&mut self, p: PathId, kind: FactKind) {
@@ -1071,8 +1065,7 @@ impl Session<'_, '_> {
                         }
                         // The mirror of the rule above: element children
                         // already known equal must be ⊥ on both sides.
-                        let children: Vec<PathId> = paths.children_of(p).to_vec();
-                        for cp in children {
+                        for &cp in paths.children_of(p) {
                             if paths.is_element_path(cp)
                                 && self.state[cp.index()].eq == Ternary::True
                             {
@@ -1110,8 +1103,8 @@ impl Session<'_, '_> {
         if !(self.chase.paths.is_element_path(p) && s.eq == Ternary::True) {
             return;
         }
-        let children: Vec<PathId> = self.chase.paths.children_of(p).to_vec();
-        for cp in children {
+        let paths = self.chase.paths;
+        for &cp in paths.children_of(p) {
             if self.chase.facts[cp.index()].at_most_one {
                 self.set_eq(cp, Ternary::True);
             }
@@ -1157,31 +1150,31 @@ impl Session<'_, '_> {
     /// Unit propagation for exclusive disjunction groups: with the parent
     /// non-null and a non-nullable group, exactly one member is non-null.
     fn check_group(&mut self, gid: u32, i: usize) {
-        let group = &self.chase.groups[gid as usize];
+        let chase = self.chase;
+        let group = &chase.groups[gid as usize];
         if group.nullable {
             return;
         }
-        let members = group.members.clone();
-        let parent = self
-            .chase
+        let parent = chase
             .paths
-            .parent(members[0])
+            .parent(group.members[0])
             .expect("group members have parents");
         if self.state[parent.index()].n(i) != Ternary::False {
             return;
         }
-        let mut unknown = Vec::new();
-        for &m in &members {
-            match self.state[m.index()].n(i) {
-                Ternary::False => return, // already satisfied
-                Ternary::Unknown => unknown.push(m),
-                Ternary::True => {}
-            }
+        let n = |m: PathId| self.state[m.index()].n(i);
+        if group.members.iter().any(|&m| n(m) == Ternary::False) {
+            return; // already satisfied
         }
-        match unknown.len() {
-            0 => self.contradiction = true, // all null, but one is required
-            1 => self.set_null(i, unknown[0], Ternary::False),
-            _ => {}
+        let mut unknown = group
+            .members
+            .iter()
+            .copied()
+            .filter(|&m| n(m) == Ternary::Unknown);
+        match (unknown.next(), unknown.next()) {
+            (None, _) => self.contradiction = true, // all null, but one is required
+            (Some(m), None) => self.set_null(i, m, Ternary::False),
+            (Some(_), Some(_)) => {}
         }
     }
 }

@@ -30,6 +30,11 @@
 //!   exhaustive derived-key search, driven by [`xnf_core::compile_schema`]
 //!   without emitting any DDL or rows.
 //!
+//! The engine subcommands gate on [`preflight`]: the same rules, with
+//! every rule that can emit an error run first and an early exit when
+//! none did, so a clean spec never pays for the warnings and infos the
+//! preflight would not show.
+//!
 //! ## Example
 //!
 //! ```
@@ -316,7 +321,7 @@ pub fn lint_spec_governed(
     fds_src: Option<&str>,
     budget: &Budget,
 ) -> Result<LintReport, Exhausted> {
-    lint_inner(dtd_src, fds_src, budget, false, false)
+    lint_inner(dtd_src, fds_src, budget, Tiers::default())
 }
 
 /// [`lint_spec_governed`] plus the opt-in **predictive tier** (`XNF2xx`):
@@ -335,7 +340,11 @@ pub fn lint_spec_predictive(
     fds_src: &str,
     budget: &Budget,
 ) -> Result<LintReport, Exhausted> {
-    lint_inner(dtd_src, Some(fds_src), budget, true, false)
+    let tiers = Tiers {
+        predictive: true,
+        ..Tiers::default()
+    };
+    lint_inner(dtd_src, Some(fds_src), budget, tiers)
 }
 
 /// [`lint_spec_governed`] plus the opt-in **shred tier** (`XNF3xx`): the
@@ -343,69 +352,132 @@ pub fn lint_spec_predictive(
 /// `(D, Σ)` with [`xnf_core::compile_schema`] — without emitting DDL or
 /// rows — and reports what shredding would refuse (recursive DTDs, mixed
 /// content) or silently degrade on (mangled table names, sampled key
-/// search). `xnf-tool shred` runs exactly this before touching a document.
+/// search).
 pub fn lint_spec_shred(
     dtd_src: &str,
     fds_src: Option<&str>,
     budget: &Budget,
 ) -> Result<LintReport, Exhausted> {
-    lint_inner(dtd_src, fds_src, budget, false, true)
+    let tiers = Tiers {
+        shred: true,
+        ..Tiers::default()
+    };
+    lint_inner(dtd_src, fds_src, budget, tiers)
 }
 
+/// The preflight gate of the engine subcommands: does the spec have a
+/// hard lint error? `None` when it has none; otherwise the full report —
+/// exactly [`lint_spec_governed`]'s, or [`lint_spec_shred`]'s with
+/// `shred_tier` — for the caller to render.
+///
+/// Only the rules that can emit an error run first: the structural
+/// tier, FD syntax and path resolution (`XNF101`/`XNF102`), and with
+/// `shred_tier` recursion and mixed content (`XNF300`/`XNF301`). A clean
+/// gate stops there, so the chase-backed `XNF103`/`XNF105`–`XNF108` and
+/// the shred layout compile (`XNF302`/`XNF303`), which emit only
+/// warnings and infos, are never computed for a report nobody reads.
+/// Only a failing gate goes on to them — under `budget`, so rendering
+/// its report can exhaust like any governed lint. The gate runs inside
+/// a `lint.preflight` span on the budget's recorder.
+pub fn preflight(
+    dtd_src: &str,
+    fds_src: Option<&str>,
+    shred_tier: bool,
+    budget: &Budget,
+) -> Result<Option<LintReport>, Exhausted> {
+    let _span = budget.recorder().span("lint.preflight", "lint");
+    let tiers = Tiers {
+        shred: shred_tier,
+        gate: true,
+        ..Tiers::default()
+    };
+    let report = lint_inner(dtd_src, fds_src, budget, tiers)?;
+    Ok(report.has_errors().then_some(report))
+}
+
+/// Which rules one [`lint_inner`] run covers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tiers {
+    /// The opt-in predictive tier (`XNF2xx`).
+    predictive: bool,
+    /// The opt-in shred tier (`XNF3xx`).
+    shred: bool,
+    /// Stop before the report-only rules unless an error fired.
+    gate: bool,
+}
+
+/// The one rule sequence behind every entry point. Every rule that can
+/// emit an error runs before every rule that cannot; the gate is the
+/// early exit between them. The order of rules does not reach the
+/// report: [`LintReport::new`] sorts stably by (source, offset, code),
+/// and each code comes from one rule.
 fn lint_inner(
     dtd_src: &str,
     fds_src: Option<&str>,
     budget: &Budget,
-    predictive: bool,
-    shred_tier: bool,
+    tiers: Tiers,
 ) -> Result<LintReport, Exhausted> {
     let mut diags = Vec::new();
     let structural_span = budget.recorder().span("lint.structural", "lint");
     let index = DeclIndex::scan(dtd_src);
     structural::duplicate_decls(dtd_src, &index, &mut diags);
-
-    match parse_dtd(dtd_src) {
+    let parsed = parse_dtd(dtd_src);
+    let ctx = match &parsed {
         Ok(dtd) => {
-            let ctx = DtdCtx::new(dtd_src, &dtd, &index);
+            let ctx = DtdCtx::new(dtd_src, dtd, &index);
             structural::rule_unreachable(&ctx, &mut diags);
             structural::rule_non_generating(&ctx, &mut diags);
             structural::rule_unsatisfiable(&ctx, &mut diags);
             structural::rule_determinism(&ctx, &mut diags);
             structural::rule_recursive(&ctx, &mut diags);
             structural::rule_general_class(&ctx, &mut diags);
-            drop(structural_span);
-            if let Some(fds_src) = fds_src {
-                {
-                    let _span = budget.recorder().span("lint.semantic", "lint");
-                    if dtd.is_recursive() {
-                        semantic::lint_fd_syntax_only(fds_src, &mut diags);
-                    } else {
-                        semantic::lint_fds(&ctx, fds_src, budget, &mut diags)?;
-                    }
-                }
-                if predictive && !dtd.is_recursive() {
-                    let _span = budget.recorder().span("lint.predictive", "lint");
-                    predictive::lint_predictive(&ctx, fds_src, budget, &mut diags)?;
-                }
-            }
-            if shred_tier {
-                let _span = budget.recorder().span("lint.shred", "lint");
-                shred::rule_mixed_content(dtd_src, &index, &mut diags);
-                shred::rule_shred_schema(&dtd, dtd_src, &index, fds_src, budget, &mut diags)?;
-            }
+            Some(ctx)
         }
         Err(err) => {
-            structural::map_parse_error(dtd_src, &index, &err, &mut diags);
-            drop(structural_span);
-            if let Some(fds_src) = fds_src {
-                let _span = budget.recorder().span("lint.semantic", "lint");
+            structural::map_parse_error(dtd_src, &index, err, &mut diags);
+            None
+        }
+    };
+    drop(structural_span);
+    // The path-based rules need a finite paths(D): a parsed,
+    // non-recursive DTD.
+    let finite = ctx.as_ref().filter(|c| !c.dtd.is_recursive());
+    let sigma = fds_src.and_then(|fds_src| {
+        let _span = budget.recorder().span("lint.semantic", "lint");
+        match finite {
+            Some(ctx) => semantic::resolve_fds(ctx, fds_src, &mut diags),
+            None => {
                 semantic::lint_fd_syntax_only(fds_src, &mut diags);
+                None
             }
-            if shred_tier {
-                // Mixed content *is* a parse failure; explain it anyway.
-                let _span = budget.recorder().span("lint.shred", "lint");
-                shred::rule_mixed_content(dtd_src, &index, &mut diags);
-            }
+        }
+    });
+    if tiers.shred {
+        let _span = budget.recorder().span("lint.shred", "lint");
+        // Mixed content *is* a parse failure; explain it anyway.
+        shred::rule_mixed_content(dtd_src, &index, &mut diags);
+        if let Some(ctx) = &ctx {
+            shred::rule_recursive(ctx.dtd, dtd_src, &index, &mut diags);
+        }
+    }
+
+    if tiers.gate && !diags.iter().any(|d| d.severity == Severity::Error) {
+        return Ok(LintReport::new(diags));
+    }
+
+    // Report-only rules: none of them emits an error.
+    if let Some(ctx) = finite {
+        if let (Some(fds_src), Some(sigma)) = (fds_src, sigma) {
+            let _span = budget.recorder().span("lint.semantic", "lint");
+            semantic::lint_resolved(ctx, fds_src, sigma, budget, &mut diags)?;
+        }
+        if let (true, Some(fds_src)) = (tiers.predictive, fds_src) {
+            let _span = budget.recorder().span("lint.predictive", "lint");
+            predictive::lint_predictive(ctx, fds_src, budget, &mut diags)?;
+        }
+        if tiers.shred {
+            let _span = budget.recorder().span("lint.shred", "lint");
+            shred::rule_layout(ctx.dtd, dtd_src, &index, fds_src, budget, &mut diags)?;
         }
     }
     Ok(LintReport::new(diags))
@@ -491,6 +563,52 @@ mod tests {
             broken.codes(),
             lint_spec(dtd, Some("db.nope -> db.conf")).codes()
         );
+    }
+
+    /// The preflight gate's premise: every code emitted only after its
+    /// early exit is below `Error`, so stopping there cannot hide one.
+    /// Promoting any of these codes to an error must move its rule
+    /// before the gate, or the gate silently weakens.
+    #[test]
+    fn codes_after_the_gate_are_never_errors() {
+        let after_gate = [
+            Code::VacuousFd,
+            Code::TrivialFd,
+            Code::RedundantFd,
+            Code::EquivalentFds,
+            Code::RedundantLhsPath,
+            Code::ShredNameCollision,
+            Code::ShredWideTable,
+        ];
+        // The predictive tier runs after the gate too (never in a
+        // preflight, but the rule sequence is shared).
+        let predictive = registry()
+            .iter()
+            .filter(|r| r.tier == Tier::Predictive)
+            .map(|r| r.code);
+        for code in after_gate.into_iter().chain(predictive) {
+            assert!(
+                code.severity() < Severity::Error,
+                "{code} runs after the preflight gate but is an error"
+            );
+        }
+    }
+
+    /// A passing gate charges the caller's budget nothing, though the
+    /// full lint of the same spec runs the chase; a failing gate renders
+    /// its report under that budget and can exhaust it.
+    #[test]
+    fn preflight_gate_charges_only_a_failing_report() {
+        let dtd = "<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)> <!ATTLIST a k CDATA #REQUIRED>";
+        let warned = "r.a.@k -> r.a\nr.a -> r";
+        assert!(lint_spec(dtd, Some(warned)).count(Severity::Warning) > 0);
+        let metered = Budget::builder().build();
+        assert_eq!(preflight(dtd, Some(warned), false, &metered), Ok(None));
+        assert_eq!(metered.ticks(), 0);
+        let broken = "r.a.@k -> r.a\nr.a -> r\nr.nope -> r";
+        let tiny = Budget::builder().fuel(2).build();
+        let err = preflight(dtd, Some(broken), false, &tiny).unwrap_err();
+        assert_eq!(err.resource, xnf_govern::Resource::Fuel);
     }
 
     #[test]

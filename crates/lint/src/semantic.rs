@@ -38,26 +38,53 @@ struct Member {
     equivalent: bool,
 }
 
-/// Runs the semantic tier over `fds_src`. `ctx` must come from a
-/// successfully parsed, non-recursive DTD (the driver gates on XNF011).
-/// The implication-backed rules charge `budget`; on exhaustion the
-/// partial diagnostics already pushed to `out` are abandoned by the
-/// driver (no partial report escapes).
-pub fn lint_fds(
+/// Σ after the tier's cheap half: segmented, parsed, resolved against
+/// `paths(D)` and deduplicated — the input of [`lint_resolved`].
+pub struct ResolvedSigma {
+    segments: Vec<FdSegment>,
+    paths: PathSet,
+    members: Vec<Member>,
+}
+
+/// The cheap half of the semantic tier, and the only half that can emit
+/// an error: FD syntax (XNF101), paths outside `paths(D)` (XNF102) and
+/// duplicates (XNF104). `ctx` must come from a successfully parsed,
+/// non-recursive DTD (`lint_inner` gates on XNF011); `None` otherwise.
+pub fn resolve_fds(
     ctx: &DtdCtx<'_>,
     fds_src: &str,
+    out: &mut Vec<Diagnostic>,
+) -> Option<ResolvedSigma> {
+    let segments = fd_segments(fds_src);
+    let parsed = parse_segments(fds_src, &segments, out);
+    // `lint_inner` filters recursive DTDs; defensive only.
+    let paths = ctx.dtd.paths().ok()?;
+    let members = resolve_and_dedup(fds_src, &segments, parsed, &paths, out);
+    Some(ResolvedSigma {
+        segments,
+        paths,
+        members,
+    })
+}
+
+/// The expensive half of the semantic tier over Σ as [`resolve_fds`]
+/// left it: vacuous FDs (XNF103) and the chase-backed XNF105–XNF108.
+/// Report-only — every code here is a warning or an info. The
+/// implication-backed rules charge `budget`; on exhaustion the partial
+/// diagnostics already pushed to `out` are abandoned by `lint_inner` (no
+/// partial report escapes).
+pub fn lint_resolved(
+    ctx: &DtdCtx<'_>,
+    fds_src: &str,
+    sigma: ResolvedSigma,
     budget: &Budget,
     out: &mut Vec<Diagnostic>,
 ) -> Result<(), Exhausted> {
-    let segments = fd_segments(fds_src);
-    let parsed = parse_segments(fds_src, &segments, out);
-
-    let Ok(paths) = ctx.dtd.paths() else {
-        // Recursive DTDs are filtered by the driver; defensive only.
-        return Ok(());
-    };
-
-    let mut members = resolve_and_dedup(ctx, fds_src, &segments, parsed, &paths, out);
+    let ResolvedSigma {
+        segments,
+        paths,
+        mut members,
+    } = sigma;
 
     let at = |seg: usize| -> (&str, usize, usize) {
         (fds_src, segments[seg].offset, segments[seg].len())
@@ -212,7 +239,8 @@ pub fn lint_fds(
 }
 
 /// Surfaces per-FD syntax errors even when the DTD itself failed to parse
-/// (the driver calls this instead of [`lint_fds`] in that case).
+/// or is recursive (`lint_inner` calls this instead of [`resolve_fds`] in
+/// that case).
 pub fn lint_fd_syntax_only(fds_src: &str, out: &mut Vec<Diagnostic>) {
     let segments = fd_segments(fds_src);
     parse_segments(fds_src, &segments, out);
@@ -245,7 +273,6 @@ fn parse_segments(
 /// XNF102/XNF104 — resolves each parsed FD against `paths(D)` (reporting
 /// unknown paths) and drops duplicate members (reporting them).
 fn resolve_and_dedup(
-    _ctx: &DtdCtx<'_>,
     fds_src: &str,
     segments: &[FdSegment],
     parsed: Vec<(usize, XmlFd)>,

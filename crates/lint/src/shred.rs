@@ -64,11 +64,38 @@ pub(crate) fn rule_mixed_content(dtd_src: &str, index: &DeclIndex, diags: &mut V
     }
 }
 
-/// The schema-level shred rules (`XNF300`, `XNF302`, `XNF303`): compiles
-/// the spec with [`xnf_core::compile_schema`] and reports on the layout.
-/// Σ parse problems are ignored here (the semantic tier owns them); the
-/// layout rules then run against the empty Σ.
-pub(crate) fn rule_shred_schema(
+/// `XNF300`: a recursive DTD has no per-path table layout at all.
+pub(crate) fn rule_recursive(
+    dtd: &Dtd,
+    dtd_src: &str,
+    index: &DeclIndex,
+    diags: &mut Vec<Diagnostic>,
+) {
+    if !dtd.is_recursive() {
+        return;
+    }
+    let witness = dtd
+        .find_cycle_witness()
+        .expect("recursive DTDs have a cycle witness");
+    let name = dtd.name(witness);
+    let mut d = Diagnostic::new(
+        Code::ShredRecursive,
+        SourceKind::Dtd,
+        format!("element `{name}` is on a reference cycle; paths(D) is infinite and no per-path table layout exists"),
+    )
+    .note("shredding requires a non-recursive DTD; break the cycle or export the subtree as a document column");
+    if let Some(span) = index.element(name) {
+        d = d.with_span(dtd_src, span.offset, span.len());
+    }
+    diags.push(d);
+}
+
+/// The layout rules (`XNF302`, `XNF303`) over a non-recursive DTD:
+/// compiles the spec with [`xnf_core::compile_schema`] and reports on
+/// the layout. Report-only — a warning and an info. Σ parse problems are
+/// ignored here (the semantic tier owns them); the layout rules then run
+/// against the empty Σ.
+pub(crate) fn rule_layout(
     dtd: &Dtd,
     dtd_src: &str,
     index: &DeclIndex,
@@ -76,23 +103,6 @@ pub(crate) fn rule_shred_schema(
     budget: &Budget,
     diags: &mut Vec<Diagnostic>,
 ) -> Result<(), Exhausted> {
-    if dtd.is_recursive() {
-        let witness = dtd
-            .find_cycle_witness()
-            .expect("recursive DTDs have a cycle witness");
-        let name = dtd.name(witness);
-        let mut d = Diagnostic::new(
-            Code::ShredRecursive,
-            SourceKind::Dtd,
-            format!("element `{name}` is on a reference cycle; paths(D) is infinite and no per-path table layout exists"),
-        )
-        .note("shredding requires a non-recursive DTD; break the cycle or export the subtree as a document column");
-        if let Some(span) = index.element(name) {
-            d = d.with_span(dtd_src, span.offset, span.len());
-        }
-        diags.push(d);
-        return Ok(());
-    }
     let sigma = fds_src
         .and_then(|s| XmlFdSet::parse(s).ok())
         .unwrap_or_default();

@@ -1791,4 +1791,34 @@ mod tests {
         assert_eq!(status, 422, "{body}");
         server.shutdown();
     }
+
+    /// A failing lint preflight renders its report under the request's
+    /// budget: on the pathological general DTD with one unknown FD path
+    /// the report's chase-backed rules exhaust the fuel cap, a 503 rather
+    /// than a 422 computed on an unmetered budget.
+    #[test]
+    fn a_failing_preflight_exhausts_under_the_request_budget() {
+        let data = |name: &str| {
+            let path = format!("{}/../../tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
+            std::fs::read_to_string(path).expect("fixture")
+        };
+        let fds = format!(
+            "{}\ne0.nope -> e0\n",
+            data("pathological-general.fds").trim_end()
+        );
+        let mut body = String::from("{\"dtd\":");
+        json::write_str(&mut body, &data("pathological-general.dtd"));
+        body.push_str(",\"fds\":");
+        json::write_str(&mut body, &fds);
+        body.push('}');
+        let config = ServeConfig {
+            default_fuel: 5000,
+            ..ServeConfig::default()
+        };
+        let server = Server::spawn(config).expect("spawn");
+        let (status, reply) = post(server.addr(), "/v1/is-xnf", &body, &[]);
+        assert_eq!(status, 503, "{reply}");
+        assert!(reply.contains("\"status\":\"exhausted\""), "{reply}");
+        server.shutdown();
+    }
 }

@@ -10,7 +10,7 @@
 //!   under the opt-in shred tier (`lint_spec_shred`) and stay invisible
 //!   to the default tiers.
 
-use xnf::lint::{lint_spec, lint_spec_shred};
+use xnf::lint::{lint_spec, lint_spec_governed, lint_spec_shred, preflight};
 use xnf_govern::Budget;
 
 fn read(rel: &str) -> String {
@@ -153,5 +153,70 @@ fn paper_specs_under_the_shred_tier() {
         !shred.is_empty() && shred.iter().all(|&c| c == "XNF302"),
         "ebxml should produce only XNF302 name-collision warnings:\n{}",
         report.render_human()
+    );
+}
+
+/// Every checked-in spec file ending in `ext` under `tests/bad_specs`
+/// and `examples/specs`, sorted.
+fn corpus_files(ext: &str) -> Vec<String> {
+    let mut files = Vec::new();
+    for dir in ["tests/bad_specs", "examples/specs"] {
+        let full = format!("{}/{dir}", env!("CARGO_MANIFEST_DIR"));
+        for entry in std::fs::read_dir(&full).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            if name.ends_with(ext) {
+                files.push(format!("{dir}/{name}"));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The preflight gate against the full report it stands in for: every
+/// checked-in DTD crossed with every checked-in FD file and with no FDs,
+/// under the plain and the shred tier. The gate passes exactly when the
+/// full report has no error, and a failing gate returns that report
+/// byte for byte in both renderings.
+#[test]
+fn preflight_gate_agrees_with_the_full_report() {
+    let unlimited = Budget::unlimited();
+    let fds_files: Vec<Option<String>> = std::iter::once(None)
+        .chain(corpus_files(".fds").into_iter().map(Some))
+        .collect();
+    let (mut passed, mut failed) = (0, 0);
+    for dtd_file in corpus_files(".dtd") {
+        let dtd = read(&dtd_file);
+        for fds_file in &fds_files {
+            let fds = fds_file.as_deref().map(read);
+            for shred_tier in [false, true] {
+                let full = if shred_tier {
+                    lint_spec_shred(&dtd, fds.as_deref(), &unlimited)
+                } else {
+                    lint_spec_governed(&dtd, fds.as_deref(), &unlimited)
+                }
+                .unwrap();
+                let gate = preflight(&dtd, fds.as_deref(), shred_tier, &unlimited).unwrap();
+                let what = format!("{dtd_file} + {fds_file:?} (shred tier: {shred_tier})");
+                match gate {
+                    None => {
+                        assert!(!full.has_errors(), "{what}: gate passed an error");
+                        passed += 1;
+                    }
+                    Some(report) => {
+                        assert!(full.has_errors(), "{what}: gate failed a clean spec");
+                        assert_eq!(report.render_human(), full.render_human(), "{what}");
+                        assert_eq!(report.to_json(), full.to_json(), "{what}");
+                        failed += 1;
+                    }
+                }
+            }
+        }
+    }
+    // 11 DTDs x 7 FD choices x 2 tiers, both outcomes well represented.
+    assert_eq!(passed + failed, 154);
+    assert!(
+        passed >= 20 && failed >= 20,
+        "{passed} passed, {failed} failed"
     );
 }
