@@ -131,15 +131,16 @@ pub fn candidate_fragment(paths: &PathSet, fd: &ResolvedFd, q: PathId) -> Option
 /// Runs `test` over every candidate of `plan` and returns the hits tagged
 /// with their original enumeration index, **in enumeration order**.
 ///
-/// Scheduling: shards are the work units. With `threads <= 1` they run
-/// in order on the calling thread; otherwise `threads` scoped workers
-/// pull shard indices from a shared cursor (work stealing — a worker
-/// that drew a cheap shard immediately takes the next one, so skewed
-/// fragment sizes do not serialize the sweep). `threads == 0` asks
-/// [`std::thread::available_parallelism`].
+/// Scheduling: shards are the work units. With `threads <= 1` (or a
+/// single shard) they run in order on the calling thread and nothing is
+/// spawned; otherwise the calling thread and `threads - 1` scoped
+/// helpers pull shard indices from a shared cursor (work stealing — a
+/// worker that drew a cheap shard immediately takes the next one, so
+/// skewed fragment sizes do not serialize the sweep). `threads == 0`
+/// asks [`std::thread::available_parallelism`].
 ///
 /// Determinism: each worker evaluates its shard's candidates in order
-/// and records `(index, hit)` pairs; after the pool joins, the merge
+/// and records `(index, hit)` pairs; after the helpers join, the merge
 /// concatenates per-shard results in shard order and sorts by original
 /// index. The schedule therefore cannot influence the output — only the
 /// *set* of hits matters, and that is fixed by `test` being pure.
@@ -181,35 +182,28 @@ where
     let mut per_shard: Vec<Result<Vec<(usize, T)>, Exhausted>> = if threads <= 1 {
         shards.iter().map(run_shard).collect()
     } else {
-        type ShardResult<T> = Result<Vec<(usize, T)>, Exhausted>;
         let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<ShardResult<T>>> = (0..shards.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let cursor = &cursor;
-                let run_shard = &run_shard;
-                handles.push(scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(k) else {
-                            return mine;
-                        };
-                        mine.push((k, run_shard(shard)));
-                    }
-                }));
+        let drain = || {
+            let mut mine = Vec::new();
+            loop {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(shard) = shards.get(k) else {
+                    return mine;
+                };
+                mine.push((k, run_shard(shard)));
             }
-            for h in handles {
-                for (k, r) in h.join().expect("chase shard worker panicked") {
-                    slots[k] = Some(r);
-                }
+        };
+        let mut drawn = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+            let mut drawn = drain();
+            for h in helpers {
+                drawn.extend(h.join().expect("chase shard worker panicked"));
             }
+            drawn
         });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every shard index was drawn exactly once"))
-            .collect()
+        // Every shard index was drawn exactly once: back to shard order.
+        drawn.sort_unstable_by_key(|&(k, _)| k);
+        drawn.into_iter().map(|(_, r)| r).collect()
     };
 
     budget.checkpoint("chase.merge")?;

@@ -7,7 +7,7 @@
 //! `(D, Σ)` and operation** and served from memory thereafter. This
 //! module provides the machinery:
 //!
-//! * [`spec_cache_key`] — a canonical content key for `(D, Σ)`: the
+//! * [`SpecKey`] — a canonical content key for `(D, Σ)`: the
 //!   parsed DTD and FD set are re-rendered through their canonical
 //!   `Display` forms, so two textually different but semantically
 //!   identical specs (whitespace, comments, FD order is *not*
@@ -27,7 +27,7 @@
 //! [`ImplicationCache`]: xnf_core::ImplicationCache
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -35,12 +35,25 @@ use std::sync::{Arc, Condvar, Mutex};
 use xnf_core::XmlFdSet;
 use xnf_dtd::Dtd;
 
-/// Canonical content key for a `(D, Σ)` pair under a named operation
-/// (and an operation-options fingerprint, e.g. `"sigma-only"` — the
-/// empty string for defaults). Built from the *parsed* spec's canonical
-/// renderings, so formatting differences in the source text coalesce.
-pub fn spec_cache_key(op: &str, dtd: &Dtd, sigma: &XmlFdSet, options: &str) -> String {
-    format!("{op}\u{1}{options}\u{1}{dtd}\u{1}{sigma}")
+/// The canonical content of a parsed `(D, Σ)` pair, rendered once per
+/// request; [`SpecKey::key`] builds every key the request needs from
+/// it. Built from the *parsed* spec's canonical renderings, so
+/// formatting differences in the source text coalesce.
+pub struct SpecKey(String);
+
+impl SpecKey {
+    /// Renders `dtd` and `sigma` through their canonical `Display`
+    /// forms.
+    pub fn new(dtd: &Dtd, sigma: &XmlFdSet) -> SpecKey {
+        SpecKey(format!("{dtd}\u{1}{sigma}"))
+    }
+
+    /// The key of this spec under a named operation and an
+    /// operation-options fingerprint (e.g. `"sigma-only"` — the empty
+    /// string for defaults).
+    pub fn key(&self, op: &str, options: &str) -> String {
+        format!("{op}\u{1}{options}\u{1}{}", self.0)
+    }
 }
 
 /// Aggregate counters of a `ShardedCache` since construction.
@@ -80,12 +93,16 @@ enum Slot<V> {
 }
 
 struct Shard<V> {
-    map: HashMap<String, Slot<V>>,
+    map: HashMap<Arc<str>, Slot<V>>,
+    /// The keys of the `Ready` slots by `last_used`, oldest first: the
+    /// order `make_room` evicts in, without scanning the map. Ticks
+    /// come from one clock, so no two entries share one.
+    lru: BTreeMap<u64, Arc<str>>,
     resident_bytes: usize,
 }
 
 /// A sharded, byte-capped, single-flight cache of `Arc<V>` results
-/// keyed by [`spec_cache_key`]-style strings. See the module docs.
+/// keyed by [`SpecKey::key`] strings. See the module docs.
 pub struct ShardedCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     /// Per-shard byte cap (total cap divided across shards), so one
@@ -136,6 +153,7 @@ impl<V> ShardedCache<V> {
                 .map(|_| {
                     Mutex::new(Shard {
                         map: HashMap::new(),
+                        lru: BTreeMap::new(),
                         resident_bytes: 0,
                     })
                 })
@@ -173,16 +191,21 @@ impl<V> ShardedCache<V> {
                 // A poisoned shard (a panicking compute elsewhere)
                 // degrades to compute-without-caching: correctness
                 // over reuse.
-                let Ok(mut shard) = self.shards[shard_ix].lock() else {
+                let Ok(mut guard) = self.shards[shard_ix].lock() else {
                     let (v, _) = compute()?;
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     return Ok((Arc::new(v), false));
                 };
+                let shard = &mut *guard;
                 match shard.map.get_mut(key) {
                     Some(Slot::Ready {
                         value, last_used, ..
                     }) => {
-                        *last_used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+                        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+                        let was = std::mem::replace(last_used, tick);
+                        if let Some(k) = shard.lru.remove(&was) {
+                            shard.lru.insert(tick, k);
+                        }
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Ok((Arc::clone(value), true));
                     }
@@ -194,12 +217,13 @@ impl<V> ShardedCache<V> {
                             done: Mutex::new(None),
                             cv: Condvar::new(),
                         });
+                        let key: Arc<str> = Arc::from(key);
                         shard
                             .map
-                            .insert(key.to_string(), Slot::Pending(Arc::clone(&flight)));
-                        drop(shard);
+                            .insert(Arc::clone(&key), Slot::Pending(Arc::clone(&flight)));
+                        drop(guard);
                         self.misses.fetch_add(1, Ordering::Relaxed);
-                        return self.lead(key, shard_ix, &flight, compute);
+                        return self.lead(&key, shard_ix, &flight, compute);
                     }
                 }
             };
@@ -214,7 +238,7 @@ impl<V> ShardedCache<V> {
 
     fn lead<E>(
         &self,
-        key: &str,
+        key: &Arc<str>,
         shard_ix: usize,
         flight: &Arc<Flight<V>>,
         compute: impl FnOnce() -> Result<(V, usize), E>,
@@ -260,15 +284,17 @@ impl<V> ShardedCache<V> {
             Ok((value, bytes)) => {
                 let value = Arc::new(value);
                 if bytes <= self.shard_byte_cap {
-                    self.make_room(&mut shard, bytes, key);
+                    self.make_room(&mut shard, bytes);
+                    let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
                     shard.map.insert(
-                        key.to_string(),
+                        Arc::clone(key),
                         Slot::Ready {
                             value: Arc::clone(&value),
                             bytes,
-                            last_used: self.clock.fetch_add(1, Ordering::Relaxed) + 1,
+                            last_used: tick,
                         },
                     );
+                    shard.lru.insert(tick, Arc::clone(key));
                     shard.resident_bytes += bytes;
                 } else {
                     // Oversized result: serve it, cache nothing.
@@ -290,24 +316,14 @@ impl<V> ShardedCache<V> {
     }
 
     /// Evicts least-recently-used entries until `bytes` more fit under
-    /// the shard cap. Pending flights are never evicted; `incoming_key`
-    /// keeps the leader's own pending slot out of consideration.
-    fn make_room(&self, shard: &mut Shard<V>, bytes: usize, incoming_key: &str) {
+    /// the shard cap. Only `Ready` entries are in the LRU index, so
+    /// pending flights (the leader's own among them) are never evicted.
+    fn make_room(&self, shard: &mut Shard<V>, bytes: usize) {
         while shard.resident_bytes + bytes > self.shard_byte_cap {
-            let victim = shard
-                .map
-                .iter()
-                .filter_map(|(k, slot)| match slot {
-                    Slot::Ready { last_used, .. } if k != incoming_key => {
-                        Some((*last_used, k.clone()))
-                    }
-                    _ => None,
-                })
-                .min();
-            let Some((_, victim_key)) = victim else {
+            let Some((_, victim)) = shard.lru.pop_first() else {
                 return;
             };
-            if let Some(Slot::Ready { bytes: freed, .. }) = shard.map.remove(&victim_key) {
+            if let Some(Slot::Ready { bytes: freed, .. }) = shard.map.remove(&*victim) {
                 shard.resident_bytes -= freed;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
@@ -339,11 +355,7 @@ impl<V> ShardedCache<V> {
         for shard in &self.shards {
             if let Ok(s) = shard.lock() {
                 resident_bytes += s.resident_bytes as u64;
-                entries += s
-                    .map
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready { .. }))
-                    .count() as u64;
+                entries += s.lru.len() as u64;
             }
         }
         CacheStats {
@@ -361,6 +373,13 @@ impl<V> ShardedCache<V> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// The key in one call, rendering the spec for every key: the
+    /// reference a [`SpecKey`] rendered once must reproduce byte for
+    /// byte, or result-cache and estimate-book lookups would miss.
+    fn spec_cache_key(op: &str, dtd: &Dtd, sigma: &XmlFdSet, options: &str) -> String {
+        format!("{op}\u{1}{options}\u{1}{dtd}\u{1}{sigma}")
+    }
 
     #[test]
     fn every_waiter_of_one_flight_receives_the_result() {
@@ -493,6 +512,49 @@ mod tests {
     }
 
     #[test]
+    fn eviction_follows_recency_across_hits_and_multi_entry_evictions() {
+        // A reference LRU list (oldest first) next to a one-shard cache:
+        // after every lookup both hold the same entries, so the index
+        // evicts exactly what a scan for the oldest tick would, also
+        // when one arrival must push out several entries.
+        const CAP: usize = 40;
+        let cache: ShardedCache<String> = ShardedCache::new(1, CAP);
+        let mut model: Vec<(String, usize)> = Vec::new();
+        let mut evicted = 0u64;
+        let mut state = 7u64;
+        for _ in 0..2000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = format!("k{}", (state >> 33) % 12);
+            let bytes = 1 + ((state >> 20) % 12) as usize;
+            let (_, hit) = cache
+                .get_or_compute(&key, || Ok::<_, ()>((key.clone(), bytes)))
+                .unwrap();
+            let resident = model.iter().position(|(k, _)| *k == key);
+            assert_eq!(hit, resident.is_some(), "{key}");
+            if let Some(i) = resident {
+                let touched = model.remove(i);
+                model.push(touched);
+            } else {
+                while model.iter().map(|e| e.1).sum::<usize>() + bytes > CAP {
+                    model.remove(0);
+                    evicted += 1;
+                }
+                model.push((key, bytes));
+            }
+            let s = cache.stats();
+            assert_eq!(s.entries, model.len() as u64);
+            assert_eq!(
+                s.resident_bytes,
+                model.iter().map(|e| e.1).sum::<usize>() as u64
+            );
+            assert_eq!(s.evictions, evicted);
+        }
+        assert!(evicted > 100, "the sequence must exercise eviction");
+    }
+
+    #[test]
     fn oversized_results_are_served_but_not_resident() {
         let cache: ShardedCache<String> = ShardedCache::new(1, 4);
         let (v, hit) = cache
@@ -582,5 +644,29 @@ mod tests {
         // Operation and options are part of the key.
         assert_ne!(ka, spec_cache_key("analyze", &a, &sigma, ""));
         assert_ne!(ka, spec_cache_key("normalize", &a, &sigma, "sigma-only"));
+    }
+
+    #[test]
+    fn spec_key_renders_once_and_matches_spec_cache_key() {
+        let dtd =
+            xnf_dtd::parse_dtd(include_str!("../../../examples/specs/university.dtd")).unwrap();
+        let sigma =
+            XmlFdSet::parse(include_str!("../../../examples/specs/university.fds")).unwrap();
+        let spec = SpecKey::new(&dtd, &sigma);
+        for (op, options) in [
+            ("spec", ""),
+            ("is-xnf", "no_lint=false"),
+            (
+                "normalize",
+                "sigma_only=false,threads=1,stats=false,no_lint=false",
+            ),
+            ("analyze", "format=json,sigma_only=true"),
+        ] {
+            assert_eq!(
+                spec.key(op, options),
+                spec_cache_key(op, &dtd, &sigma, options),
+                "{op} {options}"
+            );
+        }
     }
 }

@@ -85,7 +85,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::cache::{spec_cache_key, ShardedCache};
+use crate::cache::{ShardedCache, SpecKey};
 use crate::http::{HttpError, Request};
 use crate::json::Json;
 use xnf_cli::ops::{
@@ -1165,9 +1165,13 @@ fn run_spec_op(inner: &Arc<Inner>, op: &str, body: &Json, budget: &Budget) -> Re
         Ok(pair) => pair,
         Err(reply) => return reply,
     };
-    let options_key = options_fingerprint(op, body);
-    let cache_key = spec_cache_key(op, &dtd, &sigma, &options_key);
-    let spec_key = spec_cache_key("spec", &dtd, &sigma, "");
+    let (cache_key, spec_key) = {
+        let spec = SpecKey::new(&dtd, &sigma);
+        (
+            spec.key(op, &options_fingerprint(op, body)),
+            spec.key("spec", ""),
+        )
+    };
     drop((dtd, sigma));
 
     // Admission: refuse work that would push estimated fuel in flight
@@ -1230,7 +1234,7 @@ fn compute_op(
             ops::is_xnf(dtd_src, fds_src, &options, budget).map_err(|e| Box::new(cli_reply(&e)))
         }
         "normalize" => {
-            let threads = body.get("threads").and_then(Json::as_u64).unwrap_or(0);
+            let threads = normalize_threads(body);
             if threads > 16 {
                 return Err(Box::new(Reply::error(
                     400,
@@ -1273,6 +1277,15 @@ fn compute_op(
                 .map_err(|e| Box::new(cli_reply(&e)))
         }
     }
+}
+
+/// The search workers of a normalize request: its `threads` when it
+/// sends one, else the ops default of one, so the request's work stays
+/// on the worker that owns it. The cache key uses this resolved count.
+fn normalize_threads(body: &Json) -> u64 {
+    body.get("threads")
+        .and_then(Json::as_u64)
+        .unwrap_or(NormalizeSpecOptions::default().threads as u64)
 }
 
 fn run_lint(body: &Json, dtd_src: &str, budget: &Budget) -> Reply {
@@ -1342,7 +1355,7 @@ fn options_fingerprint(op: &str, body: &Json) -> String {
         "normalize" => format!(
             "sigma_only={},threads={},stats={},no_lint={}",
             flag(body, "sigma_only"),
-            body.get("threads").and_then(Json::as_u64).unwrap_or(0),
+            normalize_threads(body),
             flag(body, "stats"),
             flag(body, "no_lint"),
         ),
@@ -1639,6 +1652,63 @@ mod tests {
         // Unknown ids are 404; non-GET verbs are 405.
         assert_eq!(get(addr, "/debug/trace/deadbeef").0, 404);
         assert_eq!(post(addr, "/debug/requests", "", &[]).0, 405);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_normalize_request_searches_on_its_worker_unless_it_asks_for_threads() {
+        let server = Server::spawn(ServeConfig::default()).expect("spawn");
+        let addr = server.addr();
+        // The university spec's candidate search has two shards
+        // (`course` and the frontier), so a fan-out would show in the
+        // trace as spans on a second thread.
+        let id = "one-thread-normalize";
+        let first = post_full(
+            addr,
+            "/v1/normalize",
+            &normalize_body(),
+            &[("x-request-id", id)],
+        );
+        assert!(first.starts_with("HTTP/1.1 200"), "{first}");
+        let (status, trace) = get(addr, &format!("/debug/trace/{id}"));
+        assert_eq!(status, 200, "{trace}");
+        let parsed = json::parse(&trace).expect("trace is valid JSON");
+        let events = parsed
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("traceEvents array");
+        assert!(!events.is_empty(), "{trace}");
+        let tids: std::collections::BTreeSet<u64> = events
+            .iter()
+            .map(|e| match e.get("tid") {
+                Some(Json::Num(n)) => *n as u64,
+                _ => panic!("trace event without a numeric tid: {trace}"),
+            })
+            .collect();
+        assert_eq!(tids.len(), 1, "one request, one thread: {trace}");
+
+        let body_of = |response: &str| response.split_once("\r\n\r\n").map(|(_, b)| b.to_string());
+        let with_threads = |n: u32| {
+            let body = normalize_body();
+            format!("{},\"threads\":{n}}}", &body[..body.len() - 1])
+        };
+        // An explicit `threads: 1` is the default spelled out: the same
+        // cache entry, the same bytes.
+        let one = post_full(addr, "/v1/normalize", &with_threads(1), &[]);
+        assert_eq!(
+            header_value(&one, "x-cache").as_deref(),
+            Some("hit"),
+            "{one}"
+        );
+        assert_eq!(body_of(&one), body_of(&first));
+        // A fan-out computes its own entry, byte-identical.
+        let two = post_full(addr, "/v1/normalize", &with_threads(2), &[]);
+        assert_eq!(
+            header_value(&two, "x-cache").as_deref(),
+            Some("miss"),
+            "{two}"
+        );
+        assert_eq!(body_of(&two), body_of(&first));
         server.shutdown();
     }
 
