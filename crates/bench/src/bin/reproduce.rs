@@ -2,13 +2,13 @@
 //! prints the qualitative paper-vs-implementation comparison recorded in
 //! `EXPERIMENTS.md`.
 //!
-//! Usage: `cargo run -p xnf-bench --bin reproduce [fig1|fig2|fig3|fig4|fig5|e17|e18|e19|e20|e21|e22|e23|e24|all]`
+//! Usage: `cargo run -p xnf-bench --bin reproduce [fig1|fig2|fig3|fig4|fig5|e17|e18|e19|e20|e22|e23|e24|e25|all]`
 //!
 //! Alongside the human output, every run writes `BENCH_obs.json` — one
 //! record per experiment (id, wall time, counter snapshot, git SHA) —
 //! so perf trajectories can be diffed across commits. Engine-driven
 //! experiments run under a recorder-enabled budget; the self-timing
-//! experiments (e18, e19, e20, e21, e22, e24, e25) manage their own budgets
+//! experiments (e18, e19, e20, e22, e24, e25) manage their own budgets
 //! and report empty counter snapshots.
 
 #![forbid(unsafe_code)]
@@ -524,165 +524,6 @@ fn e20() {
     );
 }
 
-fn e21() {
-    use std::time::{Duration, Instant};
-    use xnf_core::{DtdDelta, IncrementalCache, SigmaDelta, XmlFd};
-    println!("================ E21 — incremental re-check vs from-scratch ================");
-    // A wide spec with a chain of FDs inside each hub; each edit adds a
-    // fresh attribute to one hub's item element — a small declaration
-    // delta that dirties exactly one fragment. The incremental cache
-    // must re-chase only that hub's entries; the from-scratch runner
-    // pays the full query battery per step.
-    const HUBS: usize = 6;
-    const ATTRS: usize = 24;
-    let mut dtd_text = String::from("<!ELEMENT root (");
-    dtd_text.push_str(
-        &(0..HUBS)
-            .map(|i| format!("hub{i}*"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    dtd_text.push_str(")>\n");
-    for i in 0..HUBS {
-        dtd_text.push_str(&format!(
-            "<!ELEMENT hub{i} (item{i}*)>\n<!ELEMENT item{i} EMPTY>\n"
-        ));
-        dtd_text.push_str(&format!("<!ATTLIST item{i}"));
-        for a in 0..ATTRS {
-            dtd_text.push_str(&format!(" a{a} CDATA #REQUIRED"));
-        }
-        dtd_text.push_str(">\n");
-    }
-    let dtd = xnf_dtd::parse_dtd(&dtd_text).expect("DTD parses");
-    // Each hub carries a *descending* attribute chain a{j+1} -> a{j}:
-    // canonical Σ order sorts the links against the propagation
-    // direction, so a query saturates in one fixpoint pass per link —
-    // a genuinely expensive chase, the regime an incremental cache is
-    // for. (An ascending chain closes in a single pass and the chase
-    // becomes as cheap as the cache's own bookkeeping.)
-    let link = |hub: usize, a: usize| {
-        XmlFd::parse(&format!(
-            "root.hub{hub}.item{hub}.@a{} -> root.hub{hub}.item{hub}.@a{a}",
-            a + 1
-        ))
-        .expect("chain link parses")
-    };
-    let pool: Vec<XmlFd> = (0..HUBS)
-        .flat_map(|h| (0..ATTRS - 1).map(move |a| link(h, a)))
-        .collect();
-    // All queries are implied via the chain, so each run is a pure
-    // saturation whose footprint stays inside its hub. (A refuted query
-    // would run the counterexample split search, whose tuple placements
-    // touch paths across the whole tree — such entries conservatively
-    // invalidate on *any* declaration edit, by design.)
-    let queries: Vec<XmlFd> = (0..HUBS)
-        .flat_map(|h| {
-            (0..ATTRS - 1).step_by(2).map(move |to| {
-                XmlFd::parse(&format!(
-                    "root.hub{h}.item{h}.@a{} -> root.hub{h}.item{h}.@a{to}",
-                    ATTRS - 1
-                ))
-                .unwrap()
-            })
-        })
-        .collect();
-    let sigma = XmlFdSet::from_fds(pool.iter().cloned());
-    // The edit script: three round-robin sweeps over the hubs, each step
-    // adding one fresh attribute to one hub's item element. `steps[i]`
-    // is the DTD after `i` edits.
-    let item_ids: Vec<_> = dtd
-        .elements()
-        .filter(|&id| dtd.name(id).starts_with("item"))
-        .collect();
-    let mut steps = vec![dtd.clone()];
-    for round in 0..3 {
-        for &id in &item_ids {
-            let mut next = steps.last().expect("seeded").clone();
-            let name = next.fresh_attr_name(id, &format!("e21r{round}"));
-            next.add_attribute(id, &name).expect("fresh attribute adds");
-            steps.push(next);
-        }
-    }
-
-    // Verification pass (untimed): every transferred verdict must match
-    // a from-scratch fill, and the transfer must actually happen.
-    let mut kept = 0usize;
-    let mut invalidated = 0usize;
-    {
-        let mut cache = IncrementalCache::new(dtd.clone(), sigma.clone());
-        cache.implies_all(&queries).expect("initial fill runs");
-        for pair in steps.windows(2) {
-            let report = cache
-                .apply_delta(
-                    &DtdDelta::between(&pair[0], &pair[1]),
-                    &SigmaDelta::unchanged(&sigma),
-                )
-                .expect("delta applies");
-            kept += report.kept;
-            invalidated += report.invalidated;
-            let scratch = IncrementalCache::new(pair[1].clone(), sigma.clone())
-                .implies_all(&queries)
-                .expect("from-scratch fill runs");
-            assert_eq!(
-                cache.implies_all(&queries).expect("incremental answers"),
-                scratch,
-                "incremental diverged from from-scratch"
-            );
-        }
-    }
-    println!(
-        "edit script: {} one-attribute DTD edits over {} hubs; {} verdicts kept, {} invalidated",
-        steps.len() - 1,
-        HUBS,
-        kept,
-        invalidated
-    );
-    assert!(kept > invalidated, "deltas this small must mostly transfer");
-
-    // Timed passes, best-of-5 full sequences each.
-    let time = |run: &dyn Fn()| -> Duration {
-        run();
-        (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                run();
-                t0.elapsed()
-            })
-            .min()
-            .expect("five rounds ran")
-    };
-    let incremental = time(&|| {
-        let mut cache = IncrementalCache::new(dtd.clone(), sigma.clone());
-        cache.implies_all(&queries).expect("initial fill runs");
-        for pair in steps.windows(2) {
-            cache
-                .apply_delta(
-                    &DtdDelta::between(&pair[0], &pair[1]),
-                    &SigmaDelta::unchanged(&sigma),
-                )
-                .expect("delta applies");
-            cache.implies_all(&queries).expect("incremental answers");
-        }
-    });
-    let scratch = time(&|| {
-        for dtd in &steps {
-            IncrementalCache::new(dtd.clone(), sigma.clone())
-                .implies_all(&queries)
-                .expect("from-scratch fill runs");
-        }
-    });
-    let speedup = scratch.as_secs_f64() / incremental.as_secs_f64();
-    println!("  from-scratch, full edit sequence : {scratch:>12.3?}");
-    println!("  incremental, full edit sequence  : {incremental:>12.3?}  ({speedup:.2}x)");
-    println!(
-        "acceptance: incremental >= 2x on small-delta edit sequences (see EXPERIMENTS.md E21)"
-    );
-    assert!(
-        speedup >= 2.0,
-        "incremental re-check is only {speedup:.2}x over from-scratch"
-    );
-}
-
 fn e22() {
     use std::time::{Duration, Instant};
     use xnf_core::analyze::{analyze, e22_family, AnalyzeOptions};
@@ -1160,7 +1001,8 @@ type Experiment = (&'static str, fn(&Budget));
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     // Every experiment takes the run's recorder-enabled budget; the
-    // self-measuring ones (e18, e19) ignore it and manage their own.
+    // self-timing ones (e18, e19, e20, e22, e24, e25) ignore it and manage
+    // their own, and fig2, fig3 and fig5 run no engine at all.
     let experiments: Vec<Experiment> = vec![
         ("fig1", fig1),
         ("fig2", |_| fig2()),
@@ -1171,7 +1013,6 @@ fn main() {
         ("e18", |_| e18()),
         ("e19", |_| e19()),
         ("e20", |_| e20()),
-        ("e21", |_| e21()),
         ("e22", |_| e22()),
         ("e23", e23),
         ("e24", |_| e24()),
@@ -1181,9 +1022,8 @@ fn main() {
         experiments.iter().collect()
     } else {
         let Some(exp) = experiments.iter().find(|(id, _)| *id == arg) else {
-            eprintln!(
-                "unknown figure `{arg}`; use fig1..fig5, e17, e18, e19, e20, e21, e22, e23, e24, e25, or all"
-            );
+            let ids: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
+            eprintln!("unknown figure `{arg}`; use {}, or all", ids.join(", "));
             std::process::exit(1);
         };
         vec![exp]

@@ -151,7 +151,7 @@ impl<'a> ImplicationCache<'a> {
         // Only completed verdicts are memoized: an exhausted chase run
         // returns here via `?` without touching the tables, so a rerun
         // with a larger budget starts from trustworthy entries only.
-        let outcome = self.chase.run_with(budget, sigma, fd, None)?;
+        let outcome = self.chase.run_with(budget, sigma, fd)?;
         let verdict = matches!(outcome, ChaseOutcome::Implied);
         self.tables
             .lock()

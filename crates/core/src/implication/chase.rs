@@ -24,9 +24,7 @@
 use crate::fd::ResolvedFd;
 use crate::implication::Implication;
 use crate::UNLIMITED;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 use xnf_dtd::classify::{classify_content, letter_bounds, Factor, SimpleContent};
 use xnf_dtd::{ContentModel, Dtd, PathId, PathSet, Step};
 use xnf_govern::{Budget, Exhausted};
@@ -202,58 +200,6 @@ pub struct Chase<'a> {
     budget: Budget,
 }
 
-/// The execution footprint of one [`Chase::run_traced`] call — which
-/// parts of the input `(paths(D), Σ)` the run actually read or wrote.
-///
-/// The chase is deterministic, so a later run on an *edited* `(D, Σ)`
-/// replays this one step for step as long as the edit cannot alter any
-/// decision the original run took. The trace records exactly the data
-/// those decisions depended on; the transfer rules in
-/// [`incremental`](crate::implication::incremental) are each justified
-/// against one of these fields:
-///
-/// * [`touched`](RunTrace::touched) — every path whose ternary state was
-///   ever set. Untouched paths stayed `Unknown` throughout: rule firings
-///   and scans read them only through `Unknown`-tolerant predicates, so
-///   an edit confined to untouched paths cannot change the replay.
-/// * [`fired`](RunTrace::fired) — per Σ index: the FD made progress in
-///   [`apply_fd`](Session) (derived a new fact or the direct
-///   contradiction). An FD that never fired was a no-op; removing it
-///   leaves every derivation intact.
-/// * [`pivot_source`](RunTrace::pivot_source) — per Σ index: the FD
-///   supplied a case-split pivot in `find_blocked_premise`. Removing such
-///   an FD could reroute the split tree even if it never fired.
-/// * [`scan_reach`](RunTrace::scan_reach) — the longest *prefix* of Σ any
-///   pivot scan examined: `i + 1` when a pivot came from index `i`, and
-///   [`usize::MAX`] when some scan fell through the whole of Σ (into the
-///   generic element-path scan, or finding nothing). An FD *appended*
-///   after position `scan_reach - 1` in the canonical order was never
-///   even looked at by the scans, so adding one there (with untouched
-///   LHS, so it cannot fire either) preserves the replay; after a
-///   full-Σ scan no insertion position is safe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunTrace {
-    /// Per [`PathId`] index: the path's state was set at least once.
-    pub touched: Vec<bool>,
-    /// Per Σ index: the FD rule made progress at least once.
-    pub fired: Vec<bool>,
-    /// Per Σ index: the FD supplied a case-split pivot at least once.
-    pub pivot_source: Vec<bool>,
-    /// Longest Σ prefix examined by pivot scans (`usize::MAX` = all).
-    pub scan_reach: usize,
-}
-
-impl RunTrace {
-    fn new(paths: usize, sigma: usize) -> RunTrace {
-        RunTrace {
-            touched: vec![false; paths],
-            fired: vec![false; sigma],
-            pivot_source: vec![false; sigma],
-            scan_reach: 0,
-        }
-    }
-}
-
 /// The outcome of one chase run.
 #[derive(Debug, Clone)]
 pub enum ChaseOutcome {
@@ -391,43 +337,10 @@ impl<'a> Chase<'a> {
     /// Multi-path right-hand sides are handled by conjunction: `S → S₂`
     /// is implied iff `S → q` is implied for every `q ∈ S₂`.
     pub fn run(&self, sigma: &[ResolvedFd], fd: &ResolvedFd) -> ChaseOutcome {
-        match self.run_with(UNLIMITED, sigma, fd, None) {
+        match self.run_with(UNLIMITED, sigma, fd) {
             Ok(outcome) => outcome,
             Err(_) => unreachable!("an unlimited budget cannot exhaust"),
         }
-    }
-
-    /// [`Chase::run`] that additionally records the run's execution
-    /// footprint — see [`RunTrace`] for the exact guarantees. Traced runs
-    /// are ungoverned (like `run`): the trace must describe a *complete*
-    /// run to be transferable, and an exhausted prefix is not one.
-    pub fn run_traced(&self, sigma: &[ResolvedFd], fd: &ResolvedFd) -> (ChaseOutcome, RunTrace) {
-        let trace = Rc::new(RefCell::new(RunTrace::new(self.paths.len(), sigma.len())));
-        let Ok(outcome) = self.run_with(UNLIMITED, sigma, fd, Some(Rc::clone(&trace))) else {
-            unreachable!("an unlimited budget cannot exhaust")
-        };
-        let trace = Rc::try_unwrap(trace)
-            .expect("all sessions dropped with the run")
-            .into_inner();
-        (outcome, trace)
-    }
-
-    /// Budget-governed [`Chase::run_traced`]: charges the installed
-    /// [`Budget`] like [`Chase::try_run`] while recording the run's
-    /// execution footprint. On exhaustion the partial trace is dropped —
-    /// an incomplete footprint is not transferable, so callers (the
-    /// incremental cache) never memoize it.
-    pub fn try_run_traced(
-        &self,
-        sigma: &[ResolvedFd],
-        fd: &ResolvedFd,
-    ) -> Result<(ChaseOutcome, RunTrace), Exhausted> {
-        let trace = Rc::new(RefCell::new(RunTrace::new(self.paths.len(), sigma.len())));
-        let outcome = self.run_with(&self.budget, sigma, fd, Some(Rc::clone(&trace)))?;
-        let trace = Rc::try_unwrap(trace)
-            .expect("all sessions dropped with the run")
-            .into_inner();
-        Ok((outcome, trace))
     }
 
     /// Budget-governed [`Chase::run`]: charges the installed [`Budget`]
@@ -439,7 +352,7 @@ impl<'a> Chase<'a> {
         sigma: &[ResolvedFd],
         fd: &ResolvedFd,
     ) -> Result<ChaseOutcome, Exhausted> {
-        self.run_with(&self.budget, sigma, fd, None)
+        self.run_with(&self.budget, sigma, fd)
     }
 
     pub(super) fn run_with(
@@ -447,11 +360,10 @@ impl<'a> Chase<'a> {
         budget: &Budget,
         sigma: &[ResolvedFd],
         fd: &ResolvedFd,
-        trace: Option<Rc<RefCell<RunTrace>>>,
     ) -> Result<ChaseOutcome, Exhausted> {
         let mut last_state = None;
         for &q in &fd.rhs {
-            match self.run_single(sigma, &fd.lhs, q, budget, trace.clone())? {
+            match self.run_single(sigma, &fd.lhs, q, budget)? {
                 ChaseOutcome::Implied => {}
                 not_implied => {
                     last_state = Some(not_implied);
@@ -468,12 +380,11 @@ impl<'a> Chase<'a> {
         lhs: &[PathId],
         q: PathId,
         budget: &Budget,
-        trace: Option<Rc<RefCell<RunTrace>>>,
     ) -> Result<ChaseOutcome, Exhausted> {
         self.stats.runs.bump();
         budget.checkpoint("chase.run")?;
         let _span = budget.recorder().span("chase.run", "implication");
-        let mut session = self.session_with(budget, trace);
+        let mut session = self.session_with(budget);
         if !session.assume_goal(sigma, lhs, q) {
             session.check_exhausted()?;
             return Ok(ChaseOutcome::Implied);
@@ -529,14 +440,10 @@ impl<'a> Chase<'a> {
     /// decision (e.g. an FD firing because an optional subtree was
     /// materialized) is propagated before values are assigned.
     pub fn session(&self) -> Session<'_, 'a> {
-        self.session_with(UNLIMITED, None)
+        self.session_with(UNLIMITED)
     }
 
-    fn session_with<'c>(
-        &'c self,
-        budget: &'c Budget,
-        trace: Option<Rc<RefCell<RunTrace>>>,
-    ) -> Session<'c, 'a> {
+    fn session_with<'c>(&'c self, budget: &'c Budget) -> Session<'c, 'a> {
         Session {
             chase: self,
             state: vec![PairState::UNKNOWN; self.paths.len()],
@@ -544,7 +451,6 @@ impl<'a> Chase<'a> {
             contradiction: false,
             budget,
             exhausted: None,
-            trace,
         }
     }
 
@@ -602,12 +508,6 @@ pub struct Session<'c, 'a> {
     contradiction: bool,
     budget: &'c Budget,
     exhausted: Option<Exhausted>,
-    /// Footprint accumulator for [`Chase::run_traced`]. Shared (`Rc`)
-    /// across split-search branches so the trace is the *union* over the
-    /// whole split tree — any branch's dependence is the run's
-    /// dependence. Sessions never cross threads, so `Rc` suffices and
-    /// `Chase` itself stays `Sync`.
-    trace: Option<Rc<RefCell<RunTrace>>>,
 }
 
 impl<'c, 'a> Session<'c, 'a> {
@@ -680,7 +580,7 @@ impl<'c, 'a> Session<'c, 'a> {
     ///   disjuncts have strong structural consequences (parents shared /
     ///   subtree null), so its null-status is worth splitting on.
     fn find_blocked_premise(&self, sigma: &[ResolvedFd]) -> Option<PathId> {
-        for (i, fd) in sigma.iter().enumerate() {
+        for fd in sigma {
             // Every LHS path must be *potentially dischargeable*: known
             // equal, or alignable by a zone swap. What blocks the firing
             // is then only an open null-status, which is exactly what a
@@ -704,18 +604,8 @@ impl<'c, 'a> Session<'c, 'a> {
                 .iter()
                 .find(|&&l| self.state[l.index()].n1 == Ternary::Unknown)
             {
-                if let Some(t) = &self.trace {
-                    let mut t = t.borrow_mut();
-                    t.pivot_source[i] = true;
-                    t.scan_reach = t.scan_reach.max(i + 1);
-                }
                 return Some(b);
             }
-        }
-        // The scan fell through the whole of Σ: the replay of this call
-        // depends on every Σ position, so no appended FD is safe.
-        if let Some(t) = &self.trace {
-            t.borrow_mut().scan_reach = usize::MAX;
         }
         self.chase.paths.iter().find(|&p| {
             self.chase.paths.is_element_path(p)
@@ -742,9 +632,6 @@ impl Session<'_, '_> {
         }
         *slot = v;
         self.chase.stats.ternary_flips.bump();
-        if let Some(t) = &self.trace {
-            t.borrow_mut().touched[p.index()] = true;
-        }
         self.queue.push_back((p, FactKind::Null(i)));
     }
 
@@ -760,9 +647,6 @@ impl Session<'_, '_> {
         }
         *slot = v;
         self.chase.stats.ternary_flips.bump();
-        if let Some(t) = &self.trace {
-            t.borrow_mut().touched[p.index()] = true;
-        }
         self.queue.push_back((p, FactKind::Eq));
     }
 
@@ -789,22 +673,12 @@ impl Session<'_, '_> {
                 return;
             }
             let mut progressed = false;
-            for (i, fd) in sigma.iter().enumerate() {
+            for fd in sigma {
                 if let Err(e) = self.budget.checkpoint("chase.saturate.fd") {
                     self.exhausted = Some(e);
                     return;
                 }
-                let had_contradiction = self.contradiction;
-                let fired = self.apply_fd(fd);
-                progressed |= fired;
-                // `apply_fd`'s direct contradiction (fully discharged
-                // premise, differing conclusion) sets `contradiction`
-                // without reporting progress — it fired all the same.
-                if fired || (self.contradiction && !had_contradiction) {
-                    if let Some(t) = &self.trace {
-                        t.borrow_mut().fired[i] = true;
-                    }
-                }
+                progressed |= self.apply_fd(fd);
                 if self.contradiction {
                     return;
                 }

@@ -21,7 +21,6 @@
 
 pub mod cache;
 pub mod chase;
-pub mod incremental;
 pub mod search;
 pub mod shard;
 
@@ -29,10 +28,8 @@ pub use cache::ImplicationCache;
 #[cfg(feature = "testing")]
 pub use chase::StructuralFacts;
 pub use chase::{
-    Chase, ChaseConfig, ChaseOutcome, ChaseStats, ChaseStatsSnapshot, PairState, RunTrace, Session,
-    Ternary,
+    Chase, ChaseConfig, ChaseOutcome, ChaseStats, ChaseStatsSnapshot, PairState, Session, Ternary,
 };
-pub use incremental::{DtdDelta, IncrementalCache, InvalidationReport, SigmaDelta};
 pub use search::{Counterexample, CounterexampleSearch};
 pub use shard::{candidate_fragment, run_sharded, Shard, ShardPlan};
 

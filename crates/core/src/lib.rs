@@ -56,9 +56,8 @@ pub mod xnf;
 pub use crate::analyze::{analyze, Analysis, AnalyzeOptions, AnomalyInfo, CostEstimate, FdGraph};
 pub use crate::fd::{XmlFd, XmlFdSet};
 pub use crate::implication::{
-    Chase, ChaseConfig, ChaseStats, ChaseStatsSnapshot, CounterexampleSearch, DtdDelta,
-    Implication, ImplicationCache, IncrementalCache, InvalidationReport, RunTrace, ShardPlan,
-    SigmaDelta,
+    Chase, ChaseConfig, ChaseStats, ChaseStatsSnapshot, CounterexampleSearch, Implication,
+    ImplicationCache, ShardPlan,
 };
 pub use crate::lossless::{
     restore_document, transform_document, verify_lossless, verify_lossless_trace, LosslessReport,

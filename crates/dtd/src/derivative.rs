@@ -62,10 +62,10 @@ pub fn matches<'a>(re: &Regex, word: impl IntoIterator<Item = &'a str>) -> bool 
     }
 }
 
-/// [`matches`] under a resource [`Budget`]: each derivative step spends
-/// one checkpoint and charges the intermediate expression's size against
-/// the memory cap (Brzozowski derivatives can grow large on adversarial
-/// expressions before simplification tames them).
+/// [`matches`](fn@matches) under a resource [`Budget`]: each derivative
+/// step spends one checkpoint and charges the intermediate expression's
+/// size against the memory cap (Brzozowski derivatives can grow large on
+/// adversarial expressions before simplification tames them).
 pub fn matches_governed<'a>(
     re: &Regex,
     word: impl IntoIterator<Item = &'a str>,

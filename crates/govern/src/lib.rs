@@ -19,7 +19,7 @@
 //! the others at their next checkpoint.
 //!
 //! With the `fault-injection` feature (test-only) a deterministic
-//! [`FaultPlan`] can trip a synthetic exhaustion at the Nth checkpoint,
+//! `FaultPlan` can trip a synthetic exhaustion at the Nth checkpoint,
 //! and budgets record the distinct checkpoint site labels they visit —
 //! the substrate for the property tests asserting every injection site
 //! surfaces a clean error and never a wrong verdict.

@@ -22,7 +22,8 @@
 //!   what normalization *would do*: anomalous FDs with provenance,
 //!   predicted schema blow-up, FD interaction clusters, dead attributes,
 //!   and the fixpoint-iteration bound, all driven by the static planner
-//!   [`xnf_core::analyze`] without ever running `normalize`.
+//!   [`xnf_core::analyze`](fn@xnf_core::analyze) without ever running
+//!   `normalize`.
 //! * **Shred** (`XNF3xx`, opt-in via [`lint_spec_shred`]) — what the
 //!   XML→relational shredding backend would make of the spec: recursive
 //!   DTDs and mixed content (which shredding must refuse), leaf-name
@@ -311,11 +312,17 @@ pub fn lint_spec(dtd_src: &str, fds_src: Option<&str>) -> LintReport {
 }
 
 /// Budget-governed [`lint_spec`]: the implication-backed semantic rules
-/// (the only potentially expensive tier) charge `budget` per FD and per
-/// chase run, and the whole lint aborts with [`Exhausted`] instead of
-/// running unboundedly. An `Err` means the report was *not* completed —
-/// no partial report is returned, so a clean report always means a fully
-/// linted spec.
+/// charge `budget` per FD and per chase run, and the whole lint aborts
+/// with [`Exhausted`] when it runs out. An `Err` means the report was
+/// *not* completed — no partial report is returned, so a clean report
+/// always means a fully linted spec.
+///
+/// Nothing before those rules charges `budget`: the DTD parse, the
+/// structural tier, FD resolution, `paths(D)` and the chase's fact
+/// tables run ungoverned. They are not cheap on a hostile schema — the
+/// structural tier's determinism check builds every Glushkov `follow`
+/// set, quadratic in a content model's positions, and outlasts the
+/// budgeted chase by far (see "Hostile schemas" in `ROADMAP.md`).
 pub fn lint_spec_governed(
     dtd_src: &str,
     fds_src: Option<&str>,
@@ -325,10 +332,11 @@ pub fn lint_spec_governed(
 }
 
 /// [`lint_spec_governed`] plus the opt-in **predictive tier** (`XNF2xx`):
-/// runs the static decomposition planner ([`xnf_core::analyze`]) over
-/// `(D, Σ)` and reports what normalization would do — anomalous FDs with
-/// provenance, predicted schema blow-up, interaction clusters, dead
-/// attributes, and the fixpoint-iteration bound.
+/// runs the static decomposition planner
+/// ([`xnf_core::analyze`](fn@xnf_core::analyze)) over `(D, Σ)` and reports
+/// what normalization would do — anomalous FDs with provenance, predicted
+/// schema blow-up, interaction clusters, dead attributes, and the
+/// fixpoint-iteration bound.
 ///
 /// Predictive diagnostics are observations about a *valid* spec, so the
 /// tier is skipped whenever the earlier tiers found the spec degenerate

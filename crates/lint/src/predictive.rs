@@ -2,10 +2,10 @@
 //! normalization *would do* to the spec, computed statically.
 //!
 //! The tier is opt-in ([`crate::lint_spec_predictive`]): it drives
-//! [`xnf_core::analyze`] — the static decomposition planner — over
-//! `(D, Σ)` and then applies pure rules to the resulting [`Analysis`].
-//! Unlike the semantic tier, nothing here says the spec is *wrong*; the
-//! diagnostics forecast the cost and shape of normalizing it:
+//! [`xnf_core::analyze`](fn@xnf_core::analyze) — the static decomposition
+//! planner — over `(D, Σ)` and then applies pure rules to the resulting
+//! [`Analysis`]. Unlike the semantic tier, nothing here says the spec is
+//! *wrong*; the diagnostics forecast the cost and shape of normalizing it:
 //!
 //! * `XNF200` — an FD is anomalous: the spec is not in XNF and the
 //!   planner names the offending path and the move that repairs it.

@@ -62,7 +62,7 @@ impl SourceKind {
 /// `XNF1xx` are semantic (the FD set Σ against the DTD, several of them
 /// backed by the chase implication engine); codes `XNF2xx` are
 /// *predictive* (opt-in: what the Figure 4 normalization would do to the
-/// spec, computed statically by [`xnf_core::analyze`]).
+/// spec, computed statically by [`xnf_core::analyze`](fn@xnf_core::analyze)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// XNF001: the DTD text does not parse.

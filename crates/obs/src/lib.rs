@@ -429,7 +429,7 @@ impl Recorder {
     /// site. `xnf-govern` calls this from `Budget::checkpoint`/`charge`,
     /// which turns the governance layer's ~20 labeled sites into
     /// counters for free. The visit lands in the calling thread's
-    /// single-writer table (see [`ThreadSites`]) — no lock, no locked
+    /// single-writer table (see `ThreadSites`) — no lock, no locked
     /// read-modify-write on this hottest of probes.
     #[inline]
     pub fn count_site(&self, site: &'static str, units: u64) {

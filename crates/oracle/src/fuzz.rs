@@ -1,8 +1,8 @@
 //! Seeded, minimizing fuzzing of whole specs.
 //!
 //! Each seed deterministically generates a random spec `(D, Σ)`
-//! ([`xnf_gen::simple_dtd`] + [`xnf_gen::random_fds`]) and runs the full
-//! oracle battery over it: the spec-level losslessness oracle of
+//! ([`xnf_gen::dtd::simple_dtd`] + [`xnf_gen::fd::random_fds`]) and runs
+//! the full oracle battery over it: the spec-level losslessness oracle of
 //! [`crate::spec`] and the metamorphic invariants of
 //! [`crate::metamorphic`], with panics caught and converted into
 //! findings. A failing seed is shrunk by greedy FD-subset reduction

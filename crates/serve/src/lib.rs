@@ -46,8 +46,8 @@
 //!    the accept loop, finishes every queued request, and lets the
 //!    process exit 0.
 //!
-//! With the `fault-injection` feature, [`Server::set_fault`] installs a
-//! deterministic [`FaultPlan`] on every admitted request's budget; the
+//! With the `fault-injection` feature, `Server::set_fault` installs a
+//! deterministic `FaultPlan` on every admitted request's budget; the
 //! chaos suite sweeps each service-reachable checkpoint ordinal and
 //! asserts a well-formed HTTP error every time — no panic, no dropped
 //! connection, no partially cached entry.
@@ -60,7 +60,7 @@
 //! optional JSONL access log ([`ServeConfig::access_log`], one line per
 //! request, schema `docs/access_log.schema.json`), and bound to a
 //! per-request [`Recorder`] whose span tree lands in a bounded
-//! [`FlightRecorder`](xnf_obs::FlightRecorder) ring with tail-sampling
+//! [`FlightRecorder`] ring with tail-sampling
 //! retention (errors, sheds, and the slow tail always; boring 200s
 //! sampled). On completion the per-request recorder is absorbed into
 //! the shared one, so fleet metrics see every request while `/metrics`

@@ -55,7 +55,6 @@ struct Verdicts {
     shred_summary: String,
     lint_codes: String,
     oracle_summary: String,
-    incremental_summary: String,
 }
 
 /// Runs the whole governed pipeline under `budget`. Exhaustion at any
@@ -165,37 +164,7 @@ fn run_pipeline(budget: &Budget) -> Result<Verdicts, Exhausted> {
         Err(e) => panic!("the oracle must complete: {e}"),
     };
 
-    // Stage 10: governed incremental implication cache (site
-    // `cache.invalidate`; the sharded candidate search of stages 6–7
-    // already exercises `chase.shard`/`chase.merge`, which every
-    // configuration routes through — including this single-threaded
-    // pipeline). One verdict is cached, Σ shrinks by its last FD, the
-    // delta is applied and the verdict re-asked.
-    let mut inc =
-        xnf_core::IncrementalCache::new(dtd.clone(), sigma.clone()).with_budget(budget.clone());
-    let inc_query = sigma
-        .iter()
-        .next()
-        .expect("university FDs are non-empty")
-        .clone();
-    let map_core = |r: xnf_core::Result<bool>| match r {
-        Ok(b) => Ok(b),
-        Err(xnf_core::CoreError::Exhausted(e)) => Err(e),
-        Err(e) => panic!("the incremental cache must answer: {e}"),
-    };
-    let inc_before = map_core(inc.implies(&inc_query))?;
-    let reduced = XmlFdSet::from_fds(sigma.iter().take(sigma.len() - 1).cloned());
-    let report = match inc.apply_delta(
-        &xnf_core::DtdDelta::unchanged(&dtd),
-        &xnf_core::SigmaDelta::between(&sigma, &reduced),
-    ) {
-        Ok(r) => r,
-        Err(xnf_core::CoreError::Exhausted(e)) => return Err(e),
-        Err(e) => panic!("the delta must apply: {e}"),
-    };
-    let inc_after = map_core(inc.implies(&inc_query))?;
-
-    // Stage 11: governed shredding (sites `shred.table`, `shred.fd`,
+    // Stage 10: governed shredding (sites `shred.table`, `shred.fd`,
     // `shred.row`, `shred.rebuild`): compile the relational schema,
     // shred the stage-2 document, rebuild it, and render the SQL. A
     // round trip that is not the identity is a corruption, not an
@@ -242,10 +211,6 @@ fn run_pipeline(budget: &Budget) -> Result<Verdicts, Exhausted> {
             oracle.docs_checked,
             oracle.docs_skipped,
             oracle.failures.len()
-        ),
-        incremental_summary: format!(
-            "before={inc_before} after={inc_after} kept={} invalidated={}",
-            report.kept, report.invalidated
         ),
     })
 }
@@ -302,13 +267,12 @@ fn governed_pipeline_visits_the_whole_injection_surface() {
             "no checkpoint site under `{prefix}` was visited; sites: {sites:?}"
         );
     }
-    // The sharded search and the incremental cache are load-bearing
-    // checkpoints of this PR's hot path: they must be on the injection
-    // surface by name, even in a single-threaded pipeline.
+    // The sharded search and the shredder are load-bearing checkpoints:
+    // they must be on the injection surface by name, even in a
+    // single-threaded pipeline.
     for site in [
         "chase.shard",
         "chase.merge",
-        "cache.invalidate",
         "shred.table",
         "shred.fd",
         "shred.row",
