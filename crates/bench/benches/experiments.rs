@@ -546,17 +546,15 @@ fn exp14_fd_check(c: &mut Criterion) {
     group.finish();
 }
 
-/// E15 — the memoized, parallel implication engine: cached vs uncached
-/// repeated-Σ query batteries on the E8 chain family, and 1-vs-N-thread
-/// anomalous-FD search / full normalization on the chain and the paper's
-/// Fig. 1 (university) and Fig. 5 (DBLP) DTDs.
+/// E15 — the memoized implication engine: cached vs uncached
+/// repeated-Σ query batteries on the E8 chain family.
 fn exp15_implication_cache(c: &mut Criterion) {
     use xnf_core::fd::ResolvedFd;
-    use xnf_core::{anomalous_fds_threaded, ImplicationCache};
+    use xnf_core::ImplicationCache;
 
     let mut group = c.benchmark_group("implication_cache");
 
-    // (a) A repeated-Σ workload on the E8 chain family: the battery the
+    // A repeated-Σ workload on the E8 chain family: the battery the
     // normalization loop actually issues (per-candidate node guards plus
     // triviality probes), asked REPEATS times against one fixed Σ — the
     // shape of the search → guard → minimize pipeline. Uncached pays a
@@ -607,71 +605,6 @@ fn exp15_implication_cache(c: &mut Criterion) {
                     .sum::<usize>()
             })
         });
-    }
-
-    // Multi-thread rows are honest only when the box can actually run
-    // the workers in parallel: on a single hardware thread every
-    // `threads > 1` row would time-slice to a misleading ~1.0x, so those
-    // rows are skipped (correctness stays asserted) and the skip is
-    // recorded alongside the measured parallelism.
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!("exp15: available_parallelism = {cpus}");
-
-    // (b) The parallel anomalous-FD search, 1 vs N workers, on a chain
-    // spec whose Σ makes every attribute a candidate.
-    {
-        let n = 24usize;
-        let dtd = chain_dtd(2, n);
-        let sigma_text: String = (0..n - 1)
-            .map(|i| format!("l0.l1.@a1_{i} -> l0.l1.@a1_{}\n", i + 1))
-            .collect();
-        let sigma = XmlFdSet::parse(&sigma_text).unwrap();
-        let baseline = anomalous_fds_threaded(&dtd, &sigma, 1).unwrap();
-        for threads in [1usize, 2, 4] {
-            assert_eq!(
-                anomalous_fds_threaded(&dtd, &sigma, threads).unwrap(),
-                baseline
-            );
-            if threads > 1 && cpus == 1 {
-                eprintln!("exp15: search_chain24_threads/{threads} skipped (1 cpu)");
-                continue;
-            }
-            group.bench_with_input(
-                BenchmarkId::new("search_chain24_threads", threads),
-                &threads,
-                |b, &threads| {
-                    b.iter(|| {
-                        anomalous_fds_threaded(black_box(&dtd), black_box(&sigma), threads).unwrap()
-                    })
-                },
-            );
-        }
-    }
-
-    // (c) Full normalization of the paper's Fig. 1 / Fig. 5 specs with
-    // the cached loop, sequential vs parallel search.
-    for (name, dtd, fds) in [
-        (
-            "normalize_university_threads",
-            university_dtd(),
-            xnf_core::fd::UNIVERSITY_FDS,
-        ),
-        ("normalize_dblp_threads", dblp_dtd(), xnf_core::fd::DBLP_FDS),
-    ] {
-        let sigma = XmlFdSet::parse(fds).unwrap();
-        for threads in [1usize, 4] {
-            if threads > 1 && cpus == 1 {
-                eprintln!("exp15: {name}/{threads} skipped (1 cpu)");
-                continue;
-            }
-            let options = NormalizeOptions {
-                threads,
-                ..NormalizeOptions::default()
-            };
-            group.bench_with_input(BenchmarkId::new(name, threads), &options, |b, options| {
-                b.iter(|| normalize(black_box(&dtd), black_box(&sigma), options).unwrap())
-            });
-        }
     }
     group.finish();
 }

@@ -2,13 +2,13 @@
 //! prints the qualitative paper-vs-implementation comparison recorded in
 //! `EXPERIMENTS.md`.
 //!
-//! Usage: `cargo run -p xnf-bench --bin reproduce [fig1|fig2|fig3|fig4|fig5|e17|e18|e19|e20|e22|e23|e24|e25|all]`
+//! Usage: `cargo run -p xnf-bench --bin reproduce [fig1|fig2|fig3|fig4|fig5|e17|e18|e19|e22|e23|e24|e25|all]`
 //!
 //! Alongside the human output, every run writes `BENCH_obs.json` — one
 //! record per experiment (id, wall time, counter snapshot, git SHA) —
 //! so perf trajectories can be diffed across commits. Engine-driven
 //! experiments run under a recorder-enabled budget; the self-timing
-//! experiments (e18, e19, e20, e22, e24, e25) manage their own budgets
+//! experiments (e18, e19, e22, e24, e25) manage their own budgets
 //! and report empty counter snapshots.
 
 #![forbid(unsafe_code)]
@@ -461,76 +461,13 @@ fn e19() {
     println!("acceptance: disabled within the ±3% E18 governance envelope, enabled < +10% vs disabled (see EXPERIMENTS.md E19)");
 }
 
-fn e20() {
-    use std::time::{Duration, Instant};
-    println!(
-        "================ E20 — shard × thread scaling of the candidate search ================"
-    );
-    // The sharded anomalous-FD sweep on a wide spec: one anomalous FD
-    // per root-child hub, so the shard plan has one fragment shard per
-    // hub and the work divides cleanly. Every (shard, thread) cell is
-    // first checked byte-identical to the sequential sweep, then timed.
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("available_parallelism: {cpus}");
-    const WIDTH: usize = 12;
-    let dtd = xnf_gen::dtd::wide_dtd(WIDTH);
-    let fd_text: String = (0..WIDTH)
-        .map(|i| format!("root.hub{i}.item{i}.@id{i} -> root.hub{i}.item{i}.@val{i}\n"))
-        .collect();
-    let sigma = XmlFdSet::parse(&fd_text).expect("FDs parse");
-    let baseline = xnf_core::anomalous_fds(&dtd, &sigma).expect("sequential sweep runs");
-    assert_eq!(baseline.len(), WIDTH, "one planted anomaly per hub");
-    const BATCH: usize = 10;
-    let time = |shards: usize, threads: usize| -> Duration {
-        // Best-of-5 batches, as in E18: the minimum is the stablest
-        // estimator for a short CPU-bound workload.
-        (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                for _ in 0..BATCH {
-                    let got = xnf_core::anomalous_fds_sharded(&dtd, &sigma, shards, threads)
-                        .expect("sharded sweep runs");
-                    assert_eq!(got, baseline, "shards={shards} threads={threads}");
-                }
-                t0.elapsed()
-            })
-            .min()
-            .expect("five batches ran")
-    };
-    println!("workload: anomalous-FD sweep on wide_dtd({WIDTH}), batches of {BATCH}");
-    let base_time = time(1, 1);
-    println!("  shards= 1 threads=1 : {base_time:>12.3?}  (baseline)");
-    for shards in [2usize, 4] {
-        for threads in [1usize, 2, 4] {
-            // Correctness is asserted on every cell regardless; but a
-            // speedup quoted from time-slicing one core would be noise,
-            // so those rows are marked instead of reported.
-            if threads > 1 && cpus == 1 {
-                let got = xnf_core::anomalous_fds_sharded(&dtd, &sigma, shards, threads)
-                    .expect("sharded sweep runs");
-                assert_eq!(got, baseline);
-                println!("  shards={shards:>2} threads={threads} : skipped (1 cpu) — output verified identical");
-                continue;
-            }
-            let t = time(shards, threads);
-            println!(
-                "  shards={shards:>2} threads={threads} : {t:>12.3?}  ({:.2}x vs sequential)",
-                base_time.as_secs_f64() / t.as_secs_f64()
-            );
-        }
-    }
-    println!(
-        "acceptance: every cell byte-identical to the sequential sweep (see EXPERIMENTS.md E20)"
-    );
-}
-
 fn e22() {
     use std::time::{Duration, Instant};
     use xnf_core::analyze::{analyze, e22_family, AnalyzeOptions};
     println!("================ E22 — analyze runs normalize: wall time and fuel ================");
-    // `analyze` runs `normalize` on its input (one thread, on its own
-    // metered budget) and adds anomaly provenance, a minimal cover and
-    // the FD graph, so it costs one normalize plus that surcharge. Per
+    // `analyze` runs `normalize` on its input (on its own metered
+    // budget) and adds anomaly provenance, a minimal cover and the FD
+    // graph, so it costs one normalize plus that surcharge. Per
     // spec: check that the plan equals the normalize trace and that
     // `predicted_fuel` equals the governed normalize tick bill, then
     // time both calls.
@@ -1001,7 +938,7 @@ type Experiment = (&'static str, fn(&Budget));
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     // Every experiment takes the run's recorder-enabled budget; the
-    // self-timing ones (e18, e19, e20, e22, e24, e25) ignore it and manage
+    // self-timing ones (e18, e19, e22, e24, e25) ignore it and manage
     // their own, and fig2, fig3 and fig5 run no engine at all.
     let experiments: Vec<Experiment> = vec![
         ("fig1", fig1),
@@ -1012,7 +949,6 @@ fn main() {
         ("e17", e17),
         ("e18", |_| e18()),
         ("e19", |_| e19()),
-        ("e20", |_| e20()),
         ("e22", |_| e22()),
         ("e23", e23),
         ("e24", |_| e24()),

@@ -18,7 +18,7 @@
 //!                                            # static decomposition planner: predicted plan, cost,
 //!                                            # minimal cover, FD graph, anomaly provenance — without
 //!                                            # running normalize
-//! xnf-tool normalize  <dtd> <fds> [--sigma-only] [--doc <xml>] [--stats] [--threads <n>] [--no-lint]
+//! xnf-tool normalize  <dtd> <fds> [--sigma-only] [--doc <xml>] [--stats] [--no-lint]
 //!                                            # run the Figure 4 algorithm
 //! xnf-tool verify     <dtd> <fds> [--docs <n>] [--seed <s>] [--no-lint]
 //!                                            # end-to-end oracle: normalize, check is-xnf on the
@@ -86,7 +86,7 @@ use std::fmt;
 use std::fs;
 use std::time::Duration;
 use xnf_core::implication::{CounterexampleSearch, Implication};
-use xnf_core::{NormalizeOptions, XmlFd, XmlFdSet};
+use xnf_core::{XmlFd, XmlFdSet};
 use xnf_dtd::classify::{DtdClass, DtdShapes};
 use xnf_dtd::Dtd;
 use xnf_govern::{Budget, Recorder};
@@ -523,32 +523,25 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             if args.len() < 3 {
                 return Err(CliError::Usage(
                     "xnf-tool normalize <dtd> <fds> [--sigma-only] [--doc <xml>] [--stats] \
-                     [--threads <n>] [--no-lint] [--timeout <s>] [--fuel <n>] [--max-memory <b>] \
+                     [--no-lint] [--timeout <s>] [--fuel <n>] [--max-memory <b>] \
                      [--trace <f>] [--metrics <f>] [--obs-format <fmt>]"
                         .into(),
                 ));
             }
-            let mut options = NormalizeOptions::default();
             let mut budget_flags = BudgetFlags::default();
             let mut obs_flags = ObsFlags::default();
             let mut doc_path: Option<&str> = None;
+            let mut sigma_only = false;
             let mut show_stats = false;
             let mut no_lint = false;
             let mut i = 3;
             while i < args.len() {
                 match args[i].as_str() {
-                    "--sigma-only" => options.use_implication = false,
+                    "--sigma-only" => sigma_only = true,
                     "--stats" => show_stats = true,
                     "--no-lint" => no_lint = true,
                     flag if BUDGET_FLAGS.contains(&flag) => budget_flags.set(args, &mut i)?,
                     flag if OBS_FLAGS.contains(&flag) => obs_flags.set(args, &mut i)?,
-                    "--threads" => {
-                        i += 1;
-                        options.threads =
-                            args.get(i).and_then(|s| s.parse().ok()).ok_or_else(|| {
-                                CliError::Usage("--threads needs a number (0 = all cores)".into())
-                            })?;
-                    }
                     "--doc" => {
                         i += 1;
                         doc_path = Some(
@@ -568,8 +561,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let doc_src = doc_path.map(read).transpose()?;
             let budget = obs_flags.build_budget(&budget_flags);
             let spec_options = ops::NormalizeSpecOptions {
-                sigma_only: !options.use_implication,
-                threads: options.threads,
+                sigma_only,
                 stats: show_stats,
                 no_lint,
                 doc_src: doc_src.as_deref(),
@@ -1051,17 +1043,16 @@ db.conf.issue -> db.conf.issue.inproceedings.@year";
     }
 
     #[test]
-    fn normalize_stats_and_threads_flags() {
+    fn normalize_stats_flag() {
         let dtd = write_tmp("d4s.dtd", DBLP_DTD);
         let fds = write_tmp("d4s.fds", DBLP_FDS);
         let plain = run_ok(&["normalize", &dtd, &fds]);
-        let out = run_ok(&["normalize", &dtd, &fds, "--stats", "--threads", "2"]);
+        let out = run_ok(&["normalize", &dtd, &fds, "--stats"]);
         assert!(out.contains("=== stats ==="));
         assert!(out.contains("chase runs:"));
         assert!(out.contains("implication cache:"));
         assert!(out.contains("% hit rate"));
-        // The stats block is purely additive, and threads never change
-        // the revised design.
+        // The stats block is purely additive.
         assert!(out.starts_with(&plain));
         assert!(!plain.contains("=== stats ==="));
     }

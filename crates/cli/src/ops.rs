@@ -130,15 +130,10 @@ pub fn is_xnf(
 
 /// Options of [`normalize_spec`], mirroring the `normalize` subcommand
 /// flags.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NormalizeSpecOptions<'a> {
     /// `--sigma-only`: disable the implication oracle (Proposition 7).
     pub sigma_only: bool,
-    /// `--threads`: anomalous-FD search workers. The default `1` runs
-    /// the search on the calling thread, as every other op does; `0`
-    /// uses all cores and `n > 1` fans out to `n` workers. Fan-out is
-    /// opt-in because at the paper's spec sizes it does not pay (E20).
-    pub threads: usize,
     /// `--stats`: append the run-statistics block.
     pub stats: bool,
     /// Skip the lint preflight.
@@ -148,19 +143,6 @@ pub struct NormalizeSpecOptions<'a> {
     pub doc_src: Option<&'a str>,
     /// Parser hardening profile (default [`Trust::Local`]).
     pub trust: Option<Trust>,
-}
-
-impl Default for NormalizeSpecOptions<'_> {
-    fn default() -> Self {
-        NormalizeSpecOptions {
-            sigma_only: false,
-            threads: NormalizeOptions::default().threads,
-            stats: false,
-            no_lint: false,
-            doc_src: None,
-            trust: None,
-        }
-    }
 }
 
 /// The `normalize` operation: lint preflight, parse, the Figure 4
@@ -192,7 +174,6 @@ pub fn normalize_spec(
     let (dtd, sigma) = parse_spec(dtd_src, fds_src, trust, budget)?;
     let norm_options = NormalizeOptions {
         use_implication: !options.sigma_only,
-        threads: options.threads,
         budget: budget.clone(),
         ..NormalizeOptions::default()
     };

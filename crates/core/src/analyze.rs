@@ -17,7 +17,7 @@
 //!
 //! # Plan and cost come from one normalize run
 //!
-//! `analyze` runs [`normalize`] on its input — single-threaded, on the
+//! `analyze` runs [`normalize`] on its input — on the
 //! analysis' own metered budget — and reads the plan, the AP trace, the
 //! revised `(D, Σ)` and the chase/cache counters off the
 //! [`NormalizeResult`]. The plan is therefore the executed step trace,
@@ -70,7 +70,7 @@ impl Default for AnalyzeOptions {
 /// analysis spent in total.
 ///
 /// All `predicted_*` numbers describe a governed `normalize` run with
-/// the same options and one thread: `predicted_fuel` is the number of
+/// the same options: `predicted_fuel` is the number of
 /// budget ticks ([`Budget::ticks`]) it charges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostEstimate {
@@ -244,8 +244,8 @@ pub struct Analysis {
     pub exhausted: Option<Exhausted>,
 }
 
-/// Analyzes `(D, Σ)`: runs the [`normalize`] it plans (one thread,
-/// metered) and adds anomaly provenance, a minimal cover, the FD
+/// Analyzes `(D, Σ)`: runs the [`normalize`] it plans (metered)
+/// and adds anomaly provenance, a minimal cover, the FD
 /// interaction graph and dead attributes.
 pub fn analyze(dtd: &Dtd, sigma: &XmlFdSet, options: &AnalyzeOptions) -> Result<Analysis> {
     if dtd.is_recursive() {
@@ -281,7 +281,7 @@ pub fn analyze(dtd: &Dtd, sigma: &XmlFdSet, options: &AnalyzeOptions) -> Result<
         let resolved = work_sigma.resolve(&paths)?;
         let chase = Chase::new(&work_dtd, &paths).with_budget(meter.clone());
         let oracle = ImplicationCache::new(&chase, &resolved);
-        find_anomalous_fd(&oracle, &paths, &resolved, 1, &meter).map(|violations| {
+        find_anomalous_fd(&oracle, &paths, &resolved, &meter).map(|violations| {
             violations
                 .into_iter()
                 .map(|(fd, p)| (fd.to_fd(&paths).to_string(), paths.path(p)))
@@ -296,7 +296,6 @@ pub fn analyze(dtd: &Dtd, sigma: &XmlFdSet, options: &AnalyzeOptions) -> Result<
             let norm_options = NormalizeOptions {
                 use_implication: options.use_implication,
                 max_steps: options.max_steps,
-                threads: 1,
                 budget: meter.clone(),
             };
             (violations, normalize(dtd, sigma, &norm_options)?)

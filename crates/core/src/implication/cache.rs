@@ -13,16 +13,15 @@
 //! `(D, Σ, φ)`: verdicts are deterministic, so serving a memoized answer
 //! is observationally identical to re-running the chase (the
 //! `differential_cache` integration tests check this verdict-for-verdict
-//! over randomized corpora). The cache is `Sync` — interior state sits
-//! behind a [`Mutex`] — so one instance can serve all workers of the
-//! parallel anomalous-FD search.
+//! over randomized corpora). The memo tables sit in a [`RefCell`]: a
+//! cache belongs to the one run, on the one thread, that builds it.
 
 use super::chase::{Chase, ChaseOutcome};
 use super::Implication;
 use crate::fd::ResolvedFd;
 use crate::UNLIMITED;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 use xnf_govern::{Budget, Exhausted};
 
 /// Interned-key memo tables; all lookups are exact (no fingerprint
@@ -58,8 +57,7 @@ impl Tables {
     }
 }
 
-/// A memoizing, thread-shareable [`Implication`] oracle wrapping a
-/// [`Chase`].
+/// A memoizing [`Implication`] oracle wrapping a [`Chase`].
 ///
 /// Construct one per `(D, Σ)` working set with [`ImplicationCache::new`],
 /// passing the Σ slice the hot loop will query with; that slice is
@@ -80,7 +78,7 @@ pub struct ImplicationCache<'a> {
     primary: &'a [ResolvedFd],
     primary_id: u32,
     empty_id: u32,
-    tables: Mutex<Tables>,
+    tables: RefCell<Tables>,
 }
 
 impl<'a> ImplicationCache<'a> {
@@ -95,7 +93,7 @@ impl<'a> ImplicationCache<'a> {
             primary: sigma,
             primary_id,
             empty_id,
-            tables: Mutex::new(tables),
+            tables: RefCell::new(tables),
         }
     }
 
@@ -106,7 +104,7 @@ impl<'a> ImplicationCache<'a> {
 
     /// Number of memoized verdicts so far.
     pub fn len(&self) -> usize {
-        self.tables.lock().expect("cache lock").verdicts.len()
+        self.tables.borrow().verdicts.len()
     }
 
     /// Whether no verdict has been memoized yet.
@@ -135,7 +133,7 @@ impl<'a> ImplicationCache<'a> {
     ) -> Result<bool, Exhausted> {
         budget.checkpoint("cache.lookup")?;
         let key = {
-            let mut tables = self.tables.lock().expect("cache lock");
+            let mut tables = self.tables.borrow_mut();
             let sid = self.sigma_id(&mut tables, sigma);
             let fid = tables.intern_fd(fd);
             if let Some(&verdict) = tables.verdicts.get(&(sid, fid)) {
@@ -144,20 +142,13 @@ impl<'a> ImplicationCache<'a> {
             }
             (sid, fid)
         };
-        // Chase outside the lock: concurrent workers may race on the same
-        // key, but the chase is deterministic, so both compute the same
-        // verdict and the duplicated work is bounded by the worker count.
         self.chase.stats().cache_misses.bump();
         // Only completed verdicts are memoized: an exhausted chase run
         // returns here via `?` without touching the tables, so a rerun
         // with a larger budget starts from trustworthy entries only.
         let outcome = self.chase.run_with(budget, sigma, fd)?;
         let verdict = matches!(outcome, ChaseOutcome::Implied);
-        self.tables
-            .lock()
-            .expect("cache lock")
-            .verdicts
-            .insert(key, verdict);
+        self.tables.borrow_mut().verdicts.insert(key, verdict);
         Ok(verdict)
     }
 }
@@ -180,13 +171,6 @@ mod tests {
     use super::*;
     use crate::fd::{XmlFdSet, UNIVERSITY_FDS};
     use crate::fixtures::university_dtd;
-
-    fn is_sync<T: Sync>() {}
-
-    #[test]
-    fn cache_is_sync() {
-        is_sync::<ImplicationCache<'_>>();
-    }
 
     #[test]
     fn agrees_with_chase_and_counts_traffic() {

@@ -35,10 +35,10 @@ use xnf_obs::{Counter, CounterSnapshot};
 ///
 /// The counters live on the [`Chase`] (and are shared by any
 /// [`ImplicationCache`](crate::implication::ImplicationCache) wrapping
-/// it), are [`xnf_obs::Counter`]s — relaxed atomics, so a `&Chase` can
-/// be queried from the parallel anomalous-FD search workers — and are
-/// purely observational: no verdict depends on them. A snapshot of the
-/// totals publishes into an [`xnf_obs::Recorder`] via `Recorder::merge`.
+/// it), are [`xnf_obs::Counter`]s bumped through a shared `&Chase`, and
+/// are purely observational: no verdict depends on them. A snapshot of
+/// the totals publishes into an [`xnf_obs::Recorder`] via
+/// `Recorder::merge`.
 #[derive(Debug)]
 pub struct ChaseStats {
     /// Single-RHS chase runs started (one per `run_single`).
@@ -72,7 +72,7 @@ impl Default for ChaseStats {
 }
 
 impl ChaseStats {
-    /// Reads all counters (relaxed; exact once the workers are joined).
+    /// Reads all counters.
     pub fn snapshot(&self) -> ChaseStatsSnapshot {
         CounterSnapshot::of([
             &self.runs,
@@ -195,8 +195,8 @@ pub struct Chase<'a> {
     stats: ChaseStats,
     /// Resource budget consulted by [`Chase::try_run`] (and every governed
     /// caller above it). `run`/`implies` ignore it by contract. The handle
-    /// is an `Arc` clone, so cancellation reaches all workers sharing this
-    /// engine.
+    /// is an `Arc` clone, so cancelling the caller's budget also stops
+    /// this engine.
     budget: Budget,
 }
 

@@ -22,7 +22,6 @@
 pub mod cache;
 pub mod chase;
 pub mod search;
-pub mod shard;
 
 pub use cache::ImplicationCache;
 #[cfg(feature = "testing")]
@@ -31,7 +30,6 @@ pub use chase::{
     Chase, ChaseConfig, ChaseOutcome, ChaseStats, ChaseStatsSnapshot, PairState, Session, Ternary,
 };
 pub use search::{Counterexample, CounterexampleSearch};
-pub use shard::{candidate_fragment, run_sharded, Shard, ShardPlan};
 
 use crate::fd::ResolvedFd;
 use xnf_govern::Exhausted;

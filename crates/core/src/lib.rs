@@ -57,7 +57,7 @@ pub use crate::analyze::{analyze, Analysis, AnalyzeOptions, AnomalyInfo, CostEst
 pub use crate::fd::{XmlFd, XmlFdSet};
 pub use crate::implication::{
     Chase, ChaseConfig, ChaseStats, ChaseStatsSnapshot, CounterexampleSearch, Implication,
-    ImplicationCache, ShardPlan,
+    ImplicationCache,
 };
 pub use crate::lossless::{
     restore_document, transform_document, verify_lossless, verify_lossless_trace, LosslessReport,
@@ -69,10 +69,7 @@ pub use crate::shred::{
 };
 pub use crate::tuple::TreeTuple;
 pub use crate::tuples::{trees_d, tuples_d, tuples_d_recursive, tuples_relation};
-pub use crate::xnf::{
-    anomalous_fds, anomalous_fds_governed, anomalous_fds_sharded, anomalous_fds_threaded, is_xnf,
-    is_xnf_governed,
-};
+pub use crate::xnf::{anomalous_fds, anomalous_fds_governed, is_xnf, is_xnf_governed};
 
 use std::fmt;
 use xnf_dtd::DtdError;

@@ -30,7 +30,6 @@
 //! the full algorithm.
 
 use crate::fd::{ResolvedFd, XmlFd, XmlFdSet};
-use crate::implication::shard::{candidate_fragment, run_sharded, ShardPlan};
 use crate::implication::{Chase, ChaseStatsSnapshot, Implication, ImplicationCache};
 use crate::xnf::anomalous_candidate;
 use crate::{CoreError, Result};
@@ -48,12 +47,6 @@ pub struct NormalizeOptions {
     pub use_implication: bool,
     /// Safety cap on the number of transformation steps.
     pub max_steps: usize,
-    /// Worker threads for the anomalous-FD candidate search: `1` (the
-    /// default) runs sequentially, `0` uses
-    /// `std::thread::available_parallelism()`, `n > 1` uses `n` workers.
-    /// The output is byte-identical for every setting — candidates are
-    /// independent pure implication queries merged deterministically.
-    pub threads: usize,
     /// Resource budget (deadline / fuel / memory / cancellation) charged
     /// throughout the run. On exhaustion the algorithm degrades
     /// gracefully: [`normalize`] returns `Ok` with the partial step trace
@@ -68,7 +61,6 @@ impl Default for NormalizeOptions {
         NormalizeOptions {
             use_implication: true,
             max_steps: 1000,
-            threads: 1,
             budget: Budget::unlimited(),
         }
     }
@@ -189,7 +181,7 @@ enum Action {
 /// Mutates nothing but `stats`/`ap_trace`; the caller owns applying the
 /// action. Exhaustion mid-decide leaves a pushed AP sample in `ap_trace`
 /// (matching the historical partial-trace shape).
-fn decide_iteration<O: Implication + Sync>(
+fn decide_iteration<O: Implication>(
     oracle: &O,
     paths: &PathSet,
     resolved: &[ResolvedFd],
@@ -202,7 +194,7 @@ fn decide_iteration<O: Implication + Sync>(
         .budget
         .recorder()
         .span("normalize.search", "normalize");
-    let violations = find_anomalous_fd(oracle, paths, resolved, options.threads, &options.budget);
+    let violations = find_anomalous_fd(oracle, paths, resolved, &options.budget);
     drop(search_span);
     stats.search_time += search_start.elapsed();
     let violations = violations?;
@@ -490,59 +482,27 @@ pub fn normalize(
     Err(CoreError::TooManySteps)
 }
 
-/// The anomalous-FD candidate search driver, shared by the normalization
-/// loop above and the XNF checker ([`crate::xnf::anomalous_fds`]).
+/// The anomalous-FD candidate search, shared by the normalization loop
+/// above and the XNF checker ([`crate::xnf::anomalous_fds`]).
 ///
-/// Uses the natural shard plan (one shard per root-child fragment plus a
-/// frontier shard); see [`find_anomalous_fd_sharded`].
-pub(crate) fn find_anomalous_fd<O: Implication + Sync>(
-    oracle: &O,
+/// One sweep on the calling thread: every `(FD, value path)` candidate
+/// of Σ, in enumeration order, goes through [`anomalous_candidate`];
+/// the hits are then stably sorted on `(path, lhs)` and deduplicated.
+/// That key is not total, so enumeration order decides ties.
+pub(crate) fn find_anomalous_fd(
+    oracle: &impl Implication,
     paths: &PathSet,
     sigma: &[ResolvedFd],
-    threads: usize,
     budget: &Budget,
 ) -> std::result::Result<Vec<(ResolvedFd, PathId)>, Exhausted> {
-    find_anomalous_fd_sharded(oracle, paths, sigma, None, threads, budget)
-}
-
-/// Sharded anomalous-FD search: enumerates the `(FD, value path)`
-/// candidates of Σ, partitions them by root-child fragment
-/// ([`candidate_fragment`]), optionally coalesces to `shards` scheduling
-/// units, and fans the shards across `threads` work-stealing workers
-/// ([`run_sharded`]; `0` = all cores, `<= 1` runs on the calling thread
-/// but still through the shard driver, so the `chase.shard`/`chase.merge`
-/// checkpoints fire on every configuration).
-///
-/// The output is **byte-identical** for every `(shards, threads)` pair:
-/// each candidate verdict is an independent pure implication query, the
-/// driver restores enumeration order before returning, and the final
-/// sort (stable, on `(path, lhs)`) + dedup therefore sees the same
-/// sequence as the sequential sweep.
-pub(crate) fn find_anomalous_fd_sharded<O: Implication + Sync>(
-    oracle: &O,
-    paths: &PathSet,
-    sigma: &[ResolvedFd],
-    shards: Option<usize>,
-    threads: usize,
-    budget: &Budget,
-) -> std::result::Result<Vec<(ResolvedFd, PathId)>, Exhausted> {
-    let items: Vec<(&ResolvedFd, PathId)> = sigma
-        .iter()
-        .flat_map(|fd| fd.rhs.iter().map(move |&q| (fd, q)))
-        .collect();
-    let keys: Vec<Option<PathId>> = items
-        .iter()
-        .map(|&(fd, q)| candidate_fragment(paths, fd, q))
-        .collect();
-    let mut plan = ShardPlan::new(&keys);
-    if let Some(n) = shards {
-        plan = plan.coalesced(n);
+    let mut out = Vec::new();
+    for fd in sigma {
+        for &q in &fd.rhs {
+            if let Some(hit) = anomalous_candidate(oracle, paths, sigma, fd, q, budget)? {
+                out.push(hit);
+            }
+        }
     }
-    let hits = run_sharded(&plan, threads, budget, |i| {
-        let (fd, q) = items[i];
-        anomalous_candidate(oracle, paths, sigma, fd, q, budget)
-    })?;
-    let mut out: Vec<(ResolvedFd, PathId)> = hits.into_iter().map(|(_, hit)| hit).collect();
     out.sort_by(|a, b| (a.1, &a.0.lhs).cmp(&(b.1, &b.0.lhs)));
     out.dedup();
     Ok(out)
@@ -1132,32 +1092,24 @@ mod tests {
     use crate::xnf::is_xnf;
 
     #[test]
-    fn parallel_search_matches_sequential() {
+    fn cached_search_matches_raw_chase() {
         for (dtd, fds) in [(university_dtd(), UNIVERSITY_FDS), (dblp_dtd(), DBLP_FDS)] {
             let sigma = XmlFdSet::parse(fds).unwrap();
             let paths = dtd.paths().unwrap();
             let resolved = sigma.resolve(&paths).unwrap();
             let chase = Chase::new(&dtd, &paths);
             let unlimited = Budget::unlimited();
-            let seq = find_anomalous_fd(&chase, &paths, &resolved, 1, &unlimited).unwrap();
-            for threads in [0, 2, 3, 8] {
+            let raw = find_anomalous_fd(&chase, &paths, &resolved, &unlimited).unwrap();
+            assert!(!raw.is_empty(), "both paper specs violate XNF");
+            // The memoizing oracle must not change the answer, whether
+            // its verdicts are computed or served from the memo.
+            let cache = ImplicationCache::new(&chase, &resolved);
+            for _ in 0..2 {
                 assert_eq!(
-                    find_anomalous_fd(&chase, &paths, &resolved, threads, &unlimited).unwrap(),
-                    seq,
-                    "threads={threads} must match sequential"
+                    find_anomalous_fd(&cache, &paths, &resolved, &unlimited).unwrap(),
+                    raw
                 );
             }
-            // The cache-wrapped oracle must not change the answer either,
-            // even when shared by concurrent workers.
-            let cache = ImplicationCache::new(&chase, &resolved);
-            assert_eq!(
-                find_anomalous_fd(&cache, &paths, &resolved, 4, &unlimited).unwrap(),
-                seq
-            );
-            assert_eq!(
-                find_anomalous_fd(&cache, &paths, &resolved, 1, &unlimited).unwrap(),
-                seq
-            );
             assert!(chase.stats().snapshot().get("cache.hits") > 0);
         }
     }

@@ -35,36 +35,7 @@ pub struct Violation {
 /// non-relational DTDs the answer is sound for "violation found" and the
 /// general test would additionally quantify over implied FDs.
 pub fn anomalous_fds(dtd: &Dtd, sigma: &XmlFdSet) -> Result<Vec<Violation>> {
-    anomalous_fds_threaded(dtd, sigma, 1)
-}
-
-/// Parallel variant of [`anomalous_fds`]: the per-candidate implication
-/// queries are fanned across `threads` scoped workers (`0` = all cores,
-/// `1` = sequential) sharing one memoizing oracle. The output is
-/// byte-identical for every thread count.
-pub fn anomalous_fds_threaded(
-    dtd: &Dtd,
-    sigma: &XmlFdSet,
-    threads: usize,
-) -> Result<Vec<Violation>> {
-    anomalous_fds_with(dtd, sigma, None, threads, Budget::unlimited())
-}
-
-/// [`anomalous_fds_threaded`] with an explicit shard count: the
-/// candidate space is partitioned by root-child fragment and coalesced
-/// to at most `shards` scheduling units before being fanned across
-/// `threads` work-stealing workers (see
-/// [`run_sharded`](crate::implication::run_sharded)). The output is
-/// byte-identical for every `(shards, threads)` pair — the differential
-/// suite `tests/differential_sharded.rs` pins this against the
-/// sequential path over a generated corpus.
-pub fn anomalous_fds_sharded(
-    dtd: &Dtd,
-    sigma: &XmlFdSet,
-    shards: usize,
-    threads: usize,
-) -> Result<Vec<Violation>> {
-    anomalous_fds_with(dtd, sigma, Some(shards), threads, Budget::unlimited())
+    anomalous_fds_governed(dtd, sigma, &Budget::unlimited())
 }
 
 /// Budget-governed [`anomalous_fds`]: implication queries charge `budget`
@@ -76,36 +47,19 @@ pub fn anomalous_fds_governed(
     sigma: &XmlFdSet,
     budget: &Budget,
 ) -> Result<Vec<Violation>> {
-    anomalous_fds_with(dtd, sigma, None, 1, budget.clone())
-}
-
-fn anomalous_fds_with(
-    dtd: &Dtd,
-    sigma: &XmlFdSet,
-    shards: Option<usize>,
-    threads: usize,
-    budget: Budget,
-) -> Result<Vec<Violation>> {
     let paths = dtd.paths()?;
-    let chase = Chase::new(dtd, &paths).with_budget(budget);
+    let chase = Chase::new(dtd, &paths).with_budget(budget.clone());
     let resolved = sigma.resolve(&paths)?;
     let oracle = crate::implication::ImplicationCache::new(&chase, &resolved);
-    crate::normalize::find_anomalous_fd_sharded(
-        &oracle,
-        &paths,
-        &resolved,
-        shards,
-        threads,
-        chase.budget(),
-    )?
-    .into_iter()
-    .map(|(fd, p)| {
-        Ok(Violation {
-            fd: fd.to_fd(&paths),
-            path: paths.path(p),
+    crate::normalize::find_anomalous_fd(&oracle, &paths, &resolved, chase.budget())?
+        .into_iter()
+        .map(|(fd, p)| {
+            Ok(Violation {
+                fd: fd.to_fd(&paths),
+                path: paths.path(p),
+            })
         })
-    })
-    .collect()
+        .collect()
 }
 
 /// Tests one candidate of the anomalous-FD search: given `S → … q …` in

@@ -373,20 +373,6 @@ impl PathSet {
         }
     }
 
-    /// The ancestor of `p` with `length == len` (1 = the root), if `p` is
-    /// at least that long.
-    pub fn ancestor_at(&self, p: PathId, len: usize) -> Option<PathId> {
-        let mut cur = p;
-        loop {
-            let e = &self.entries[cur.index()];
-            match (e.len as usize).cmp(&len) {
-                std::cmp::Ordering::Equal => return Some(cur),
-                std::cmp::Ordering::Less => return None,
-                std::cmp::Ordering::Greater => cur = e.parent?,
-            }
-        }
-    }
-
     /// Resolves an owned [`Path`] to its id, if present.
     pub fn resolve(&self, path: &Path) -> Option<PathId> {
         let mut cur: Option<PathId> = None;
@@ -512,9 +498,6 @@ mod tests {
         assert!(ps.is_prefix(course, sno));
         assert!(!ps.is_prefix(sno, course));
         assert!(ps.is_prefix(sno, sno));
-        assert_eq!(ps.ancestor_at(sno, 2), Some(course));
-        assert_eq!(ps.ancestor_at(sno, 1), Some(root));
-        assert_eq!(ps.ancestor_at(course, 5), None);
     }
 
     #[test]

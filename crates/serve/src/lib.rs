@@ -1234,18 +1234,8 @@ fn compute_op(
             ops::is_xnf(dtd_src, fds_src, &options, budget).map_err(|e| Box::new(cli_reply(&e)))
         }
         "normalize" => {
-            let threads = normalize_threads(body);
-            if threads > 16 {
-                return Err(Box::new(Reply::error(
-                    400,
-                    "Bad Request",
-                    "body",
-                    "`threads` is capped at 16",
-                )));
-            }
             let options = NormalizeSpecOptions {
                 sigma_only: flag(body, "sigma_only"),
-                threads: threads as usize,
                 stats: flag(body, "stats"),
                 no_lint: flag(body, "no_lint"),
                 doc_src: field(body, "doc"),
@@ -1277,15 +1267,6 @@ fn compute_op(
                 .map_err(|e| Box::new(cli_reply(&e)))
         }
     }
-}
-
-/// The search workers of a normalize request: its `threads` when it
-/// sends one, else the ops default of one, so the request's work stays
-/// on the worker that owns it. The cache key uses this resolved count.
-fn normalize_threads(body: &Json) -> u64 {
-    body.get("threads")
-        .and_then(Json::as_u64)
-        .unwrap_or(NormalizeSpecOptions::default().threads as u64)
 }
 
 fn run_lint(body: &Json, dtd_src: &str, budget: &Budget) -> Reply {
@@ -1353,9 +1334,8 @@ fn options_fingerprint(op: &str, body: &Json) -> String {
     match op {
         "is-xnf" => format!("no_lint={}", flag(body, "no_lint")),
         "normalize" => format!(
-            "sigma_only={},threads={},stats={},no_lint={}",
+            "sigma_only={},stats={},no_lint={}",
             flag(body, "sigma_only"),
-            normalize_threads(body),
             flag(body, "stats"),
             flag(body, "no_lint"),
         ),
@@ -1656,12 +1636,11 @@ mod tests {
     }
 
     #[test]
-    fn a_normalize_request_searches_on_its_worker_unless_it_asks_for_threads() {
+    fn a_normalize_request_runs_on_its_worker() {
         let server = Server::spawn(ServeConfig::default()).expect("spawn");
         let addr = server.addr();
-        // The university spec's candidate search has two shards
-        // (`course` and the frontier), so a fan-out would show in the
-        // trace as spans on a second thread.
+        // No code path spawns threads inside a request, so the whole
+        // trace of a normalize sits on the worker that took it.
         let id = "one-thread-normalize";
         let first = post_full(
             addr,
@@ -1687,28 +1666,18 @@ mod tests {
             .collect();
         assert_eq!(tids.len(), 1, "one request, one thread: {trace}");
 
+        // An old client's `threads` field is ignored like any unknown
+        // field: the same cache entry, the same bytes.
         let body_of = |response: &str| response.split_once("\r\n\r\n").map(|(_, b)| b.to_string());
-        let with_threads = |n: u32| {
-            let body = normalize_body();
-            format!("{},\"threads\":{n}}}", &body[..body.len() - 1])
-        };
-        // An explicit `threads: 1` is the default spelled out: the same
-        // cache entry, the same bytes.
-        let one = post_full(addr, "/v1/normalize", &with_threads(1), &[]);
+        let body = normalize_body();
+        let with_threads = format!("{},\"threads\":2}}", &body[..body.len() - 1]);
+        let old_client = post_full(addr, "/v1/normalize", &with_threads, &[]);
         assert_eq!(
-            header_value(&one, "x-cache").as_deref(),
+            header_value(&old_client, "x-cache").as_deref(),
             Some("hit"),
-            "{one}"
+            "{old_client}"
         );
-        assert_eq!(body_of(&one), body_of(&first));
-        // A fan-out computes its own entry, byte-identical.
-        let two = post_full(addr, "/v1/normalize", &with_threads(2), &[]);
-        assert_eq!(
-            header_value(&two, "x-cache").as_deref(),
-            Some("miss"),
-            "{two}"
-        );
-        assert_eq!(body_of(&two), body_of(&first));
+        assert_eq!(body_of(&old_client), body_of(&first));
         server.shutdown();
     }
 

@@ -1,12 +1,11 @@
-//! Differential tests for the memoized and parallel implication paths.
+//! Differential tests for the memoized implication path.
 //!
-//! The cache and the parallel candidate search are pure optimizations:
-//! every verdict must match the raw sequential chase exactly. These
-//! tests check that verdict-for-verdict over randomized corpora and
-//! end-to-end on whole normalization runs.
+//! The implication cache is a pure optimization: every verdict must
+//! match the raw chase exactly. These tests check that
+//! verdict-for-verdict over randomized corpora.
 
 use xnf::core::implication::Implication;
-use xnf::core::{normalize, Chase, ImplicationCache, NormalizeOptions, NormalizeResult};
+use xnf::core::{Chase, ImplicationCache};
 use xnf_gen::dtd::{disjunctive_dtd, simple_dtd, SimpleDtdParams};
 use xnf_gen::fd::{random_fds, FdParams};
 
@@ -85,103 +84,6 @@ fn cached_implies_matches_uncached_disjunctive_corpus() {
             let mut rng = xnf_gen::rng(seed);
             let dtd = disjunctive_dtd(&mut rng, &dtd_params(elements), 2, 2);
             check_cached_matches_uncached(&dtd, seed);
-        }
-    }
-}
-
-/// Renders the parts of a [`NormalizeResult`] that must be reproducible.
-fn render(r: &NormalizeResult) -> String {
-    format!(
-        "dtd:\n{}\nsigma:\n{}\nsteps: {:?}\nap_trace: {:?}",
-        r.dtd, r.sigma, r.steps, r.ap_trace
-    )
-}
-
-#[test]
-fn parallel_normalize_is_byte_identical_to_sequential() {
-    let mut compared = 0u32;
-    for seed in 0..120u64 {
-        for elements in 3..8 {
-            let mut rng = xnf_gen::rng(seed);
-            let dtd = simple_dtd(&mut rng, &dtd_params(elements));
-            let sigma = random_fds(
-                &dtd,
-                &mut rng,
-                &FdParams {
-                    count: 3,
-                    max_lhs: 2,
-                },
-            );
-            let run = |threads: usize| {
-                normalize(
-                    &dtd,
-                    &sigma,
-                    &NormalizeOptions {
-                        threads,
-                        ..NormalizeOptions::default()
-                    },
-                )
-            };
-            let sequential = match run(1) {
-                Ok(r) => render(&r),
-                Err(_) => continue,
-            };
-            for threads in [0, 2, 4] {
-                let parallel = render(&run(threads).unwrap_or_else(|e| {
-                    panic!("seed {seed}: threads={threads} failed where sequential passed: {e}")
-                }));
-                assert_eq!(
-                    parallel, sequential,
-                    "seed {seed}, elements {elements}, threads {threads}: output diverged"
-                );
-            }
-            compared += 1;
-        }
-    }
-    assert!(compared > 300, "corpus too small: {compared}");
-}
-
-const UNIVERSITY_DTD: &str = "<!ELEMENT courses (course*)>
-<!ELEMENT course (title, taken_by)>
-<!ATTLIST course cno CDATA #REQUIRED>
-<!ELEMENT title (#PCDATA)>
-<!ELEMENT taken_by (student*)>
-<!ELEMENT student (name, grade)>
-<!ATTLIST student sno CDATA #REQUIRED>
-<!ELEMENT name (#PCDATA)>
-<!ELEMENT grade (#PCDATA)>";
-
-const DBLP_DTD: &str = "<!ELEMENT db (conf*)>
-<!ELEMENT conf (title, issue+)>
-<!ELEMENT title (#PCDATA)>
-<!ELEMENT issue (inproceedings+)>
-<!ELEMENT inproceedings (author+, title, booktitle)>
-<!ATTLIST inproceedings
-    key CDATA #REQUIRED
-    pages CDATA #REQUIRED
-    year CDATA #REQUIRED>
-<!ELEMENT author (#PCDATA)>
-<!ELEMENT booktitle (#PCDATA)>";
-
-#[test]
-fn paper_examples_identical_across_thread_counts() {
-    use xnf::core::fd::{DBLP_FDS, UNIVERSITY_FDS};
-    use xnf::core::XmlFdSet;
-    for (dtd_text, fds) in [(UNIVERSITY_DTD, UNIVERSITY_FDS), (DBLP_DTD, DBLP_FDS)] {
-        let dtd = xnf::dtd::parse_dtd(dtd_text).unwrap();
-        let sigma = XmlFdSet::parse(fds).unwrap();
-        let base = render(&normalize(&dtd, &sigma, &NormalizeOptions::default()).unwrap());
-        for threads in [0, 2, 8] {
-            let r = normalize(
-                &dtd,
-                &sigma,
-                &NormalizeOptions {
-                    threads,
-                    ..NormalizeOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(render(&r), base);
         }
     }
 }

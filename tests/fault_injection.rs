@@ -267,17 +267,9 @@ fn governed_pipeline_visits_the_whole_injection_surface() {
             "no checkpoint site under `{prefix}` was visited; sites: {sites:?}"
         );
     }
-    // The sharded search and the shredder are load-bearing checkpoints:
-    // they must be on the injection surface by name, even in a
-    // single-threaded pipeline.
-    for site in [
-        "chase.shard",
-        "chase.merge",
-        "shred.table",
-        "shred.fd",
-        "shred.row",
-        "shred.rebuild",
-    ] {
+    // The shredder's checkpoints are load-bearing: they must be on the
+    // injection surface by name.
+    for site in ["shred.table", "shred.fd", "shred.row", "shred.rebuild"] {
         assert!(
             sites.contains(&site),
             "checkpoint site `{site}` was not visited; sites: {sites:?}"
