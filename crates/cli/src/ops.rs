@@ -175,6 +175,8 @@ pub fn normalize_spec(
     let norm_options = NormalizeOptions {
         use_implication: !options.sigma_only,
         budget: budget.clone(),
+        // Only `--doc` replays the steps on a document.
+        record_stages: options.doc_src.is_some(),
         ..NormalizeOptions::default()
     };
     let result = normalize(&dtd, &sigma, &norm_options)?;

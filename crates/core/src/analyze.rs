@@ -297,6 +297,8 @@ pub fn analyze(dtd: &Dtd, sigma: &XmlFdSet, options: &AnalyzeOptions) -> Result<
                 use_implication: options.use_implication,
                 max_steps: options.max_steps,
                 budget: meter.clone(),
+                // Analyze reads the plan, never replays it on documents.
+                record_stages: false,
             };
             (violations, normalize(dtd, sigma, &norm_options)?)
         }

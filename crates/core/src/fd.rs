@@ -286,6 +286,16 @@ impl fmt::Display for XmlFdSet {
     }
 }
 
+impl IntoIterator for XmlFdSet {
+    type Item = XmlFd;
+    type IntoIter = std::vec::IntoIter<XmlFd>;
+
+    /// The FDs, sorted, by value.
+    fn into_iter(self) -> Self::IntoIter {
+        self.fds.into_iter()
+    }
+}
+
 impl FromIterator<XmlFd> for XmlFdSet {
     fn from_iter<I: IntoIterator<Item = XmlFd>>(iter: I) -> Self {
         XmlFdSet::from_fds(iter)

@@ -24,7 +24,7 @@
 use crate::fd::ResolvedFd;
 use crate::implication::Implication;
 use crate::UNLIMITED;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use xnf_dtd::classify::{classify_content, letter_bounds, Factor, SimpleContent};
 use xnf_dtd::{ContentModel, Dtd, PathId, PathSet, Step};
 use xnf_govern::{Budget, Exhausted};
@@ -144,6 +144,31 @@ struct PathFacts {
     group: Option<u32>,
 }
 
+/// One element type's content model as the chase reads it: classified
+/// once per chase, applied to every path ending in that type.
+enum ContentFacts {
+    /// `#PCDATA`: no element children.
+    Text,
+    /// A disjunctive model: its Section 7 factors.
+    Factors(Vec<Factor>),
+    /// Any other model: conservative interval hulls, sound on any content
+    /// model but with no exclusivity information.
+    Bounds(BTreeMap<Box<str>, (u64, Option<u64>)>),
+}
+
+impl ContentFacts {
+    fn of(content: &ContentModel) -> ContentFacts {
+        let ContentModel::Regex(re) = content else {
+            return ContentFacts::Text;
+        };
+        match classify_content(content) {
+            Some(SimpleContent::Factors(factors)) => ContentFacts::Factors(factors),
+            Some(SimpleContent::Text) => unreachable!("regex content"),
+            None => ContentFacts::Bounds(letter_bounds(re)),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Group {
     members: Vec<PathId>,
@@ -218,15 +243,21 @@ impl<'a> Chase<'a> {
     }
 
     /// Builds the chase with an explicit [`ChaseConfig`] (ablations).
+    ///
+    /// Content models belong to element types, so each type is classified
+    /// once, on its first path; every path ending in it then finds its
+    /// letters' child paths through the path set's child index.
     pub fn with_config(dtd: &'a Dtd, paths: &'a PathSet, config: ChaseConfig) -> Chase<'a> {
         let mut facts = vec![PathFacts::default(); paths.len()];
         let mut groups: Vec<Group> = Vec::new();
+        let mut contents: Vec<Option<ContentFacts>> = Vec::new();
+        contents.resize_with(dtd.num_elements(), || None);
         for p in paths.iter() {
             let Some(elem) = paths.last_elem(p) else {
                 continue;
             };
             // Attributes and S children are required and functional.
-            for &cp in paths.children_of(p) {
+            for cp in paths.children_of(p) {
                 match paths.step(cp) {
                     Step::Attr(_) | Step::Text => {
                         facts[cp.index()] = PathFacts {
@@ -238,20 +269,13 @@ impl<'a> Chase<'a> {
                     Step::Elem(_) => {}
                 }
             }
-            let content = dtd.content(elem);
-            let ContentModel::Regex(re) = content else {
-                continue;
-            };
-            let child_of = |name: &str| -> Option<PathId> {
-                paths
-                    .children_of(p)
-                    .iter()
-                    .copied()
-                    .find(|&cp| matches!(paths.step(cp), Step::Elem(n) if &**n == name))
-            };
-            match classify_content(content) {
-                Some(SimpleContent::Factors(factors)) => {
-                    for f in &factors {
+            let child_of = |name: &str| paths.child_elem(p, name);
+            let content =
+                contents[elem.index()].get_or_insert_with(|| ContentFacts::of(dtd.content(elem)));
+            match content {
+                ContentFacts::Text => {}
+                ContentFacts::Factors(factors) => {
+                    for f in factors.iter() {
                         match f {
                             Factor::Simple(letters) => {
                                 for (name, m) in letters {
@@ -286,12 +310,9 @@ impl<'a> Chase<'a> {
                         }
                     }
                 }
-                Some(SimpleContent::Text) => unreachable!("regex content"),
-                None => {
-                    // Conservative interval hulls: sound on any content
-                    // model, no exclusivity information.
-                    for (name, (lo, hi)) in letter_bounds(re) {
-                        if let Some(cp) = child_of(&name) {
+                ContentFacts::Bounds(bounds) => {
+                    for (name, &(lo, hi)) in bounds.iter() {
+                        if let Some(cp) = child_of(name) {
                             facts[cp.index()] = PathFacts {
                                 required: lo >= 1,
                                 at_most_one: hi == Some(1) || hi == Some(0),
@@ -835,7 +856,7 @@ impl Session<'_, '_> {
                         // non-null: conformance puts ≥1 such child (or the
                         // attribute/string) on the node, and maximal
                         // tuples always pick one.
-                        for &cp in paths.children_of(p) {
+                        for cp in paths.children_of(p) {
                             if self.chase.facts[cp.index()].required {
                                 self.set_null(i, cp, Ternary::False);
                             }
@@ -843,7 +864,7 @@ impl Session<'_, '_> {
                     }
                     Ternary::True => {
                         // Nulls propagate down (Definition 4).
-                        for &cp in paths.children_of(p) {
+                        for cp in paths.children_of(p) {
                             self.set_null(i, cp, Ternary::True);
                         }
                         // A required child is present whenever its parent
@@ -939,7 +960,7 @@ impl Session<'_, '_> {
                         }
                         // The mirror of the rule above: element children
                         // already known equal must be ⊥ on both sides.
-                        for &cp in paths.children_of(p) {
+                        for cp in paths.children_of(p) {
                             if paths.is_element_path(cp)
                                 && self.state[cp.index()].eq == Ternary::True
                             {
@@ -978,7 +999,7 @@ impl Session<'_, '_> {
             return;
         }
         let paths = self.chase.paths;
-        for &cp in paths.children_of(p) {
+        for cp in paths.children_of(p) {
             if self.chase.facts[cp.index()].at_most_one {
                 self.set_eq(cp, Ternary::True);
             }

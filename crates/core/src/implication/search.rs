@@ -213,7 +213,7 @@ impl<'a> CounterexampleSearch<'a> {
                 }
                 // Decide this node's children.
                 let mut groups_done: Vec<PathId> = Vec::new();
-                for &cp in paths.children_of(p).to_vec().iter() {
+                for cp in paths.children_of(p) {
                     match sess.get(cp).n(side) {
                         Ternary::True | Ternary::False => continue, // already decided
                         Ternary::Unknown => {}

@@ -91,7 +91,7 @@ pub fn find_keys(dtd: &Dtd, sigma: &XmlFdSet, target: &Path, max_size: usize) ->
     let mut pool: Vec<PathId> = Vec::new();
     let mut cur = Some(t);
     while let Some(c) = cur {
-        for &vp in paths.children_of(c) {
+        for vp in paths.children_of(c) {
             if !paths.is_element_path(vp) {
                 pool.push(vp);
             }

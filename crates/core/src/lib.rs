@@ -111,6 +111,15 @@ pub enum CoreError {
     /// answer is unknown — callers must not treat this as a negative
     /// verdict.
     Exhausted(xnf_govern::Exhausted),
+    /// A normalization result cannot be replayed on documents: it lacks
+    /// one `(D, Σ)` snapshot per step (it was computed with
+    /// `NormalizeOptions::record_stages` off).
+    MissingStages {
+        /// Steps in the result.
+        steps: usize,
+        /// Stage snapshots in the result.
+        stages: usize,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -146,6 +155,11 @@ impl fmt::Display for CoreError {
             ),
             CoreError::BadFdPath(p) => write!(f, "FD path `{p}` cannot be used here"),
             CoreError::Exhausted(e) => write!(f, "{e}"),
+            CoreError::MissingStages { steps, stages } => write!(
+                f,
+                "cannot replay {steps} normalization steps on a document with {stages} stage \
+                 snapshots (normalize with `record_stages` on)"
+            ),
         }
     }
 }

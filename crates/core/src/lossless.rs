@@ -12,6 +12,7 @@
 //! (which entails equality of the `tuples_D` relations up to node ids;
 //! the node ids are exactly what `Q₂` discards).
 
+use crate::fd::XmlFdSet;
 use crate::normalize::{NormalizeResult, Step};
 use crate::tuples::tuples_d;
 use crate::{CoreError, Result};
@@ -502,11 +503,28 @@ pub fn undo_step(dtd_after: &Dtd, tree: &XmlTree, step: &Step) -> Result<XmlTree
     }
 }
 
+/// The steps of `result`, each with the `(D, Σ)` snapshot taken after it.
+/// Refuses a result that does not hold exactly one snapshot per step (one
+/// normalized with `record_stages` off): a shorter zip would silently
+/// replay only a prefix of the steps, and pair steps with the wrong DTDs
+/// when walked backwards.
+fn staged_steps(
+    result: &NormalizeResult,
+) -> Result<impl DoubleEndedIterator<Item = (&Step, &(Dtd, XmlFdSet))>> {
+    if result.stages.len() != result.steps.len() {
+        return Err(CoreError::MissingStages {
+            steps: result.steps.len(),
+            stages: result.stages.len(),
+        });
+    }
+    Ok(result.steps.iter().zip(&result.stages))
+}
+
 /// Forward-applies all steps of a normalization to a document.
 pub fn transform_document(dtd0: &Dtd, result: &NormalizeResult, tree: &XmlTree) -> Result<XmlTree> {
     let mut current = tree.clone();
     let mut dtd_before = dtd0.clone();
-    for (step, (dtd_after, _)) in result.steps.iter().zip(&result.stages) {
+    for (step, (dtd_after, _)) in staged_steps(result)? {
         current = apply_step(&dtd_before, &current, step)?;
         dtd_before = dtd_after.clone();
     }
@@ -516,7 +534,7 @@ pub fn transform_document(dtd0: &Dtd, result: &NormalizeResult, tree: &XmlTree) 
 /// Backward-applies all steps, reconstructing the original document.
 pub fn restore_document(result: &NormalizeResult, transformed: &XmlTree) -> Result<XmlTree> {
     let mut current = transformed.clone();
-    for (step, (dtd_after, _)) in result.steps.iter().zip(&result.stages).rev() {
+    for (step, (dtd_after, _)) in staged_steps(result)?.rev() {
         current = undo_step(dtd_after, &current, step)?;
     }
     Ok(current)
@@ -610,9 +628,7 @@ pub fn verify_lossless_trace(
     let mut reports = Vec::with_capacity(result.steps.len());
     let mut current = tree.clone();
     let mut dtd_before = dtd0.clone();
-    for (index, (step, (dtd_after, sigma_after))) in
-        result.steps.iter().zip(&result.stages).enumerate()
-    {
+    for (index, (step, (dtd_after, sigma_after))) in staged_steps(result)?.enumerate() {
         let next = apply_step(&dtd_before, &current, step)?;
         // Consecutive identical snapshots mark a batched preprocessing
         // group: only its last step sees the state the snapshot records.
@@ -799,5 +815,35 @@ mod tests {
         assert!(sigma.satisfied_by(&doc, &dtd, &ps).unwrap());
         let report = verify_lossless(&dtd, &result, &doc).unwrap();
         assert!(report.ok(), "{report:?}");
+    }
+
+    #[test]
+    fn replay_refuses_a_result_without_one_stage_per_step() {
+        let dtd = university_dtd();
+        let sigma = XmlFdSet::parse(UNIVERSITY_FDS).unwrap();
+        let doc = figure_1a();
+        let unstaged = normalize(
+            &dtd,
+            &sigma,
+            &NormalizeOptions {
+                record_stages: false,
+                ..NormalizeOptions::default()
+            },
+        )
+        .unwrap();
+        let mut short = normalize(&dtd, &sigma, &NormalizeOptions::default()).unwrap();
+        short.stages.pop();
+        let steps = short.steps.len();
+        assert!(steps > 1);
+        for (result, stages) in [(&unstaged, 0), (&short, steps - 1)] {
+            let refused = |r: Result<_>| {
+                matches!(r, Err(CoreError::MissingStages { steps: s, stages: t })
+                    if s == steps && t == stages)
+            };
+            assert!(refused(transform_document(&dtd, result, &doc).map(drop)));
+            assert!(refused(restore_document(result, &doc).map(drop)));
+            assert!(refused(verify_lossless(&dtd, result, &doc).map(drop)));
+            assert!(refused(verify_lossless_trace(&dtd, result, &doc).map(drop)));
+        }
     }
 }

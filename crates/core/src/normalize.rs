@@ -54,6 +54,12 @@ pub struct NormalizeOptions {
     /// half-applied step, never a design claimed to be in XNF. The
     /// default, [`Budget::unlimited`], is a zero-cost passthrough.
     pub budget: Budget,
+    /// Snapshot `(D, Σ)` after every step into [`NormalizeResult::stages`]
+    /// (the default). Only document replay ([`crate::lossless`]) reads the
+    /// snapshots; a caller that never replays turns this off and gets an
+    /// empty `stages`, which replay refuses with
+    /// [`CoreError::MissingStages`].
+    pub record_stages: bool,
 }
 
 impl Default for NormalizeOptions {
@@ -62,6 +68,7 @@ impl Default for NormalizeOptions {
             use_implication: true,
             max_steps: 1000,
             budget: Budget::unlimited(),
+            record_stages: true,
         }
     }
 }
@@ -82,7 +89,8 @@ pub struct NormalizeStats {
     pub decide_time: Duration,
     /// Wall time materializing implied guards `X → parent(q)`.
     pub guard_time: Duration,
-    /// Wall time applying transformations and snapshotting stages.
+    /// Wall time applying transformations (and snapshotting stages when
+    /// [`NormalizeOptions::record_stages`] is on).
     pub apply_time: Duration,
 }
 
@@ -145,7 +153,8 @@ pub struct NormalizeResult {
     pub ap_trace: Vec<usize>,
     /// Snapshots of `(D, Σ)` *after* each step in `steps` (parallel
     /// vectors), used to replay the transformations on documents
-    /// ([`crate::lossless`]).
+    /// ([`crate::lossless`]). Empty when
+    /// [`NormalizeOptions::record_stages`] is off.
     pub stages: Vec<(Dtd, XmlFdSet)>,
     /// Instrumentation: implication-engine counters and per-phase wall
     /// time.
@@ -347,18 +356,23 @@ pub fn normalize(
     {
         let before = steps.len();
         fold_text_paths(&mut dtd, &mut fds, &mut steps)?;
-        for _ in before..steps.len() {
-            // Preprocessing snapshots all share the post-preprocessing
-            // state for Σ; the DTD is exact per step only for the last one,
-            // which is all the replay needs (earlier fold steps commute).
-            stages.push((dtd.clone(), XmlFdSet::from_fds(fds.clone())));
+        if options.record_stages {
+            for _ in before..steps.len() {
+                // Preprocessing snapshots all share the post-preprocessing
+                // state for Σ; the DTD is exact per step only for the last
+                // one, which is all the replay needs (earlier fold steps
+                // commute).
+                stages.push((dtd.clone(), XmlFdSet::from_fds(fds.clone())));
+            }
         }
         let before = steps.len();
         // Ensure each LHS has exactly one element path (add the root;
         // replace extras by fresh id attributes).
         fix_lhs_element_paths(&mut dtd, &mut fds, &mut steps)?;
-        for _ in before..steps.len() {
-            stages.push((dtd.clone(), XmlFdSet::from_fds(fds.clone())));
+        if options.record_stages {
+            for _ in before..steps.len() {
+                stages.push((dtd.clone(), XmlFdSet::from_fds(fds.clone())));
+            }
         }
     }
     let mut sigma = XmlFdSet::from_fds(fds);
@@ -380,7 +394,10 @@ pub fn normalize(
             .budget
             .recorder()
             .span("normalize.iteration", "normalize");
-        let paths = dtd.paths()?;
+        // The DTD was checked non-recursive on entry and no step adds a
+        // reference, so enumerate without re-running the cycle check.
+        debug_assert!(!dtd.is_recursive(), "a step made the DTD recursive");
+        let paths = dtd.paths_bounded(usize::MAX);
         stats.iterations += 1;
         // Decide the next action *and* the guards to materialize with the
         // chase borrowing the DTD immutably; apply both afterwards. One
@@ -450,7 +467,7 @@ pub fn normalize(
                 apply_create(&mut dtd, &mut sigma, &paths, &lhs, target, &mut steps)?;
             }
             Action::Fold(s_path) => {
-                let mut fds: Vec<XmlFd> = sigma.iter().cloned().collect();
+                let mut fds: Vec<XmlFd> = std::mem::take(&mut sigma).into_iter().collect();
                 fold_one_text_path(&mut dtd, &mut fds, &s_path, &mut steps)?;
                 sigma = XmlFdSet::from_fds(fds);
                 // A fold does not resolve a violation; drop the AP sample
@@ -459,7 +476,9 @@ pub fn normalize(
                 ap_trace.pop();
             }
         }
-        stages.push((dtd.clone(), sigma.clone()));
+        if options.record_stages {
+            stages.push((dtd.clone(), sigma.clone()));
+        }
         stats.apply_time += apply_start.elapsed();
     }
     if let Some(e) = exhausted_out {
@@ -631,10 +650,14 @@ fn apply_move(
     let to = paths.path(q);
     let new_path = to.child_attr(new_attr.as_str());
     // Rewrite every occurrence of p.@l to q.@m; drop FDs that became
-    // trivial q → q.@m.
-    let rewritten: Vec<XmlFd> = sigma
-        .iter()
+    // trivial q → q.@m. FDs that do not mention p.@l move over as they
+    // are: `q.@m` is fresh, so none of them can be that trivial FD.
+    let rewritten: Vec<XmlFd> = std::mem::take(sigma)
+        .into_iter()
         .filter_map(|fd| {
+            if !fd.lhs().contains(&from) && !fd.rhs().contains(&from) {
+                return Some(fd);
+            }
             let map = |side: &[Path]| -> Vec<Path> {
                 side.iter()
                     .map(|pp| {

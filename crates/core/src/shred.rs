@@ -238,7 +238,7 @@ pub fn compile_schema(dtd: &Dtd, sigma: &crate::XmlFdSet, budget: &Budget) -> Re
             });
             sources.push(ColSource::Text);
         }
-        for &cp in paths.children_of(p) {
+        for cp in paths.children_of(p) {
             if !inlined.contains(&cp) {
                 continue;
             }

@@ -48,7 +48,7 @@ pub fn tuples_d(tree: &XmlTree, dtd: &Dtd, paths: &PathSet) -> Result<Vec<TreeTu
 /// Each alternative is a list of `(path, value)` bindings.
 fn expand(tree: &XmlTree, paths: &PathSet, p: PathId, v: NodeId) -> Vec<Vec<(PathId, Value)>> {
     let mut alts: Vec<Vec<(PathId, Value)>> = vec![vec![(p, Value::Vert(v.index() as u64))]];
-    for &cp in paths.children_of(p) {
+    for cp in paths.children_of(p) {
         match paths.step(cp) {
             Step::Attr(name) => {
                 if let Some(val) = tree.attr(v, name) {

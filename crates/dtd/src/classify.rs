@@ -21,7 +21,7 @@
 
 use crate::dtd::{ContentModel, Dtd};
 use crate::regex::Regex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// How many times a letter may occur in words of a simple expression — the
@@ -186,16 +186,13 @@ fn parikh_box(re: &Regex) -> Option<Box_> {
 /// the full box `∏_{a ∈ alphabet(r)} [0,∞]` iff every unit vector `e_a` is
 /// in it — and a *sum* of non-negative vectors equals `e_a` only when `e_a`
 /// itself is a generator, i.e. the single-letter word `a` belongs to
-/// `L(r)`. That word membership is decided exactly with the NFA, so this
-/// rule is both sound and complete (e.g. it accepts `(a|b|c)*` and
-/// `(a?, b?)*`, and rejects `(a, b)*`).
+/// `L(r)`. That word membership is read off the syntax exactly (see
+/// [`one_letter_words`]), so this rule is both sound and complete (e.g. it
+/// accepts `(a|b|c)*` and `(a?, b?)*`, and rejects `(a, b)*`).
 fn star_box(r: &Regex) -> Option<Box_> {
     let letters = r.alphabet();
-    if letters.is_empty() {
-        return Some(Box_::new());
-    }
-    let m = crate::nfa::Matcher::new(r);
-    if letters.iter().all(|a| m.matches([*a])) {
+    let (_, words) = one_letter_words(r);
+    if letters.iter().all(|a| words.contains(a)) {
         Some(
             letters
                 .into_iter()
@@ -204,6 +201,49 @@ fn star_box(r: &Regex) -> Option<Box_> {
         )
     } else {
         None
+    }
+}
+
+/// Whether `ε ∈ L(r)`, and the letters `a` whose one-letter word `a` is in
+/// `L(r)`, in one pass over the syntax. No sub-expression has an empty
+/// language, so a one-letter word of a sequence is one part's one-letter
+/// word with every other part empty: all parts' letters when every part is
+/// nullable, the one non-nullable part's letters when there is exactly
+/// one, and none otherwise.
+fn one_letter_words(r: &Regex) -> (bool, BTreeSet<&str>) {
+    match r {
+        Regex::Epsilon => (true, BTreeSet::new()),
+        Regex::Elem(a) => (false, BTreeSet::from([&**a])),
+        Regex::Star(inner) | Regex::Opt(inner) => (true, one_letter_words(inner).1),
+        Regex::Plus(inner) => one_letter_words(inner),
+        Regex::Alt(parts) => {
+            let mut nullable = false;
+            let mut words = BTreeSet::new();
+            for p in parts {
+                let (n, w) = one_letter_words(p);
+                nullable |= n;
+                words.extend(w);
+            }
+            (nullable, words)
+        }
+        Regex::Seq(parts) => {
+            let mut nullable_words = BTreeSet::new();
+            let mut required: Option<BTreeSet<&str>> = None;
+            for p in parts {
+                let (n, w) = one_letter_words(p);
+                if n {
+                    nullable_words.extend(w);
+                } else if required.is_some() {
+                    return (false, BTreeSet::new());
+                } else {
+                    required = Some(w);
+                }
+            }
+            match required {
+                None => (true, nullable_words),
+                Some(w) => (false, w),
+            }
+        }
     }
 }
 

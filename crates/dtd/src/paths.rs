@@ -16,8 +16,9 @@
 
 use crate::dtd::{ContentModel, Dtd, ElemId};
 use crate::{DtdError, Result};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 
 /// One step of a path.
@@ -221,8 +222,10 @@ struct Entry {
     len: u32,
     /// The element type of `last(p)` if the path ends with an element.
     last_elem: Option<ElemId>,
-    /// Path ids of all one-step extensions (attributes, `S`, elements).
-    children: Vec<PathId>,
+    /// Ids of all one-step extensions (attributes, `S`, elements). They
+    /// form one contiguous run: enumeration pushes a path's children
+    /// together.
+    children: Range<u32>,
 }
 
 /// The enumerated, interned `paths(D)` of a DTD.
@@ -232,9 +235,10 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct PathSet {
     entries: Vec<Entry>,
-    /// Trie edges: `(parent, step) → child`. The root is keyed on
-    /// `(None, root step)`.
-    edges: HashMap<(Option<PathId>, Step), PathId>,
+    /// The child index: over each path's run of child ids, the same ids
+    /// sorted by step, so a child is found by binary search with a
+    /// borrowed step. Slot 0 holds the root.
+    by_step: Vec<PathId>,
     /// Whether enumeration was truncated by a length bound (recursive DTD).
     truncated: bool,
 }
@@ -244,7 +248,7 @@ impl PathSet {
     pub(crate) fn enumerate(dtd: &Dtd, max_len: usize) -> PathSet {
         let mut set = PathSet {
             entries: Vec::new(),
-            edges: HashMap::new(),
+            by_step: Vec::new(),
             truncated: false,
         };
         let root_step = Step::elem(dtd.root_name());
@@ -261,6 +265,7 @@ impl PathSet {
                 set.truncated = true;
                 continue;
             }
+            let first = set.entries.len() as u32;
             for att in dtd.attrs(elem) {
                 set.push(Some(pid), Step::attr(att), None);
             }
@@ -276,6 +281,11 @@ impl PathSet {
                     }
                 }
             }
+            let children = first..set.entries.len() as u32;
+            let entries = &set.entries;
+            set.by_step[children.start as usize..children.end as usize]
+                .sort_unstable_by(|a, b| entries[a.index()].step.cmp(&entries[b.index()].step));
+            set.entries[pid.index()].children = children;
         }
         set
     }
@@ -285,15 +295,12 @@ impl PathSet {
         let len = parent.map_or(1, |p| self.entries[p.index()].len + 1);
         self.entries.push(Entry {
             parent,
-            step: step.clone(),
+            step,
             len,
             last_elem,
-            children: Vec::new(),
+            children: 0..0,
         });
-        if let Some(p) = parent {
-            self.entries[p.index()].children.push(id);
-        }
-        self.edges.insert((parent, step), id);
+        self.by_step.push(id);
         id
     }
 
@@ -352,9 +359,30 @@ impl PathSet {
         self.entries[p.index()].last_elem.is_some()
     }
 
-    /// One-step extensions of `p` (attributes, `S`, element children).
-    pub fn children_of(&self, p: PathId) -> &[PathId] {
-        &self.entries[p.index()].children
+    /// One-step extensions of `p` (attributes, `S`, element children), in
+    /// breadth-first order.
+    pub fn children_of(&self, p: PathId) -> impl ExactSizeIterator<Item = PathId> {
+        self.entries[p.index()].children.clone().map(PathId)
+    }
+
+    /// The child `p.name` for an element `name`, if it is a path.
+    pub fn child_elem(&self, p: PathId, name: &str) -> Option<PathId> {
+        self.find_child(p, |s| match s {
+            Step::Elem(n) => (**n).cmp(name),
+            Step::Attr(_) | Step::Text => Ordering::Greater,
+        })
+    }
+
+    /// The child of `p` whose step `cmp` orders as equal, by binary search
+    /// in `p`'s run of the child index. `cmp` must agree with `Step`'s
+    /// order.
+    fn find_child(&self, p: PathId, cmp: impl Fn(&Step) -> Ordering) -> Option<PathId> {
+        let children = &self.entries[p.index()].children;
+        let run = &self.by_step[children.start as usize..children.end as usize];
+        let i = run
+            .binary_search_by(|c| cmp(&self.entries[c.index()].step))
+            .ok()?;
+        Some(run[i])
     }
 
     /// Whether `a` is a (non-strict) prefix of `b`.
@@ -373,13 +401,16 @@ impl PathSet {
         }
     }
 
-    /// Resolves an owned [`Path`] to its id, if present.
+    /// Resolves an owned [`Path`] to its id, if present. Allocates nothing:
+    /// each step is looked up borrowed in the child index.
     pub fn resolve(&self, path: &Path) -> Option<PathId> {
-        let mut cur: Option<PathId> = None;
-        for step in path.steps() {
-            cur = Some(*self.edges.get(&(cur, step.clone()))?);
+        let (first, rest) = path.steps().split_first()?;
+        let root = self.root();
+        if self.step(root) != first {
+            return None;
         }
-        cur
+        rest.iter()
+            .try_fold(root, |cur, step| self.find_child(cur, |s| s.cmp(step)))
     }
 
     /// Resolves a dotted path string (`courses.course.@cno`).

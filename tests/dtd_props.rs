@@ -1,6 +1,7 @@
 //! Property tests for the DTD substrate: the two membership engines
 //! (Thompson NFA vs Brzozowski derivatives) as differential oracles, and
-//! soundness of the Section 7 simplicity classification.
+//! soundness of the Section 7 simplicity classification, whose star rule
+//! reads one-letter words off the syntax with the NFA as reference.
 
 use proptest::prelude::*;
 use xnf_dtd::classify::{is_trivial, simple_multiplicities, Multiplicity};
@@ -136,6 +137,21 @@ proptest! {
         }
     }
 
+    /// The star rule: `r*` is simple, with every letter `Star`, exactly
+    /// when each letter of `r` is itself a one-letter word of `L(r)` — the
+    /// membership the classifier reads off the syntax, here asked of the
+    /// NFA.
+    #[test]
+    fn star_boxes_match_one_letter_membership(re in arb_regex()) {
+        let letters = re.alphabet();
+        let nfa = Matcher::new(&re);
+        let expected = letters.iter().all(|a| nfa.matches([*a]));
+        let full_star_box = simple_multiplicities(&re.clone().star()).is_some_and(|m| {
+            m.len() == letters.len() && m.values().all(|&v| v == Multiplicity::Star)
+        });
+        prop_assert_eq!(full_star_box, expected, "star box of ({})*", re);
+    }
+
     /// `shortest_word` always produces a member of the language.
     #[test]
     fn shortest_word_is_always_a_member(re in arb_regex()) {
@@ -146,6 +162,28 @@ proptest! {
             "{:?} is not in L({})", w, re
         );
     }
+}
+
+fn star_box(content_model: &str) -> Option<Vec<Multiplicity>> {
+    let cm = xnf_dtd::parse::parse_content_model(content_model).unwrap();
+    let m = simple_multiplicities(cm.as_regex().unwrap())?;
+    Some(m.into_values().collect())
+}
+
+#[test]
+fn star_box_cases() {
+    assert_eq!(
+        star_box("((a | b | c)*)"),
+        Some(vec![Multiplicity::Star; 3])
+    );
+    assert_eq!(star_box("((a?, b?)*)"), Some(vec![Multiplicity::Star; 2]));
+    assert_eq!(star_box("((a, b)*)"), None);
+    assert_eq!(star_box("((a, b?)*)"), None);
+    // The hostile-schema probe: one starred sequence of 4000 optional
+    // letters.
+    let letters: Vec<String> = (0..4000).map(|i| format!("e{i}?")).collect();
+    let hostile = star_box(&format!("(({})*)", letters.join(", "))).unwrap();
+    assert_eq!(hostile, vec![Multiplicity::Star; 4000]);
 }
 
 #[test]
