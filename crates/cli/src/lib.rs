@@ -65,9 +65,10 @@
 //! exactly what the flags are for.
 //!
 //! `normalize`, `is-xnf`, `verify` and `shred` run the linter as a
-//! preflight (`xnf_lint::preflight`): hard lint errors abort with the
-//! rendered report and a nonzero exit before the engine touches the spec;
-//! `--no-lint` opts out. Warnings and infos never block, and the
+//! preflight (`xnf_lint::preflight`) on the op's own DTD parse
+//! ([`ops::intake`]): hard lint errors abort with the rendered report and
+//! a nonzero exit before the engine touches the spec; `--no-lint` opts
+//! out. Warnings and infos never block, and the
 //! preflight neither shows nor computes them — use `lint` to see them. A
 //! spec with an error gets the full report, rendered under the
 //! subcommand's resource limits. `shred` preflights with the shred tier
@@ -185,39 +186,6 @@ fn load_fds(path: &str) -> Result<XmlFdSet, CliError> {
 
 fn load_xml(path: &str) -> Result<xnf_xml::XmlTree, CliError> {
     Ok(xnf_xml::parse(&read(path)?)?)
-}
-
-/// Parses a DTD under the subcommand's budget, so governed runs meter
-/// (and, with a recorder installed, trace) the parse phase too. With an
-/// ungoverned budget this is exactly [`xnf_dtd::parse_dtd`].
-fn parse_governed_dtd(src: &str, budget: &Budget) -> Result<Dtd, CliError> {
-    Ok(xnf_dtd::parse_dtd_governed(
-        src,
-        xnf_dtd::ParseLimits::default(),
-        budget,
-    )?)
-}
-
-/// The lint preflight: fails with the rendered report when the spec has
-/// hard errors, and passes silently otherwise. With `shred_tier` it adds
-/// the shred tier (`XNF3xx`), so `shred` refuses recursive DTDs and mixed
-/// content with the shredding-specific diagnostic instead of a bare
-/// engine error. Runs [`xnf_lint::preflight`] under the op's `budget`: a
-/// clean spec costs no chase, and a failing one renders its full report
-/// under the op's limits (exhaustion is exit 4 / HTTP 503).
-pub(crate) fn preflight_lint(
-    dtd_src: &str,
-    fds_src: Option<&str>,
-    shred_tier: bool,
-    budget: &Budget,
-) -> Result<(), CliError> {
-    match xnf_lint::preflight(dtd_src, fds_src, shred_tier, budget)? {
-        None => Ok(()),
-        Some(report) => Err(CliError::Lint(format!(
-            "{}preflight lint failed; fix the errors above or rerun with --no-lint\n",
-            report.render_human()
-        ))),
-    }
 }
 
 /// The shared `--timeout <secs>` / `--fuel <units>` / `--max-memory
@@ -626,13 +594,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let dtd_src = read(dtd_path)?;
             let fds_src = read(fds_path)?;
             let budget = obs_flags.build_budget(&budget_flags);
-            if !no_lint {
-                preflight_lint(&dtd_src, Some(&fds_src), false, &budget)?;
-            }
-            let parse_span = budget.recorder().span("spec.parse", "parse");
-            let dtd = parse_governed_dtd(&dtd_src, &budget)?;
-            let sigma = XmlFdSet::parse(&fds_src)?;
-            drop(parse_span);
+            let gate = ops::Gate::unless(no_lint, ops::Gate::Engine);
+            let (dtd, sigma) = ops::intake(&dtd_src, &fds_src, ops::Trust::Local, gate, &budget)?;
             let config = xnf_oracle::SpecOracleConfig {
                 docs,
                 seed,
@@ -710,13 +673,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let dtd_src = read(dtd_path)?;
             let fds_src = read(fds_path)?;
             let budget = obs_flags.build_budget(&budget_flags);
-            if !no_lint {
-                preflight_lint(&dtd_src, Some(&fds_src), true, &budget)?;
-            }
-            let parse_span = budget.recorder().span("spec.parse", "parse");
-            let dtd = parse_governed_dtd(&dtd_src, &budget)?;
-            let sigma = XmlFdSet::parse(&fds_src)?;
-            drop(parse_span);
+            let gate = ops::Gate::unless(no_lint, ops::Gate::Shred);
+            let (dtd, sigma) = ops::intake(&dtd_src, &fds_src, ops::Trust::Local, gate, &budget)?;
             let tree = load_xml(xml_path)?;
             // The whole pipeline runs before a single byte is emitted:
             // exhaustion or any failure yields no partial SQL, and the
@@ -779,29 +737,22 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "analyze" => {
-            #[derive(PartialEq)]
-            enum Format {
-                Human,
-                Json,
-                Dot,
-            }
-            let mut format = Format::Human;
-            let mut options = xnf_core::AnalyzeOptions::default();
+            let mut options = ops::AnalyzeSpecOptions::default();
             let mut budget_flags = BudgetFlags::default();
             let mut obs_flags = ObsFlags::default();
             let mut files: Vec<&str> = Vec::new();
             let mut i = 1;
             while i < args.len() {
                 match args[i].as_str() {
-                    "--sigma-only" => options.use_implication = false,
+                    "--sigma-only" => options.sigma_only = true,
                     flag if BUDGET_FLAGS.contains(&flag) => budget_flags.set(args, &mut i)?,
                     flag if OBS_FLAGS.contains(&flag) => obs_flags.set(args, &mut i)?,
                     "--format" => {
                         i += 1;
-                        format = match args.get(i).map(String::as_str) {
-                            Some("human") => Format::Human,
-                            Some("json") => Format::Json,
-                            Some("dot") => Format::Dot,
+                        options.format = match args.get(i).map(String::as_str) {
+                            Some("human") => ops::AnalyzeFormat::Human,
+                            Some("json") => ops::AnalyzeFormat::Json,
+                            Some("dot") => ops::AnalyzeFormat::Dot,
                             _ => {
                                 return Err(CliError::Usage(
                                     "--format needs `human`, `json` or `dot`".into(),
@@ -827,16 +778,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let dtd_src = read(dtd_path)?;
             let fds_src = read(fds_path)?;
             let budget = obs_flags.build_budget(&budget_flags);
-            let spec_options = ops::AnalyzeSpecOptions {
-                format: match format {
-                    Format::Human => ops::AnalyzeFormat::Human,
-                    Format::Json => ops::AnalyzeFormat::Json,
-                    Format::Dot => ops::AnalyzeFormat::Dot,
-                },
-                sigma_only: !options.use_implication,
-                trust: None,
-            };
-            let outcome = ops::analyze_spec(&dtd_src, &fds_src, &spec_options, &budget);
+            let outcome = ops::analyze_spec(&dtd_src, &fds_src, &options, &budget);
             obs_flags.write()?;
             out.push_str(&outcome.map_err(|e| obs_flags.tag_failure(e))?);
         }

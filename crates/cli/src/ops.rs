@@ -2,16 +2,16 @@
 //! `xnf-serve` HTTP endpoints.
 //!
 //! Each function here is the *entire* body of one governed subcommand —
-//! lint preflight, governed spec parse, engine call, rendering, and the
-//! partial-result/exhaustion policy — operating on in-memory sources
-//! instead of file paths. `xnf_cli::run` reads the files and delegates
-//! here; `xnf-serve` delegates here straight from request bodies. One
-//! code path, two front ends: a differential suite
+//! spec intake (governed parse plus lint gate), engine call, rendering,
+//! and the partial-result/exhaustion policy — operating on in-memory
+//! sources instead of file paths. `xnf_cli::run` reads the files and
+//! delegates here; `xnf-serve` delegates here straight from request
+//! bodies. One code path, two front ends: a differential suite
 //! (`tests/serve_differential.rs`) holds the two byte-identical.
 
 use std::fmt::Write as _;
 
-use crate::{preflight_lint, CliError};
+use crate::CliError;
 use xnf_core::lossless::{transform_document, verify_lossless};
 use xnf_core::{normalize, NormalizeOptions, XmlFdSet};
 use xnf_dtd::Dtd;
@@ -46,20 +46,6 @@ impl Trust {
     }
 }
 
-/// Parses a DTD under `budget` and the `trust` profile's limits.
-///
-/// # Errors
-///
-/// Syntax errors as [`CliError::Lib`], exhaustion as
-/// [`CliError::Exhausted`].
-pub fn parse_dtd(src: &str, trust: Trust, budget: &Budget) -> Result<Dtd, CliError> {
-    Ok(xnf_dtd::parse_dtd_governed(
-        src,
-        trust.dtd_limits(),
-        budget,
-    )?)
-}
-
 /// Parses an XML document under `budget` and the `trust` profile's
 /// limits.
 ///
@@ -71,20 +57,64 @@ pub fn parse_xml(src: &str, trust: Trust, budget: &Budget) -> Result<xnf_xml::Xm
     Ok(xnf_xml::parse_governed(src, trust.xml_limits(), budget)?)
 }
 
-/// Parses the `(D, Σ)` pair shared by every spec-level operation, with
-/// the parse phase bracketed by a `spec.parse` span on the budget's
-/// recorder.
-fn parse_spec(
+/// The lint gate a spec [`intake`] runs on its parse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// No gate: `--no-lint`, `analyze`, and the service's cache key.
+    Off,
+    /// The preflight of `is-xnf`, `normalize` and `verify`.
+    Engine,
+    /// `shred`'s preflight: the engine gate plus the shred tier
+    /// (`XNF3xx`), so recursive DTDs and mixed content fail with the
+    /// shredding-specific diagnostic instead of a bare engine error.
+    Shred,
+}
+
+impl Gate {
+    /// `gate`, or [`Gate::Off`] under `--no-lint`.
+    pub(crate) fn unless(no_lint: bool, gate: Gate) -> Gate {
+        if no_lint {
+            Gate::Off
+        } else {
+            gate
+        }
+    }
+}
+
+/// The one spec intake of every spec-level operation: parses `(D, Σ)`
+/// once, under the `trust` profile's limits and `budget`, inside a
+/// `spec.parse` span on the budget's recorder, then runs the lint
+/// `gate` ([`xnf_lint::preflight`]) on that same parse. A clean gate
+/// costs no chase; a failing one renders its full report under
+/// `budget`.
+///
+/// # Errors
+///
+/// Exhaustion — in the parse or in a failing gate's report — as
+/// [`CliError::Exhausted`]; a failing gate as [`CliError::Lint`] with
+/// the rendered report; parse errors as [`CliError::Lib`].
+pub fn intake(
     dtd_src: &str,
     fds_src: &str,
     trust: Trust,
+    gate: Gate,
     budget: &Budget,
 ) -> Result<(Dtd, XmlFdSet), CliError> {
     let parse_span = budget.recorder().span("spec.parse", "parse");
-    let dtd = parse_dtd(dtd_src, trust, budget)?;
-    let sigma = XmlFdSet::parse(fds_src)?;
+    let dtd = xnf_dtd::parse_dtd_governed(dtd_src, trust.dtd_limits(), budget);
+    let sigma = XmlFdSet::parse(fds_src);
     drop(parse_span);
-    Ok((dtd, sigma))
+    if gate != Gate::Off {
+        let shred_tier = gate == Gate::Shred;
+        if let Some(report) = xnf_lint::preflight(dtd_src, &dtd, Some(fds_src), shred_tier, budget)?
+        {
+            return Err(CliError::Lint(format!(
+                "{}preflight lint failed; fix the errors above or rerun with --no-lint\n",
+                report.render_human()
+            )));
+        }
+    }
+    Ok((dtd?, sigma?))
 }
 
 /// Options of [`is_xnf`].
@@ -96,8 +126,8 @@ pub struct IsXnfOptions {
     pub trust: Option<Trust>,
 }
 
-/// The `is-xnf` operation: lint preflight, parse, anomalous-FD search,
-/// verdict rendering.
+/// The `is-xnf` operation: spec intake, anomalous-FD search, verdict
+/// rendering.
 ///
 /// # Errors
 ///
@@ -111,11 +141,9 @@ pub fn is_xnf(
 ) -> Result<String, CliError> {
     let _op_span = budget.recorder().span("op.is-xnf", "op");
     let mut out = String::new();
-    if !options.no_lint {
-        preflight_lint(dtd_src, Some(fds_src), false, budget)?;
-    }
     let trust = options.trust.unwrap_or(Trust::Local);
-    let (dtd, sigma) = parse_spec(dtd_src, fds_src, trust, budget)?;
+    let gate = Gate::unless(options.no_lint, Gate::Engine);
+    let (dtd, sigma) = intake(dtd_src, fds_src, trust, gate, budget)?;
     let violations = xnf_core::anomalous_fds_governed(&dtd, &sigma, budget)?;
     if violations.is_empty() {
         writeln!(out, "in XNF: yes")?;
@@ -145,9 +173,9 @@ pub struct NormalizeSpecOptions<'a> {
     pub trust: Option<Trust>,
 }
 
-/// The `normalize` operation: lint preflight, parse, the Figure 4
-/// algorithm, full rendering (steps, revised `(D, Σ)`, optional stats
-/// and document transform).
+/// The `normalize` operation: spec intake, the Figure 4 algorithm,
+/// full rendering (steps, revised `(D, Σ)`, optional stats and document
+/// transform).
 ///
 /// Counter totals of the run are merged into `recorder` (the CLI's
 /// `--metrics` sink and the server's shared recorder) before rendering.
@@ -167,11 +195,9 @@ pub fn normalize_spec(
 ) -> Result<String, CliError> {
     let _op_span = budget.recorder().span("op.normalize", "op");
     let mut out = String::new();
-    if !options.no_lint {
-        preflight_lint(dtd_src, Some(fds_src), false, budget)?;
-    }
     let trust = options.trust.unwrap_or(Trust::Local);
-    let (dtd, sigma) = parse_spec(dtd_src, fds_src, trust, budget)?;
+    let gate = Gate::unless(options.no_lint, Gate::Engine);
+    let (dtd, sigma) = intake(dtd_src, fds_src, trust, gate, budget)?;
     let norm_options = NormalizeOptions {
         use_implication: !options.sigma_only,
         budget: budget.clone(),
@@ -283,7 +309,7 @@ pub fn analyze_spec(
     let _op_span = budget.recorder().span("op.analyze", "op");
     let mut out = String::new();
     let trust = options.trust.unwrap_or(Trust::Local);
-    let (dtd, sigma) = parse_spec(dtd_src, fds_src, trust, budget)?;
+    let (dtd, sigma) = intake(dtd_src, fds_src, trust, Gate::Off, budget)?;
     let analyze_options = xnf_core::AnalyzeOptions {
         use_implication: !options.sigma_only,
         budget: budget.clone(),

@@ -128,3 +128,25 @@ fn failing_preflight_renders_under_the_op_budget() {
         );
     }
 }
+
+/// The preflight reads the op's own parse, and the op's budget meters
+/// it: under `--fuel 3` the one DTD parse runs out before the gate can
+/// render its report (exit 4 at a `dtd.parse` checkpoint), while the
+/// same spec without a budget fails the gate with the report (exit 1).
+#[test]
+fn the_gate_reads_the_ops_metered_parse() {
+    let dtd = workspace_file("tests/bad_specs/vacuous.dtd");
+    let fds = workspace_file("examples/specs/university.fds");
+    for op in ["is-xnf", "normalize", "verify"] {
+        let out = xnf_tool(&[op, &dtd, &fds, "--fuel", "3"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(4), "{op}: {stdout}");
+        assert!(stdout.contains("at `dtd.parse."), "{op}: {stdout}");
+        assert!(!stdout.contains("error[XNF"), "{op}: {stdout}");
+        let out = xnf_tool(&[op, &dtd, &fds]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{op}: {stdout}");
+        assert!(stdout.contains("error[XNF102]"), "{op}: {stdout}");
+        assert!(stdout.contains("preflight lint failed"), "{op}: {stdout}");
+    }
+}

@@ -16,34 +16,36 @@ fn workspace_file(rel: &str) -> String {
     p.to_string_lossy().into_owned()
 }
 
-fn trace_for(name: &str) -> String {
+/// Runs `op` on the paper spec `name` with `--trace`; returns the
+/// trace document and the op's stdout.
+fn trace_for(op: &str, name: &str) -> (String, String) {
     let dtd = workspace_file(&format!("examples/specs/{name}.dtd"));
     let fds = workspace_file(&format!("examples/specs/{name}.fds"));
     let path = std::env::temp_dir()
         .join(format!(
-            "xnf-trace-validation-{}-{name}.json",
+            "xnf-trace-validation-{}-{op}-{name}.json",
             std::process::id()
         ))
         .to_string_lossy()
         .into_owned();
     let out = Command::new(env!("CARGO_BIN_EXE_xnf-tool"))
-        .args(["normalize", &dtd, &fds, "--trace", &path])
+        .args([op, &dtd, &fds, "--trace", &path])
         .output()
         .expect("xnf-tool runs");
     assert!(
         out.status.success(),
-        "{name}: normalize failed: {}",
+        "{name}: {op} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let doc = std::fs::read_to_string(&path).expect("trace written");
     let _ = std::fs::remove_file(&path);
-    doc
+    (doc, String::from_utf8_lossy(&out.stdout).into_owned())
 }
 
 #[test]
 fn traces_are_loadable_chrome_trace_json_with_all_phases() {
     for name in ["university", "dblp", "ebxml"] {
-        let doc = trace_for(name);
+        let (doc, _) = trace_for("normalize", name);
         xnf_obs::json::parse(&doc).unwrap_or_else(|e| panic!("{name}: not JSON: {e}"));
         // The Chrome trace object form with complete ("X") events:
         // every event carries ph/ts/dur/name/cat (plus pid/tid for
@@ -90,5 +92,30 @@ fn traces_are_loadable_chrome_trace_json_with_all_phases() {
                 "{name}: missing normalize step span"
             );
         }
+    }
+}
+
+/// `analyze` is the `normalize` run plus cover, graph and dead
+/// attributes: its trace holds no preprocessing replay or provenance
+/// sweep of its own, and one candidate search per normalize iteration.
+#[test]
+fn analyze_traces_one_search_per_iteration() {
+    for name in ["university", "dblp", "ebxml"] {
+        let (doc, stdout) = trace_for("analyze", name);
+        for gone in ["analyze.preprocess", "analyze.provenance"] {
+            assert!(
+                !doc.contains(&format!("\"name\":\"{gone}\"")),
+                "{name}: span {gone} is back"
+            );
+        }
+        let iterations: usize = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("iterations:"))
+            .and_then(|n| n.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{name}: no iteration count in {stdout}"));
+        let count = |span: &str| doc.matches(&format!("\"name\":\"{span}\"")).count();
+        assert_eq!(count("normalize.iteration"), iterations, "{name}");
+        assert_eq!(count("normalize.search"), iterations, "{name}");
+        assert_eq!(count("dtd.parse"), 1, "{name}: the spec is parsed once");
     }
 }

@@ -19,20 +19,19 @@
 //!
 //! `analyze` runs [`normalize`] on its input — on the
 //! analysis' own metered budget — and reads the plan, the AP trace, the
-//! revised `(D, Σ)` and the chase/cache counters off the
-//! [`NormalizeResult`]. The plan is therefore the executed step trace,
-//! and [`CostEstimate::predicted_fuel`] is the tick bill of that run:
-//! the algorithm is deterministic, so a governed `normalize` with the
-//! same options charges exactly as many ticks. What the analysis adds
-//! is one provenance sweep over the preprocessed input, the minimal
-//! cover, the graph and the dead attributes.
+//! input's anomalies (the first iteration's search), the revised
+//! `(D, Σ)` and the chase/cache counters off the
+//! [`NormalizeResult`](crate::NormalizeResult).
+//! The plan is therefore the executed step trace, and
+//! [`CostEstimate::predicted_fuel`] is the tick bill of that run: the
+//! algorithm is deterministic, so a governed `normalize` with the same
+//! options charges exactly as many ticks. What the analysis adds is the
+//! minimal cover, the graph and the dead attributes.
 
 use crate::fd::{ResolvedFd, XmlFd, XmlFdSet};
-use crate::implication::{Chase, ChaseOutcome, ImplicationCache};
-use crate::normalize::{
-    find_anomalous_fd, fix_lhs_element_paths, fold_text_paths, normalize, NormalizeOptions,
-    NormalizeResult, NormalizeStats, Step,
-};
+use crate::implication::{Chase, ChaseOutcome};
+use crate::normalize::{normalize, NormalizeOptions, Step};
+use crate::xnf::Violation;
 use crate::{CoreError, Result};
 use std::collections::{BTreeSet, HashMap};
 use xnf_dtd::{Dtd, Path, PathSet, Step as PathStep};
@@ -89,8 +88,8 @@ pub struct CostEstimate {
     pub cache_misses: u64,
     /// Budget ticks the run charged.
     pub predicted_fuel: u64,
-    /// Budget ticks the whole analysis spent: the run plus provenance
-    /// and the minimal cover.
+    /// Budget ticks the whole analysis spent: the run plus the minimal
+    /// cover.
     pub analyze_fuel: u64,
 }
 
@@ -234,13 +233,15 @@ pub struct Analysis {
     pub dead_attributes: Vec<String>,
     /// The plan: the [`normalize`] run's [`Step`] trace.
     pub plan: Vec<Step>,
-    /// The run's `|AP(D, Σ)|` trace ([`NormalizeResult::ap_trace`]).
+    /// The run's `|AP(D, Σ)|` trace
+    /// ([`NormalizeResult::ap_trace`](crate::NormalizeResult::ap_trace)).
     pub ap_trace: Vec<usize>,
     /// Cost prediction and the analysis' own spend.
     pub cost: CostEstimate,
     /// `Some` iff the analysis budget ran out: the result is partial —
     /// `plan` is a prefix of the full trace and `cover`/`graph` may be
-    /// empty (compare [`NormalizeResult::exhausted`]).
+    /// empty (compare
+    /// [`NormalizeResult::exhausted`](crate::NormalizeResult::exhausted)).
     pub exhausted: Option<Exhausted>,
 }
 
@@ -248,9 +249,6 @@ pub struct Analysis {
 /// and adds anomaly provenance, a minimal cover, the FD
 /// interaction graph and dead attributes.
 pub fn analyze(dtd: &Dtd, sigma: &XmlFdSet, options: &AnalyzeOptions) -> Result<Analysis> {
-    if dtd.is_recursive() {
-        return Err(CoreError::RecursiveNormalization);
-    }
     // The analysis meters itself on a governed budget: the caller's, or
     // (for ungoverned callers) an internal limitless one, so tick deltas
     // are observable either way.
@@ -261,62 +259,16 @@ pub fn analyze(dtd: &Dtd, sigma: &XmlFdSet, options: &AnalyzeOptions) -> Result<
     };
     let fuel_start = meter.ticks();
 
-    // ---------------- Preprocessing (identical to `normalize`) --------
-    let mut work_dtd = dtd.clone();
-    let mut steps: Vec<Step> = Vec::new();
-    let mut fds: Vec<XmlFd> = sigma.iter().flat_map(XmlFd::split_rhs).collect();
-    {
-        let _span = meter.recorder().span("analyze.preprocess", "analyze");
-        fold_text_paths(&mut work_dtd, &mut fds, &mut steps)?;
-        fix_lhs_element_paths(&mut work_dtd, &mut fds, &mut steps)?;
-    }
-    let work_sigma = XmlFdSet::from_fds(fds);
-
-    // ---------------- Anomaly provenance ------------------------------
-    // One sweep over the preprocessed spec: its violations are the
-    // input's anomalous FDs.
-    let provenance = {
-        let _span = meter.recorder().span("analyze.provenance", "analyze");
-        let paths = work_dtd.paths()?;
-        let resolved = work_sigma.resolve(&paths)?;
-        let chase = Chase::new(&work_dtd, &paths).with_budget(meter.clone());
-        let oracle = ImplicationCache::new(&chase, &resolved);
-        find_anomalous_fd(&oracle, &paths, &resolved, &meter).map(|violations| {
-            violations
-                .into_iter()
-                .map(|(fd, p)| (fd.to_fd(&paths).to_string(), paths.path(p)))
-                .collect::<Vec<_>>()
-        })
-    };
-
     // ---------------- The plan: run normalize -------------------------
-    let run_start = meter.ticks();
-    let (initial_violations, run) = match provenance {
-        Ok(violations) => {
-            let norm_options = NormalizeOptions {
-                use_implication: options.use_implication,
-                max_steps: options.max_steps,
-                budget: meter.clone(),
-                // Analyze reads the plan, never replays it on documents.
-                record_stages: false,
-            };
-            (violations, normalize(dtd, sigma, &norm_options)?)
-        }
-        // Out of budget before the run: the plan stops at preprocessing.
-        Err(e) => (
-            Vec::new(),
-            NormalizeResult {
-                dtd: work_dtd,
-                sigma: work_sigma,
-                steps,
-                ap_trace: Vec::new(),
-                stages: Vec::new(),
-                stats: NormalizeStats::default(),
-                exhausted: Some(e),
-            },
-        ),
+    let norm_options = NormalizeOptions {
+        use_implication: options.use_implication,
+        max_steps: options.max_steps,
+        budget: meter.clone(),
+        // Analyze reads the plan, never replays it on documents.
+        record_stages: false,
     };
-    let predicted_fuel = meter.ticks() - run_start;
+    let run = normalize(dtd, sigma, &norm_options)?;
+    let predicted_fuel = meter.ticks() - fuel_start;
 
     // ---------------- Cover, graph, dead attributes -------------------
     let paths = dtd.paths()?;
@@ -338,7 +290,7 @@ pub fn analyze(dtd: &Dtd, sigma: &XmlFdSet, options: &AnalyzeOptions) -> Result<
         FdGraph::new(&cover)
     };
     let dead_attributes = dead_attributes(&paths, sigma);
-    let anomalies = attribute_anomalies(&initial_violations, &run.steps);
+    let anomalies = attribute_anomalies(&run.anomalies, &run.steps);
 
     let counters = &run.stats.chase;
     let cost = CostEstimate {
@@ -528,10 +480,10 @@ fn dead_attributes(paths: &PathSet, sigma: &XmlFdSet) -> Vec<String> {
 
 /// Matches each initial violation to the plan step that resolves its
 /// path (see [`AnomalyInfo::predicted_move`]).
-fn attribute_anomalies(violations: &[(String, Path)], steps: &[Step]) -> Vec<AnomalyInfo> {
+fn attribute_anomalies(violations: &[Violation], steps: &[Step]) -> Vec<AnomalyInfo> {
     violations
         .iter()
-        .map(|(fd, path)| {
+        .map(|Violation { fd, path }| {
             let hit = steps.iter().enumerate().find_map(|(i, step)| match step {
                 Step::MoveAttribute { from, .. } if from == path => Some((i, "move-attribute")),
                 Step::CreateElement { value_attr, .. } if value_attr == path => {
@@ -543,7 +495,7 @@ fn attribute_anomalies(violations: &[(String, Path)], steps: &[Step]) -> Vec<Ano
                 _ => None,
             });
             AnomalyInfo {
-                fd: fd.clone(),
+                fd: fd.to_string(),
                 path: path.to_string(),
                 predicted_move: hit.map_or("rewrite", |(_, kind)| kind).to_string(),
                 resolved_by_step: hit.map(|(i, _)| i),

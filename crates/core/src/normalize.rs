@@ -31,7 +31,7 @@
 
 use crate::fd::{ResolvedFd, XmlFd, XmlFdSet};
 use crate::implication::{Chase, ChaseStatsSnapshot, Implication, ImplicationCache};
-use crate::xnf::anomalous_candidate;
+use crate::xnf::{anomalous_candidate, Violation};
 use crate::{CoreError, Result};
 use std::time::{Duration, Instant};
 use xnf_dtd::{ContentModel, Dtd, Path, PathId, PathSet, Regex, Step as PathStep};
@@ -151,6 +151,11 @@ pub struct NormalizeResult {
     /// `|AP(D, Σ)|` before each main-loop step and after the last —
     /// strictly decreasing by Proposition 6.
     pub ap_trace: Vec<usize>,
+    /// The anomalous FDs the first main-loop iteration found: those of
+    /// the preprocessed input, in the search's order. Empty when the
+    /// input is in XNF, or when the budget ran out before that search
+    /// finished.
+    pub anomalies: Vec<Violation>,
     /// Snapshots of `(D, Σ)` *after* each step in `steps` (parallel
     /// vectors), used to replay the transformations on documents
     /// ([`crate::lossless`]). Empty when
@@ -187,9 +192,10 @@ enum Action {
 /// push the `|AP|` sample onto `ap_trace`, pick the action (step 2 move /
 /// step 3 create / fold / done) and materialize the implied guards.
 ///
-/// Mutates nothing but `stats`/`ap_trace`; the caller owns applying the
-/// action. Exhaustion mid-decide leaves a pushed AP sample in `ap_trace`
-/// (matching the historical partial-trace shape).
+/// Mutates nothing but `stats`/`ap_trace` and, when given, `anomalies`
+/// (which receives the search's violations); the caller owns applying
+/// the action. Exhaustion mid-decide leaves a pushed AP sample in
+/// `ap_trace` (matching the historical partial-trace shape).
 fn decide_iteration<O: Implication>(
     oracle: &O,
     paths: &PathSet,
@@ -197,6 +203,7 @@ fn decide_iteration<O: Implication>(
     options: &NormalizeOptions,
     stats: &mut NormalizeStats,
     ap_trace: &mut Vec<usize>,
+    anomalies: Option<&mut Vec<Violation>>,
 ) -> std::result::Result<(Action, Vec<XmlFd>), Exhausted> {
     let search_start = Instant::now();
     let search_span = options
@@ -207,6 +214,15 @@ fn decide_iteration<O: Implication>(
     drop(search_span);
     stats.search_time += search_start.elapsed();
     let violations = violations?;
+    if let Some(anomalies) = anomalies {
+        *anomalies = violations
+            .iter()
+            .map(|(fd, p)| Violation {
+                fd: fd.to_fd(paths),
+                path: paths.path(*p),
+            })
+            .collect();
+    }
     let ap: std::collections::BTreeSet<_> = violations.iter().map(|(_, p)| *p).collect();
     ap_trace.push(ap.len());
     let decide_start = Instant::now();
@@ -379,6 +395,7 @@ pub fn normalize(
 
     // ---------------- Main loop (Figure 4) ----------------
     let mut ap_trace = Vec::new();
+    let mut anomalies = Vec::new();
     let mut stats = NormalizeStats::default();
     let mut exhausted_out: Option<Exhausted> = None;
     for _ in 0..options.max_steps {
@@ -399,6 +416,9 @@ pub fn normalize(
         debug_assert!(!dtd.is_recursive(), "a step made the DTD recursive");
         let paths = dtd.paths_bounded(usize::MAX);
         stats.iterations += 1;
+        // The first search sees the preprocessed input: its violations
+        // are the input's anomalies.
+        let first = stats.iterations == 1;
         // Decide the next action *and* the guards to materialize with the
         // chase borrowing the DTD immutably; apply both afterwards. One
         // chase + one memo serve the whole iteration: the guard pass
@@ -416,6 +436,7 @@ pub fn normalize(
                 options,
                 &mut stats,
                 &mut ap_trace,
+                first.then_some(&mut anomalies),
             );
             stats.chase += chase.stats().snapshot();
             decided
@@ -455,6 +476,7 @@ pub fn normalize(
                     sigma,
                     steps,
                     ap_trace,
+                    anomalies,
                     stages,
                     stats,
                     exhausted: None,
@@ -493,6 +515,7 @@ pub fn normalize(
             sigma,
             steps,
             ap_trace,
+            anomalies,
             stages,
             stats,
             exhausted: Some(e),
@@ -982,11 +1005,7 @@ fn fold_one_text_path(
 
 /// Folds every right-hand-side `.S` path of Σ (see
 /// [`fold_one_text_path`]).
-pub(crate) fn fold_text_paths(
-    dtd: &mut Dtd,
-    fds: &mut [XmlFd],
-    steps: &mut Vec<Step>,
-) -> Result<()> {
+fn fold_text_paths(dtd: &mut Dtd, fds: &mut [XmlFd], steps: &mut Vec<Step>) -> Result<()> {
     loop {
         // Find an FD path ending in `.S` on a *right-hand side* (the
         // positions the transformations operate on). Left-hand `.S`
@@ -1039,11 +1058,7 @@ fn remove_single_occurrence(re: &Regex, name: &str) -> Option<Regex> {
 /// Ensures every FD's left-hand side has exactly one element path: adds
 /// the root when there is none (free: any two tuples share the root) and
 /// replaces extras by fresh id attributes, per Section 6.
-pub(crate) fn fix_lhs_element_paths(
-    dtd: &mut Dtd,
-    fds: &mut Vec<XmlFd>,
-    steps: &mut Vec<Step>,
-) -> Result<()> {
+fn fix_lhs_element_paths(dtd: &mut Dtd, fds: &mut Vec<XmlFd>, steps: &mut Vec<Step>) -> Result<()> {
     let root_path = Path::root(dtd.root_name());
     let mut i = 0;
     while i < fds.len() {

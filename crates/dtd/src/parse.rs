@@ -15,7 +15,7 @@
 use crate::dtd::{ContentModel, Dtd};
 use crate::regex::Regex;
 use crate::{DtdError, Result};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use xnf_govern::Budget;
 
 /// Hard limits guarding the parser against adversarial input. The
@@ -309,8 +309,11 @@ pub fn parse_dtd_governed(input: &str, limits: ParseLimits, budget: &Budget) -> 
     let mut s = Scanner::with_limits(input, limits, budget);
     s.check_input_size()?;
     let mut decls: Vec<(String, ContentModel)> = Vec::new();
+    let mut declared: HashSet<String> = HashSet::new();
     let mut attlists: HashMap<String, Vec<String>> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+    // ATTLIST owners in source order, so the undeclared-owner error names
+    // the first one rather than whichever the map yields.
+    let mut owners: Vec<String> = Vec::new();
 
     loop {
         budget.checkpoint("dtd.parse.decl")?;
@@ -326,15 +329,17 @@ pub fn parse_dtd_governed(input: &str, limits: ParseLimits, budget: &Budget) -> 
             let cm = content_spec(&mut s)?;
             s.skip_ws_and_comments()?;
             s.expect(">")?;
-            if decls.iter().any(|(n, _)| *n == name) {
+            if !declared.insert(name.clone()) {
                 return Err(DtdError::DuplicateElement(name));
             }
-            order.push(name.clone());
             decls.push((name, cm));
         } else if s.eat("ATTLIST") {
             s.skip_ws_and_comments()?;
             let elem = s.name()?;
-            let atts = attlists.entry(elem.clone()).or_default();
+            let atts = attlists.entry(elem.clone()).or_insert_with(|| {
+                owners.push(elem.clone());
+                Vec::new()
+            });
             loop {
                 s.skip_ws_and_comments()?;
                 if s.eat(">") {
@@ -390,15 +395,14 @@ pub fn parse_dtd_governed(input: &str, limits: ParseLimits, budget: &Budget) -> 
         }
     }
 
-    let root = order
+    let root = decls
         .first()
         .ok_or_else(|| DtdError::syntax(s.input, 0, "no element declarations found"))?
+        .0
         .clone();
 
-    for elem in attlists.keys() {
-        if !order.contains(elem) {
-            return Err(DtdError::AttlistForUndeclared(elem.clone()));
-        }
+    if let Some(ghost) = owners.into_iter().find(|e| !declared.contains(e)) {
+        return Err(DtdError::AttlistForUndeclared(ghost));
     }
 
     let mut b = Dtd::builder(root);
@@ -507,6 +511,36 @@ mod tests {
     fn rejects_attlist_for_undeclared() {
         let err = parse_dtd("<!ELEMENT r EMPTY> <!ATTLIST ghost a CDATA #REQUIRED>").unwrap_err();
         assert_eq!(err, DtdError::AttlistForUndeclared("ghost".into()));
+    }
+
+    /// Several undeclared owners: the error names the first in source
+    /// order, on every parse (a hash map's key order differs per map).
+    #[test]
+    fn undeclared_attlist_owner_is_the_first_in_source_order() {
+        let src = "<!ELEMENT r EMPTY>
+             <!ATTLIST ghost1 a CDATA #REQUIRED>
+             <!ATTLIST r x CDATA #REQUIRED>
+             <!ATTLIST ghost2 b CDATA #REQUIRED>
+             <!ATTLIST ghost3 c CDATA #REQUIRED>
+             <!ATTLIST ghost1 d CDATA #REQUIRED>";
+        for _ in 0..50 {
+            let err = parse_dtd(src).unwrap_err();
+            assert_eq!(err, DtdError::AttlistForUndeclared("ghost1".into()));
+        }
+    }
+
+    #[test]
+    fn rejects_duplicate_elements() {
+        let err =
+            parse_dtd("<!ELEMENT r (a)> <!ELEMENT a EMPTY> <!ELEMENT a (#PCDATA)>").unwrap_err();
+        assert_eq!(err, DtdError::DuplicateElement("a".into()));
+        assert_eq!(err.to_string(), "element `a` is declared more than once");
+        // The duplicate is reported where it occurs, before any later
+        // undeclared ATTLIST owner.
+        let err =
+            parse_dtd("<!ATTLIST ghost g CDATA #REQUIRED> <!ELEMENT r EMPTY> <!ELEMENT r EMPTY>")
+                .unwrap_err();
+        assert_eq!(err, DtdError::DuplicateElement("r".into()));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! constructors; they also make the Section 7 classification (trivial /
 //! simple expressions) syntax-directed.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// A regular expression over element names (Definition 1).
@@ -121,9 +122,10 @@ impl Regex {
     /// The *alphabet* of the expression: the set of element names occurring
     /// in it, in first-occurrence order, without duplicates.
     pub fn alphabet(&self) -> Vec<&str> {
+        let mut seen = HashSet::new();
         let mut out = Vec::new();
         self.visit_leaves(&mut |name| {
-            if !out.contains(&name) {
+            if seen.insert(name) {
                 out.push(name);
             }
         });
@@ -328,6 +330,20 @@ mod tests {
     fn alphabet_dedups_in_order() {
         let r = Regex::seq([b(), a(), b().star()]);
         assert_eq!(r.alphabet(), vec!["b", "a"]);
+        // Nested repeats keep first-occurrence order, left to right.
+        let c = || Regex::elem("c");
+        let r = Regex::alt([
+            Regex::seq([c().opt(), a()]).star(),
+            Regex::seq([b().plus(), c(), a()]),
+            Regex::Epsilon,
+            b(),
+        ]);
+        assert_eq!(r.alphabet(), vec!["c", "a", "b"]);
+        // A wide model: each of many letters listed once, in order.
+        let names: Vec<String> = (0..2000).map(|i| format!("e{}", i % 1000)).collect();
+        let r = Regex::seq(names.iter().map(|n| Regex::elem(n.as_str()).opt())).star();
+        let want: Vec<String> = (0..1000).map(|i| format!("e{i}")).collect();
+        assert_eq!(r.alphabet(), want);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use report::{Code, Diagnostic, LintReport, Severity, SourceKind, Span};
 pub use source::DeclIndex;
 pub use structural::{generating_set, reachable_set, DtdCtx};
 
-use xnf_dtd::parse_dtd;
+use xnf_dtd::{parse_dtd, Dtd, DtdError};
 use xnf_govern::{Budget, Exhausted};
 
 /// The shared ungoverned budget backing the infallible [`lint_spec`].
@@ -317,18 +317,26 @@ pub fn lint_spec(dtd_src: &str, fds_src: Option<&str>) -> LintReport {
 /// *not* completed — no partial report is returned, so a clean report
 /// always means a fully linted spec.
 ///
-/// Nothing before those rules charges `budget`: the DTD parse, the
-/// structural tier, FD resolution, `paths(D)` and the chase's fact
-/// tables run ungoverned. They are not cheap on a hostile schema — the
-/// structural tier's determinism check builds every Glushkov `follow`
-/// set, quadratic in a content model's positions, and outlasts the
-/// budgeted chase by far (see "Hostile schemas" in `ROADMAP.md`).
+/// Nothing before those rules charges `budget`: the DTD parse (under
+/// the default limits), the structural tier, FD resolution, `paths(D)`
+/// and the chase's fact tables run ungoverned. The engine ops' gate,
+/// [`preflight`], reads the op's own metered parse instead. These phases
+/// are not cheap on a hostile schema — the structural tier's determinism
+/// check builds every Glushkov `follow` set, quadratic in a content
+/// model's positions, and outlasts the budgeted chase by far (see
+/// "Hostile schemas" in `ROADMAP.md`).
 pub fn lint_spec_governed(
     dtd_src: &str,
     fds_src: Option<&str>,
     budget: &Budget,
 ) -> Result<LintReport, Exhausted> {
-    lint_inner(dtd_src, fds_src, budget, Tiers::default())
+    lint_inner(
+        dtd_src,
+        &parse_dtd(dtd_src),
+        fds_src,
+        budget,
+        Tiers::default(),
+    )
 }
 
 /// [`lint_spec_governed`] plus the opt-in **predictive tier** (`XNF2xx`):
@@ -352,7 +360,7 @@ pub fn lint_spec_predictive(
         predictive: true,
         ..Tiers::default()
     };
-    lint_inner(dtd_src, Some(fds_src), budget, tiers)
+    lint_inner(dtd_src, &parse_dtd(dtd_src), Some(fds_src), budget, tiers)
 }
 
 /// [`lint_spec_governed`] plus the opt-in **shred tier** (`XNF3xx`): the
@@ -370,13 +378,19 @@ pub fn lint_spec_shred(
         shred: true,
         ..Tiers::default()
     };
-    lint_inner(dtd_src, fds_src, budget, tiers)
+    lint_inner(dtd_src, &parse_dtd(dtd_src), fds_src, budget, tiers)
 }
 
 /// The preflight gate of the engine subcommands: does the spec have a
 /// hard lint error? `None` when it has none; otherwise the full report —
 /// exactly [`lint_spec_governed`]'s, or [`lint_spec_shred`]'s with
 /// `shred_tier` — for the caller to render.
+///
+/// The gate does not parse the DTD: `parsed` is the caller's own parse
+/// of `dtd_src`, success or failure, so an op that parses under its
+/// budget and trust limits has that one metered parse linted. A parse
+/// that ran out of budget has no report: its [`Exhausted`] comes back
+/// as the error.
 ///
 /// Only the rules that can emit an error run first: the structural
 /// tier, FD syntax and path resolution (`XNF101`/`XNF102`), and with
@@ -389,6 +403,7 @@ pub fn lint_spec_shred(
 /// a `lint.preflight` span on the budget's recorder.
 pub fn preflight(
     dtd_src: &str,
+    parsed: &Result<Dtd, DtdError>,
     fds_src: Option<&str>,
     shred_tier: bool,
     budget: &Budget,
@@ -399,7 +414,7 @@ pub fn preflight(
         gate: true,
         ..Tiers::default()
     };
-    let report = lint_inner(dtd_src, fds_src, budget, tiers)?;
+    let report = lint_inner(dtd_src, parsed, fds_src, budget, tiers)?;
     Ok(report.has_errors().then_some(report))
 }
 
@@ -414,23 +429,27 @@ struct Tiers {
     gate: bool,
 }
 
-/// The one rule sequence behind every entry point. Every rule that can
-/// emit an error runs before every rule that cannot; the gate is the
-/// early exit between them. The order of rules does not reach the
-/// report: [`LintReport::new`] sorts stably by (source, offset, code),
-/// and each code comes from one rule.
+/// The one rule sequence behind every entry point, over `parsed`, the
+/// entry point's parse of `dtd_src`. Every rule that can emit an error
+/// runs before every rule that cannot; the gate is the early exit
+/// between them. The order of rules does not reach the report:
+/// [`LintReport::new`] sorts stably by (source, offset, code), and each
+/// code comes from one rule.
 fn lint_inner(
     dtd_src: &str,
+    parsed: &Result<Dtd, DtdError>,
     fds_src: Option<&str>,
     budget: &Budget,
     tiers: Tiers,
 ) -> Result<LintReport, Exhausted> {
+    if let Err(DtdError::Exhausted(e)) = parsed {
+        return Err(e.clone());
+    }
     let mut diags = Vec::new();
     let structural_span = budget.recorder().span("lint.structural", "lint");
     let index = DeclIndex::scan(dtd_src);
     structural::duplicate_decls(dtd_src, &index, &mut diags);
-    let parsed = parse_dtd(dtd_src);
-    let ctx = match &parsed {
+    let ctx = match parsed {
         Ok(dtd) => {
             let ctx = DtdCtx::new(dtd_src, dtd, &index);
             structural::rule_unreachable(&ctx, &mut diags);
@@ -611,12 +630,34 @@ mod tests {
         let warned = "r.a.@k -> r.a\nr.a -> r";
         assert!(lint_spec(dtd, Some(warned)).count(Severity::Warning) > 0);
         let metered = Budget::builder().build();
-        assert_eq!(preflight(dtd, Some(warned), false, &metered), Ok(None));
+        assert_eq!(
+            preflight(dtd, &parse_dtd(dtd), Some(warned), false, &metered),
+            Ok(None)
+        );
         assert_eq!(metered.ticks(), 0);
         let broken = "r.a.@k -> r.a\nr.a -> r\nr.nope -> r";
         let tiny = Budget::builder().fuel(2).build();
-        let err = preflight(dtd, Some(broken), false, &tiny).unwrap_err();
+        let err = preflight(dtd, &parse_dtd(dtd), Some(broken), false, &tiny).unwrap_err();
         assert_eq!(err.resource, xnf_govern::Resource::Fuel);
+    }
+
+    /// The gate reads the caller's parse: a parse that exhausted comes
+    /// back as that exhaustion, with no report and no rule run.
+    #[test]
+    fn preflight_passes_on_a_parse_exhaustion() {
+        let dtd = "<!ELEMENT r (a*)> <!ELEMENT a EMPTY> <!ELEMENT a EMPTY>";
+        let tiny = Budget::builder().fuel(1).build();
+        let parsed = xnf_dtd::parse_dtd_governed(dtd, xnf_dtd::ParseLimits::default(), &tiny);
+        let Err(DtdError::Exhausted(cause)) = &parsed else {
+            panic!("fuel 1 must exhaust the parse: {parsed:?}");
+        };
+        let metered = Budget::builder().build();
+        let err = preflight(dtd, &parsed, None, false, &metered).unwrap_err();
+        assert_eq!(&err, cause);
+        assert_eq!(metered.ticks(), 0);
+        // The same source, parsed in full, fails the gate (XNF002).
+        let report = preflight(dtd, &parse_dtd(dtd), None, false, &metered).unwrap();
+        assert_eq!(report.unwrap().codes(), vec![Code::DuplicateElement]);
     }
 
     #[test]

@@ -89,8 +89,8 @@ use crate::cache::{ShardedCache, SpecKey};
 use crate::http::{HttpError, Request};
 use crate::json::Json;
 use xnf_cli::ops::{
-    self, AnalyzeFormat, AnalyzeSpecOptions, IsXnfOptions, LintSpecOptions, NormalizeSpecOptions,
-    Trust,
+    self, AnalyzeFormat, AnalyzeSpecOptions, Gate, IsXnfOptions, LintSpecOptions,
+    NormalizeSpecOptions, Trust,
 };
 use xnf_cli::CliError;
 #[cfg(feature = "fault-injection")]
@@ -1160,10 +1160,12 @@ fn run_spec_op(inner: &Arc<Inner>, op: &str, body: &Json, budget: &Budget) -> Re
     };
 
     // Parse once, canonically, for the cache key and the admission
-    // estimate; the parse is governed by the same request budget.
-    let (dtd, sigma) = match parse_spec_for_key(dtd_src, fds_src, budget) {
+    // estimate: the spec intake without its lint gate, governed by the
+    // same request budget. A spec that does not parse is a 422 (valid
+    // JSON, not a valid spec); exhaustion is a 503.
+    let (dtd, sigma) = match ops::intake(dtd_src, fds_src, Trust::Network, Gate::Off, budget) {
         Ok(pair) => pair,
-        Err(reply) => return reply,
+        Err(e) => return cli_reply(&e),
     };
     let (cache_key, spec_key) = {
         let spec = SpecKey::new(&dtd, &sigma);
@@ -1282,32 +1284,6 @@ fn run_lint(body: &Json, dtd_src: &str, budget: &Budget) -> Reply {
         Err(CliError::Lint(rendered)) => Reply::ok_output(&rendered, "diagnostics"),
         Err(e) => cli_reply(&e),
     }
-}
-
-/// Parses `(D, Σ)` for cache keying; failures map to `422` (the spec
-/// is syntactically valid JSON but not a valid spec) or `503`
-/// (exhaustion during parse).
-fn parse_spec_for_key(
-    dtd_src: &str,
-    fds_src: &str,
-    budget: &Budget,
-) -> Result<(xnf_dtd::Dtd, xnf_core::XmlFdSet), Reply> {
-    let dtd = match ops::parse_dtd(dtd_src, Trust::Network, budget) {
-        Ok(d) => d,
-        Err(e) => return Err(cli_reply(&e)),
-    };
-    let sigma = match xnf_core::XmlFdSet::parse(fds_src) {
-        Ok(s) => s,
-        Err(e) => {
-            return Err(Reply::error(
-                422,
-                "Unprocessable Content",
-                "spec",
-                &e.to_string(),
-            ))
-        }
-    };
-    Ok((dtd, sigma))
 }
 
 /// The CLI error → HTTP status mapping (the service half of the

@@ -8,8 +8,11 @@
 //! run's fuel bill (`predicted_fuel`). This suite pins that on the
 //! fuzz-found oracle corpus, the paper's three specs, the `e22_family`
 //! stress family, the E20 wide spec, a generated corpus of 200+ random
-//! instances, and the bad-spec corpus (error parity).
+//! instances, and the bad-spec corpus (error parity). The reported
+//! anomalies are that run's first search, so their distinct paths
+//! number exactly the AP trace's first sample.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use xnf::core::{analyze, normalize, AnalyzeOptions, NormalizeOptions, XmlFdSet};
 use xnf::dtd::Dtd;
@@ -99,6 +102,14 @@ fn assert_prediction_exact(
     assert_eq!(
         a.cost.predicted_fuel, ticks,
         "{label}: prediction missed the tick bill"
+    );
+    // The anomalies and the AP trace's first sample come from one sweep:
+    // normalize's first search over the preprocessed input.
+    let anomalous_paths: BTreeSet<&str> = a.anomalies.iter().map(|an| an.path.as_str()).collect();
+    assert_eq!(
+        Some(&anomalous_paths.len()),
+        a.ap_trace.first(),
+        "{label}: anomalies disagree with |AP| of the first iteration"
     );
 }
 

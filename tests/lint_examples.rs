@@ -196,7 +196,9 @@ fn preflight_gate_agrees_with_the_full_report() {
                     lint_spec_governed(&dtd, fds.as_deref(), &unlimited)
                 }
                 .unwrap();
-                let gate = preflight(&dtd, fds.as_deref(), shred_tier, &unlimited).unwrap();
+                let parsed = xnf::dtd::parse_dtd(&dtd);
+                let gate =
+                    preflight(&dtd, &parsed, fds.as_deref(), shred_tier, &unlimited).unwrap();
                 let what = format!("{dtd_file} + {fds_file:?} (shred tier: {shred_tier})");
                 match gate {
                     None => {
