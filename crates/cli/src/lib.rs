@@ -36,7 +36,9 @@
 //! ```
 //!
 //! The governed subcommands — `normalize`, `is-xnf`, `lint`, `analyze`,
-//! `verify`, `shred` — additionally accept resource limits:
+//! `verify`, `shred` — read their arguments through one handler, which
+//! takes their positional files anywhere among the flags and adds the
+//! flags they share to each usage line. First the resource limits:
 //!
 //! ```text
 //! --timeout <secs>      wall-clock deadline (fractional seconds)
@@ -50,7 +52,7 @@
 //! so far, clearly marked non-final; the others print the structured
 //! exhaustion message.
 //!
-//! The same subcommands accept observability flags (see `xnf-obs`):
+//! Then the observability flags (see `xnf-obs`):
 //!
 //! ```text
 //! --trace <file>        write a span trace (default format: Chrome trace
@@ -59,10 +61,12 @@
 //! --obs-format <fmt>    override both: chrome|jsonl|prometheus
 //! ```
 //!
-//! With neither flag the recorder stays disabled and output is
-//! byte-identical to the flagless run. Trace/metrics files are written
-//! even when the run exhausts its budget — a trace of the partial run is
-//! exactly what the flags are for.
+//! With neither file flag the recorder stays disabled and output is
+//! byte-identical to the flagless run. Once the input files are read, the
+//! handler writes the trace and metrics files on every path — success, a
+//! failed spec intake, a lint report, an engine error, exhaustion — and a
+//! failure names the trace id of its `--trace` file: a trace of the
+//! partial run is exactly what the flags are for.
 //!
 //! `normalize`, `is-xnf`, `verify` and `shred` run the linter as a
 //! preflight (`xnf_lint::preflight`) on the op's own DTD parse
@@ -85,6 +89,8 @@ pub mod ops;
 
 use std::fmt;
 use std::fs;
+use std::ops::RangeInclusive;
+use std::slice::Iter;
 use std::time::Duration;
 use xnf_core::implication::{CounterexampleSearch, Implication};
 use xnf_core::{XmlFd, XmlFdSet};
@@ -188,177 +194,160 @@ fn load_xml(path: &str) -> Result<xnf_xml::XmlTree, CliError> {
     Ok(xnf_xml::parse(&read(path)?)?)
 }
 
-/// The shared `--timeout <secs>` / `--fuel <units>` / `--max-memory
-/// <bytes>` flags of the governed subcommands. With none given,
-/// [`BudgetFlags::build`] returns [`Budget::unlimited`] so the flagless
-/// invocation stays byte-identical to the ungoverned engine.
+/// The flags every governed subcommand shares, as its usage line lists
+/// them.
+const SHARED_FLAGS: &str = "[--timeout <s>] [--fuel <n>] [--max-memory <b>] [--trace <f>] \
+                            [--metrics <f>] [--obs-format <fmt>]";
+
+/// The one argument handler of the governed subcommands (`is-xnf`,
+/// `normalize`, `verify`, `shred`, `analyze`, `lint`): their positional
+/// files plus the flags they share — the `--timeout <secs>` / `--fuel
+/// <units>` / `--max-memory <bytes>` limits and the `--trace <file>` /
+/// `--metrics <file>` / `--obs-format <fmt>` sinks. `--trace` captures the span
+/// timeline (Chrome trace JSON by default — load it in `chrome://tracing`
+/// or Perfetto); `--metrics` captures counters, checkpoint-site tallies
+/// and duration histograms (Prometheus text by default); `--obs-format`
+/// overrides either (`chrome|jsonl|prometheus`).
 #[derive(Default)]
-struct BudgetFlags {
+struct Governed<'a> {
+    files: Vec<&'a str>,
     timeout: Option<f64>,
     fuel: Option<u64>,
     memory: Option<u64>,
-}
-
-impl BudgetFlags {
-    /// Parses the governance flag at `args[*i]` and its value. Leaves
-    /// `*i` on the value, matching the callers' trailing `i += 1`.
-    fn set(&mut self, args: &[String], i: &mut usize) -> Result<(), CliError> {
-        let flag = args[*i].clone();
-        *i += 1;
-        let value = args
-            .get(*i)
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--timeout" => {
-                let secs: f64 = value.parse().map_err(|_| {
-                    CliError::Usage("--timeout needs a number of seconds (e.g. 2.5)".into())
-                })?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(CliError::Usage(
-                        "--timeout needs a finite, non-negative number of seconds".into(),
-                    ));
-                }
-                self.timeout = Some(secs);
-            }
-            "--fuel" => {
-                self.fuel = Some(value.parse().map_err(|_| {
-                    CliError::Usage("--fuel needs a number of checkpoint units".into())
-                })?);
-            }
-            "--max-memory" => {
-                self.memory =
-                    Some(value.parse().map_err(|_| {
-                        CliError::Usage("--max-memory needs a number of bytes".into())
-                    })?);
-            }
-            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-        }
-        Ok(())
-    }
-
-    fn build(&self) -> Budget {
-        if self.timeout.is_none() && self.fuel.is_none() && self.memory.is_none() {
-            return Budget::unlimited();
-        }
-        self.build_with(Recorder::disabled())
-    }
-
-    /// Builds a *governed* budget carrying `recorder` — used when any
-    /// observability output was requested, since only a governed budget
-    /// can carry a recorder. Limits stay optional.
-    fn build_with(&self, recorder: Recorder) -> Budget {
-        let mut b = Budget::builder().recorder(recorder);
-        if let Some(secs) = self.timeout {
-            b = b.deadline(Duration::from_secs_f64(secs));
-        }
-        if let Some(units) = self.fuel {
-            b = b.fuel(units);
-        }
-        if let Some(bytes) = self.memory {
-            b = b.memory(bytes);
-        }
-        b.build()
-    }
-}
-
-/// Matches the flags [`BudgetFlags::set`] accepts (callers dispatch on
-/// this before handing the argument over).
-const BUDGET_FLAGS: [&str; 3] = ["--timeout", "--fuel", "--max-memory"];
-
-/// The shared `--trace <file>` / `--metrics <file>` / `--obs-format
-/// <fmt>` flags of the governed subcommands. `--trace` captures the span
-/// timeline (Chrome trace JSON by default — load it in `chrome://tracing`
-/// or Perfetto); `--metrics` captures counters, checkpoint-site tallies,
-/// and duration histograms (Prometheus text by default); `--obs-format`
-/// overrides either (`chrome|jsonl|prometheus`). With neither file flag
-/// given, the recorder stays disabled and the invocation is
-/// byte-identical to the unflagged one.
-#[derive(Default)]
-struct ObsFlags {
-    trace: Option<String>,
-    metrics: Option<String>,
+    trace: Option<&'a str>,
+    metrics: Option<&'a str>,
     format: Option<ObsFormat>,
-    recorder: Recorder,
-    /// Minted alongside the recorder; failing governed runs report it so
-    /// the operator can correlate the report with the exported trace
-    /// file (the CLI twin of the `x-request-id` the service echoes).
-    trace_id: Option<String>,
 }
 
-impl ObsFlags {
-    /// Parses the observability flag at `args[*i]` and its value. Leaves
-    /// `*i` on the value, matching the callers' trailing `i += 1`.
-    fn set(&mut self, args: &[String], i: &mut usize) -> Result<(), CliError> {
-        let flag = args[*i].clone();
-        *i += 1;
-        let value = args
-            .get(*i)
-            .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--trace" => self.trace = Some(value.clone()),
-            "--metrics" => self.metrics = Some(value.clone()),
-            "--obs-format" => {
-                self.format = Some(ObsFormat::parse(value).ok_or_else(|| {
-                    CliError::Usage(format!("--obs-format needs one of {}", ObsFormat::NAMES))
-                })?);
+impl<'a> Governed<'a> {
+    /// Reads `args` (the subcommand name first) left to right. The shared
+    /// flags are consumed here; any other `--` flag goes to `own`, which
+    /// takes what value it needs from the remaining arguments and answers
+    /// `false` for a flag it does not know; the rest are positional files.
+    /// Fewer or more files than `files` allows is a usage error naming
+    /// `usage` (the subcommand's own synopsis) followed by the shared flags.
+    fn parse(
+        args: &'a [String],
+        usage: &str,
+        files: RangeInclusive<usize>,
+        mut own: impl FnMut(&str, &mut Iter<'a, String>) -> Result<bool, CliError>,
+    ) -> Result<Governed<'a>, CliError> {
+        let mut cli = Governed::default();
+        let mut rest = args[1..].iter();
+        while let Some(arg) = rest.next() {
+            let flag = arg.as_str();
+            let need = |what: &str| CliError::Usage(format!("{flag} needs {what}"));
+            let mut value = || {
+                rest.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| need("a value"))
+            };
+            match flag {
+                "--timeout" => {
+                    let secs: f64 = value()?
+                        .parse()
+                        .map_err(|_| need("a number of seconds (e.g. 2.5)"))?;
+                    if !secs.is_finite() || secs < 0.0 {
+                        return Err(need("a finite, non-negative number of seconds"));
+                    }
+                    cli.timeout = Some(secs);
+                }
+                "--fuel" => {
+                    let units = value()?.parse();
+                    cli.fuel = Some(units.map_err(|_| need("a number of checkpoint units"))?);
+                }
+                "--max-memory" => {
+                    let bytes = value()?.parse();
+                    cli.memory = Some(bytes.map_err(|_| need("a number of bytes"))?);
+                }
+                "--trace" => cli.trace = Some(value()?),
+                "--metrics" => cli.metrics = Some(value()?),
+                "--obs-format" => {
+                    let format = ObsFormat::parse(value()?);
+                    let names = format!("one of {}", ObsFormat::NAMES);
+                    cli.format = Some(format.ok_or_else(|| need(&names))?);
+                }
+                _ if !flag.starts_with("--") => cli.files.push(flag),
+                _ if own(flag, &mut rest)? => {}
+                _ => return Err(CliError::Usage(format!("unknown flag `{flag}`"))),
             }
-            other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
         }
-        Ok(())
+        if !files.contains(&cli.files.len()) {
+            return Err(CliError::Usage(format!("xnf-tool {usage} {SHARED_FLAGS}")));
+        }
+        Ok(cli)
     }
 
-    /// Builds the subcommand's budget: ungoverned (or limits-only) when
-    /// no observability output was requested; otherwise a governed budget
-    /// carrying a freshly enabled recorder, kept here for [`write`].
+    /// Runs `op` under the budget the flags ask for, and writes the
+    /// requested trace and metrics files whatever `op` returned — a trace
+    /// of a failed or exhausted run is exactly what the flags are for. A
+    /// failure then names the trace id its `--trace` file belongs to (the
+    /// CLI twin of the `x-request-id` the service echoes); usage and I/O
+    /// errors pass through untouched.
     ///
-    /// [`write`]: ObsFlags::write
-    fn build_budget(&mut self, budget_flags: &BudgetFlags) -> Budget {
-        if self.trace.is_none() && self.metrics.is_none() {
-            return budget_flags.build();
+    /// With no flag at all the budget is [`Budget::unlimited`], so the
+    /// flagless invocation stays byte-identical to the ungoverned engine;
+    /// with a sink, the budget is governed (only a governed budget carries
+    /// a recorder), its limits still optional.
+    fn run<T>(&self, op: impl FnOnce(&Budget) -> Result<T, CliError>) -> Result<T, CliError> {
+        let traced = self.trace.is_some() || self.metrics.is_some();
+        let recorder = if traced {
+            Recorder::enabled()
+        } else {
+            Recorder::disabled()
+        };
+        let budget =
+            if traced || self.timeout.is_some() || self.fuel.is_some() || self.memory.is_some() {
+                let mut b = Budget::builder().recorder(recorder.clone());
+                if let Some(secs) = self.timeout {
+                    b = b.deadline(Duration::from_secs_f64(secs));
+                }
+                if let Some(units) = self.fuel {
+                    b = b.fuel(units);
+                }
+                if let Some(bytes) = self.memory {
+                    b = b.memory(bytes);
+                }
+                b.build()
+            } else {
+                Budget::unlimited()
+            };
+        let trace_id = traced.then(xnf_obs::mint_request_id);
+        let result = op(&budget);
+        for (path, default) in [
+            (self.trace, ObsFormat::ChromeTrace),
+            (self.metrics, ObsFormat::Prometheus),
+        ] {
+            if let Some(path) = path {
+                fs::write(path, recorder.export(self.format.unwrap_or(default)))
+                    .map_err(|e| CliError::Io(path.to_string(), e))?;
+            }
         }
-        self.recorder = Recorder::enabled();
-        self.trace_id = Some(xnf_obs::mint_request_id());
-        budget_flags.build_with(self.recorder.clone())
-    }
-
-    /// Appends the minted trace id to a failing run's report when
-    /// `--trace` was given, so the operator knows which exported trace
-    /// file belongs to the failure. Usage and I/O errors pass through
-    /// untouched — they have no trace worth pointing at.
-    fn tag_failure(&self, err: CliError) -> CliError {
-        let (Some(id), Some(path)) = (&self.trace_id, &self.trace) else {
-            return err;
+        let (Some(id), Some(path)) = (trace_id, self.trace) else {
+            return result;
         };
         let note = format!("trace id {id}: spans written to `{path}`");
-        match err {
+        result.map_err(|err| match err {
             CliError::Lib(m) => CliError::Lib(format!("{m}\n{note}")),
             CliError::Lint(m) => CliError::Lint(format!("{m}{note}\n")),
             CliError::Verify(m) => CliError::Verify(format!("{m}{note}\n")),
             CliError::Exhausted(m) => CliError::Exhausted(format!("{m}{note}\n")),
             other => other,
-        }
-    }
-
-    /// Writes the requested export files. Callers invoke this right after
-    /// the engine returns — *before* propagating its error — so traces
-    /// and metrics survive exhaustion, where they matter most.
-    fn write(&self) -> Result<(), CliError> {
-        if let Some(path) = &self.trace {
-            let format = self.format.unwrap_or(ObsFormat::ChromeTrace);
-            fs::write(path, self.recorder.export(format))
-                .map_err(|e| CliError::Io(path.clone(), e))?;
-        }
-        if let Some(path) = &self.metrics {
-            let format = self.format.unwrap_or(ObsFormat::Prometheus);
-            fs::write(path, self.recorder.export(format))
-                .map_err(|e| CliError::Io(path.clone(), e))?;
-        }
-        Ok(())
+        })
     }
 }
 
-/// Matches the flags [`ObsFlags::set`] accepts.
-const OBS_FLAGS: [&str; 3] = ["--trace", "--metrics", "--obs-format"];
+/// The value after one of a subcommand's own flags, mapped by `pick`; the
+/// usage error `need` when it is missing or `pick` rejects it.
+fn own_value<'a, T>(
+    rest: &mut Iter<'a, String>,
+    need: &str,
+    pick: impl FnOnce(&'a str) -> Option<T>,
+) -> Result<T, CliError> {
+    rest.next()
+        .and_then(|v| pick(v))
+        .ok_or_else(|| CliError::Usage(need.into()))
+}
 
 const USAGE: &str = "xnf-tool <parse-dtd|paths|tuples|check|implies|is-xnf|lint|analyze|normalize\
                      |verify|shred|keys|mvd> …";
@@ -452,243 +441,130 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             }
         }
         "is-xnf" => {
-            let mut no_lint = false;
-            let mut budget_flags = BudgetFlags::default();
-            let mut obs_flags = ObsFlags::default();
-            let mut files: Vec<&str> = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--no-lint" => no_lint = true,
-                    flag if BUDGET_FLAGS.contains(&flag) => budget_flags.set(args, &mut i)?,
-                    flag if OBS_FLAGS.contains(&flag) => obs_flags.set(args, &mut i)?,
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
-                    }
-                    file => files.push(file),
+            let mut options = ops::IsXnfOptions::default();
+            let cli = Governed::parse(args, "is-xnf <dtd> <fds> [--no-lint]", 2..=2, |flag, _| {
+                match flag {
+                    "--no-lint" => options.no_lint = true,
+                    _ => return Ok(false),
                 }
-                i += 1;
-            }
-            let [dtd_path, fds_path] = files[..] else {
-                return Err(CliError::Usage(
-                    "xnf-tool is-xnf <dtd> <fds> [--no-lint] [--timeout <s>] [--fuel <n>] \
-                     [--max-memory <b>] [--trace <f>] [--metrics <f>] [--obs-format <fmt>]"
-                        .into(),
-                ));
-            };
-            let dtd_src = read(dtd_path)?;
-            let fds_src = read(fds_path)?;
-            let budget = obs_flags.build_budget(&budget_flags);
-            let options = ops::IsXnfOptions {
-                no_lint,
-                trust: None,
-            };
-            let result = ops::is_xnf(&dtd_src, &fds_src, &options, &budget);
-            obs_flags.write()?;
-            out.push_str(&result.map_err(|e| obs_flags.tag_failure(e))?);
+                Ok(true)
+            })?;
+            let (dtd_src, fds_src) = (read(cli.files[0])?, read(cli.files[1])?);
+            return cli.run(|budget| ops::is_xnf(&dtd_src, &fds_src, &options, budget));
         }
         "normalize" => {
-            if args.len() < 3 {
-                return Err(CliError::Usage(
-                    "xnf-tool normalize <dtd> <fds> [--sigma-only] [--doc <xml>] [--stats] \
-                     [--no-lint] [--timeout <s>] [--fuel <n>] [--max-memory <b>] \
-                     [--trace <f>] [--metrics <f>] [--obs-format <fmt>]"
-                        .into(),
-                ));
-            }
-            let mut budget_flags = BudgetFlags::default();
-            let mut obs_flags = ObsFlags::default();
-            let mut doc_path: Option<&str> = None;
-            let mut sigma_only = false;
-            let mut show_stats = false;
-            let mut no_lint = false;
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
+            let (mut sigma_only, mut stats, mut no_lint, mut doc_path) =
+                (false, false, false, None);
+            let usage = "normalize <dtd> <fds> [--sigma-only] [--doc <xml>] [--stats] [--no-lint]";
+            let cli = Governed::parse(args, usage, 2..=2, |flag, rest| {
+                match flag {
                     "--sigma-only" => sigma_only = true,
-                    "--stats" => show_stats = true,
+                    "--stats" => stats = true,
                     "--no-lint" => no_lint = true,
-                    flag if BUDGET_FLAGS.contains(&flag) => budget_flags.set(args, &mut i)?,
-                    flag if OBS_FLAGS.contains(&flag) => obs_flags.set(args, &mut i)?,
-                    "--doc" => {
-                        i += 1;
-                        doc_path = Some(
-                            args.get(i)
-                                .map(String::as_str)
-                                .ok_or_else(|| CliError::Usage("--doc needs a file".into()))?,
-                        );
-                    }
-                    other => {
-                        return Err(CliError::Usage(format!("unknown flag `{other}`")));
-                    }
+                    "--doc" => doc_path = Some(own_value(rest, "--doc needs a file", Some)?),
+                    _ => return Ok(false),
                 }
-                i += 1;
-            }
-            let dtd_src = read(&args[1])?;
-            let fds_src = read(&args[2])?;
+                Ok(true)
+            })?;
+            let (dtd_src, fds_src) = (read(cli.files[0])?, read(cli.files[1])?);
             let doc_src = doc_path.map(read).transpose()?;
-            let budget = obs_flags.build_budget(&budget_flags);
-            let spec_options = ops::NormalizeSpecOptions {
+            let options = ops::NormalizeSpecOptions {
                 sigma_only,
-                stats: show_stats,
+                stats,
                 no_lint,
                 doc_src: doc_src.as_deref(),
                 trust: None,
             };
-            // Counter totals are merged inside the op, and trace/metrics
-            // files are written even when the engine failed or exhausted
-            // — a trace of the partial run is exactly what the flags are
-            // for.
-            let result = ops::normalize_spec(
-                &dtd_src,
-                &fds_src,
-                &spec_options,
-                &budget,
-                &obs_flags.recorder,
-            );
-            obs_flags.write()?;
-            out.push_str(&result.map_err(|e| obs_flags.tag_failure(e))?);
+            // Counter totals are merged into the budget's recorder, the
+            // `--metrics` sink.
+            return cli.run(|budget| {
+                ops::normalize_spec(&dtd_src, &fds_src, &options, budget, budget.recorder())
+            });
         }
         "verify" => {
-            let mut docs: usize = 100;
-            let mut seed: u64 = 0xA1;
-            let mut no_lint = false;
-            let mut budget_flags = BudgetFlags::default();
-            let mut obs_flags = ObsFlags::default();
-            let mut files: Vec<&str> = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
+            let (mut docs, mut seed, mut no_lint) = (100, 0xA1, false);
+            let usage = "verify <dtd> <fds> [--docs <n>] [--seed <s>] [--no-lint]";
+            let cli = Governed::parse(args, usage, 2..=2, |flag, rest| {
+                match flag {
                     "--no-lint" => no_lint = true,
-                    flag if BUDGET_FLAGS.contains(&flag) => budget_flags.set(args, &mut i)?,
-                    flag if OBS_FLAGS.contains(&flag) => obs_flags.set(args, &mut i)?,
                     "--docs" => {
-                        i += 1;
-                        docs = args
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| CliError::Usage("--docs needs a number".into()))?;
+                        docs = own_value(rest, "--docs needs a number", |v| v.parse().ok())?
                     }
                     "--seed" => {
-                        i += 1;
-                        seed = args
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| CliError::Usage("--seed needs a number".into()))?;
+                        seed = own_value(rest, "--seed needs a number", |v| v.parse().ok())?
                     }
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
-                    }
-                    file => files.push(file),
+                    _ => return Ok(false),
                 }
-                i += 1;
-            }
-            let [dtd_path, fds_path] = files[..] else {
-                return Err(CliError::Usage(
-                    "xnf-tool verify <dtd> <fds> [--docs <n>] [--seed <s>] [--no-lint] \
-                     [--timeout <s>] [--fuel <n>] [--max-memory <b>] \
-                     [--trace <f>] [--metrics <f>] [--obs-format <fmt>]"
-                        .into(),
-                ));
-            };
-            let dtd_src = read(dtd_path)?;
-            let fds_src = read(fds_path)?;
-            let budget = obs_flags.build_budget(&budget_flags);
-            let gate = ops::Gate::unless(no_lint, ops::Gate::Engine);
-            let (dtd, sigma) = ops::intake(&dtd_src, &fds_src, ops::Trust::Local, gate, &budget)?;
-            let config = xnf_oracle::SpecOracleConfig {
-                docs,
-                seed,
-                budget,
-                ..xnf_oracle::SpecOracleConfig::default()
-            };
-            let report = xnf_oracle::check_spec(&dtd, &sigma, &config);
-            obs_flags.write()?;
-            let report = report.map_err(|e| obs_flags.tag_failure(CliError::from(e)))?;
-            writeln!(
-                out,
-                "verify {dtd_path} + {fds_path} ({} step(s))",
-                report.steps
-            )?;
-            out.push_str(&report.render());
-            // A generation shortfall silently weakens the oracle, so it
-            // fails the run just like a real finding does.
-            let generated = report.docs_checked + report.docs_skipped;
-            if !report.ok() || generated < report.docs_requested {
-                out.push_str("verification FAILED\n");
-                return Err(obs_flags.tag_failure(CliError::Verify(out)));
-            }
-            writeln!(out, "verification PASSED")?;
+                Ok(true)
+            })?;
+            let (dtd_path, fds_path) = (cli.files[0], cli.files[1]);
+            let (dtd_src, fds_src) = (read(dtd_path)?, read(fds_path)?);
+            return cli.run(|budget| {
+                let gate = ops::Gate::unless(no_lint, ops::Gate::Engine);
+                let (dtd, sigma) =
+                    ops::intake(&dtd_src, &fds_src, ops::Trust::Local, gate, budget)?;
+                let config = xnf_oracle::SpecOracleConfig {
+                    docs,
+                    seed,
+                    budget: budget.clone(),
+                    ..xnf_oracle::SpecOracleConfig::default()
+                };
+                let report = xnf_oracle::check_spec(&dtd, &sigma, &config)?;
+                let mut out = format!(
+                    "verify {dtd_path} + {fds_path} ({} step(s))\n",
+                    report.steps
+                );
+                out.push_str(&report.render());
+                // A generation shortfall silently weakens the oracle, so it
+                // fails the run just like a real finding does.
+                let generated = report.docs_checked + report.docs_skipped;
+                if !report.ok() || generated < report.docs_requested {
+                    out.push_str("verification FAILED\n");
+                    return Err(CliError::Verify(out));
+                }
+                out.push_str("verification PASSED\n");
+                Ok(out)
+            });
         }
         "shred" => {
-            let mut format_json = false;
-            let mut out_path: Option<&str> = None;
-            let mut force = false;
-            let mut no_lint = false;
-            let mut budget_flags = BudgetFlags::default();
-            let mut obs_flags = ObsFlags::default();
-            let mut files: Vec<&str> = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
+            let (mut json, mut out_path, mut force, mut no_lint) = (false, None, false, false);
+            let usage =
+                "shred <dtd> <fds> <xml> [--format sql|json] [--out <f>] [--force] [--no-lint]";
+            let cli = Governed::parse(args, usage, 3..=3, |flag, rest| {
+                match flag {
                     "--force" => force = true,
                     "--no-lint" => no_lint = true,
-                    flag if BUDGET_FLAGS.contains(&flag) => budget_flags.set(args, &mut i)?,
-                    flag if OBS_FLAGS.contains(&flag) => obs_flags.set(args, &mut i)?,
                     "--format" => {
-                        i += 1;
-                        match args.get(i).map(String::as_str) {
-                            Some("sql") => format_json = false,
-                            Some("json") => format_json = true,
-                            _ => {
-                                return Err(CliError::Usage(
-                                    "--format needs `sql` or `json`".into(),
-                                ))
-                            }
-                        }
+                        json = own_value(rest, "--format needs `sql` or `json`", |v| match v {
+                            "sql" => Some(false),
+                            "json" => Some(true),
+                            _ => None,
+                        })?;
                     }
-                    "--out" => {
-                        i += 1;
-                        out_path = Some(
-                            args.get(i)
-                                .map(String::as_str)
-                                .ok_or_else(|| CliError::Usage("--out needs a file".into()))?,
-                        );
-                    }
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
-                    }
-                    file => files.push(file),
+                    "--out" => out_path = Some(own_value(rest, "--out needs a file", Some)?),
+                    _ => return Ok(false),
                 }
-                i += 1;
-            }
-            let [dtd_path, fds_path, xml_path] = files[..] else {
-                return Err(CliError::Usage(
-                    "xnf-tool shred <dtd> <fds> <xml> [--format sql|json] [--out <f>] [--force] \
-                     [--no-lint] [--timeout <s>] [--fuel <n>] [--max-memory <b>] \
-                     [--trace <f>] [--metrics <f>] [--obs-format <fmt>]"
-                        .into(),
-                ));
-            };
-            let dtd_src = read(dtd_path)?;
-            let fds_src = read(fds_path)?;
-            let budget = obs_flags.build_budget(&budget_flags);
-            let gate = ops::Gate::unless(no_lint, ops::Gate::Shred);
-            let (dtd, sigma) = ops::intake(&dtd_src, &fds_src, ops::Trust::Local, gate, &budget)?;
-            let tree = load_xml(xml_path)?;
-            // The whole pipeline runs before a single byte is emitted:
-            // exhaustion or any failure yields no partial SQL, and the
-            // document→rows→document round trip is verified first.
-            let run = || -> Result<(String, usize, usize), CliError> {
+                Ok(true)
+            })?;
+            let xml_path = cli.files[2];
+            let (dtd_src, fds_src) = (read(cli.files[0])?, read(cli.files[1])?);
+            let (payload, tables, rows) = cli.run(|budget| {
+                let gate = ops::Gate::unless(no_lint, ops::Gate::Shred);
+                let (dtd, sigma) =
+                    ops::intake(&dtd_src, &fds_src, ops::Trust::Local, gate, budget)?;
+                let tree = load_xml(xml_path)?;
+                // The whole pipeline runs before a single byte is emitted:
+                // exhaustion or any failure yields no partial SQL, and the
+                // document→rows→document round trip is verified first.
                 if !force {
-                    let violations = xnf_core::anomalous_fds_governed(&dtd, &sigma, &budget)?;
+                    let violations = xnf_core::anomalous_fds_governed(&dtd, &sigma, budget)?;
                     if !violations.is_empty() {
                         let mut msg = format!(
                             "spec is not in XNF — {} anomalous FD(s):\n",
                             violations.len()
                         );
                         for v in &violations {
-                            msg.push_str(&format!("  {}\n", v.fd));
+                            writeln!(msg, "  {}", v.fd)?;
                         }
                         msg.push_str(
                             "shredding a non-XNF spec materializes redundancy in its tables \
@@ -697,9 +573,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                         return Err(CliError::Lib(msg));
                     }
                 }
-                let schema = xnf_core::compile_schema(&dtd, &sigma, &budget)?;
-                let doc = xnf_core::shred_document(&schema, &tree, &budget)?;
-                let rebuilt = xnf_core::unshred_document(&schema, &doc, &budget)?;
+                let schema = xnf_core::compile_schema(&dtd, &sigma, budget)?;
+                let doc = xnf_core::shred_document(&schema, &tree, budget)?;
+                let rebuilt = xnf_core::unshred_document(&schema, &doc, budget)?;
                 if !xnf_xml::ordered_eq(&tree, &rebuilt) {
                     return Err(CliError::Lib(
                         "round-trip check failed: the rebuilt document differs from the \
@@ -707,7 +583,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                             .into(),
                     ));
                 }
-                let payload = if format_json {
+                let payload = if json {
                     format!(
                         "{{\n\"schema\": {},\n\"data\": {}\n}}\n",
                         schema.design.to_json(),
@@ -720,126 +596,65 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     format!("{}\n{inserts}", schema.design.to_sql())
                 };
                 Ok((payload, schema.num_tables(), doc.row_count()))
+            })?;
+            // `--out` is written only once the sidecar files are.
+            let Some(path) = out_path else {
+                return Ok(payload);
             };
-            let result = run();
-            obs_flags.write()?;
-            let (payload, tables, rows) = result.map_err(|e| obs_flags.tag_failure(e))?;
-            match out_path {
-                Some(path) => {
-                    fs::write(path, &payload).map_err(|e| CliError::Io(path.to_string(), e))?;
-                    writeln!(
-                        out,
-                        "shredded {xml_path}: {tables} table(s), {rows} row(s), \
-                         round trip verified -> {path}"
-                    )?;
-                }
-                None => out.push_str(&payload),
-            }
+            fs::write(path, &payload).map_err(|e| CliError::Io(path.to_string(), e))?;
+            return Ok(format!(
+                "shredded {xml_path}: {tables} table(s), {rows} row(s), round trip verified -> {path}\n"
+            ));
         }
         "analyze" => {
             let mut options = ops::AnalyzeSpecOptions::default();
-            let mut budget_flags = BudgetFlags::default();
-            let mut obs_flags = ObsFlags::default();
-            let mut files: Vec<&str> = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
+            let usage = "analyze <dtd> <fds> [--format human|json|dot] [--sigma-only]";
+            let cli = Governed::parse(args, usage, 2..=2, |flag, rest| {
+                match flag {
                     "--sigma-only" => options.sigma_only = true,
-                    flag if BUDGET_FLAGS.contains(&flag) => budget_flags.set(args, &mut i)?,
-                    flag if OBS_FLAGS.contains(&flag) => obs_flags.set(args, &mut i)?,
                     "--format" => {
-                        i += 1;
-                        options.format = match args.get(i).map(String::as_str) {
-                            Some("human") => ops::AnalyzeFormat::Human,
-                            Some("json") => ops::AnalyzeFormat::Json,
-                            Some("dot") => ops::AnalyzeFormat::Dot,
-                            _ => {
-                                return Err(CliError::Usage(
-                                    "--format needs `human`, `json` or `dot`".into(),
-                                ))
-                            }
-                        };
+                        let need = "--format needs `human`, `json` or `dot`";
+                        options.format = own_value(rest, need, |v| match v {
+                            "human" => Some(ops::AnalyzeFormat::Human),
+                            "json" => Some(ops::AnalyzeFormat::Json),
+                            "dot" => Some(ops::AnalyzeFormat::Dot),
+                            _ => None,
+                        })?;
                     }
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
-                    }
-                    file => files.push(file),
+                    _ => return Ok(false),
                 }
-                i += 1;
-            }
-            let [dtd_path, fds_path] = files[..] else {
-                return Err(CliError::Usage(
-                    "xnf-tool analyze <dtd> <fds> [--format human|json|dot] [--sigma-only] \
-                     [--timeout <s>] [--fuel <n>] [--max-memory <b>] \
-                     [--trace <f>] [--metrics <f>] [--obs-format <fmt>]"
-                        .into(),
-                ));
-            };
-            let dtd_src = read(dtd_path)?;
-            let fds_src = read(fds_path)?;
-            let budget = obs_flags.build_budget(&budget_flags);
-            let outcome = ops::analyze_spec(&dtd_src, &fds_src, &options, &budget);
-            obs_flags.write()?;
-            out.push_str(&outcome.map_err(|e| obs_flags.tag_failure(e))?);
+                Ok(true)
+            })?;
+            let (dtd_src, fds_src) = (read(cli.files[0])?, read(cli.files[1])?);
+            return cli.run(|budget| ops::analyze_spec(&dtd_src, &fds_src, &options, budget));
         }
         "lint" => {
-            let mut format_json = false;
-            let mut predictive = false;
-            let mut budget_flags = BudgetFlags::default();
-            let mut obs_flags = ObsFlags::default();
-            let mut files: Vec<&str> = Vec::new();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--predictive" => predictive = true,
-                    flag if BUDGET_FLAGS.contains(&flag) => budget_flags.set(args, &mut i)?,
-                    flag if OBS_FLAGS.contains(&flag) => obs_flags.set(args, &mut i)?,
+            let mut options = ops::LintSpecOptions::default();
+            let usage = "lint <dtd> [<fds>] [--format json] [--predictive]";
+            let cli = Governed::parse(args, usage, 1..=2, |flag, rest| {
+                match flag {
+                    "--predictive" => options.predictive = true,
                     "--format" => {
-                        i += 1;
-                        match args.get(i).map(String::as_str) {
-                            Some("json") => format_json = true,
-                            Some("human") => format_json = false,
-                            _ => {
-                                return Err(CliError::Usage(
-                                    "--format needs `json` or `human`".into(),
-                                ))
-                            }
-                        }
+                        options.json =
+                            own_value(rest, "--format needs `json` or `human`", |v| match v {
+                                "json" => Some(true),
+                                "human" => Some(false),
+                                _ => None,
+                            })?;
                     }
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
-                    }
-                    file => files.push(file),
+                    _ => return Ok(false),
                 }
-                i += 1;
-            }
-            let (dtd_path, fds_path) = match files[..] {
-                [dtd] => (dtd, None),
-                [dtd, fds] => (dtd, Some(fds)),
-                _ => {
-                    return Err(CliError::Usage(
-                        "xnf-tool lint <dtd> [<fds>] [--format json] [--predictive] \
-                         [--timeout <s>] [--fuel <n>] [--max-memory <b>] \
-                         [--trace <f>] [--metrics <f>] [--obs-format <fmt>]"
-                            .into(),
-                    ));
-                }
-            };
-            if predictive && fds_path.is_none() {
+                Ok(true)
+            })?;
+            if options.predictive && cli.files.len() < 2 {
                 return Err(CliError::Usage(
                     "--predictive needs an FD file (the XNF2xx tier analyzes (D, \u{3a3}))".into(),
                 ));
             }
-            let dtd_src = read(dtd_path)?;
-            let fds_src = fds_path.map(read).transpose()?;
-            let budget = obs_flags.build_budget(&budget_flags);
-            let options = ops::LintSpecOptions {
-                json: format_json,
-                predictive,
-            };
-            let rendered = ops::lint_sources(&dtd_src, fds_src.as_deref(), &options, &budget);
-            obs_flags.write()?;
-            out.push_str(&rendered.map_err(|e| obs_flags.tag_failure(e))?);
+            let dtd_src = read(cli.files[0])?;
+            let fds_src = cli.files.get(1).map(|path| read(path)).transpose()?;
+            return cli
+                .run(|budget| ops::lint_sources(&dtd_src, fds_src.as_deref(), &options, budget));
         }
         "keys" => {
             if args.len() < 4 {
@@ -899,6 +714,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
+    /// Writes `content` to `name` in a shared temporary directory. Tests
+    /// run in parallel, so each test writes files of its own: two tests
+    /// writing one name race each other.
     fn write_tmp(name: &str, content: &str) -> String {
         let mut p = std::env::temp_dir();
         p.push("xnf-cli-tests");
@@ -961,8 +779,8 @@ db.conf.issue -> db.conf.issue.inproceedings.@year";
 
     #[test]
     fn verify_runs_the_oracle_end_to_end() {
-        let dtd = write_tmp("d7.dtd", DBLP_DTD);
-        let fds = write_tmp("d7.fds", DBLP_FDS);
+        let dtd = write_tmp("v1.dtd", DBLP_DTD);
+        let fds = write_tmp("v1.fds", DBLP_FDS);
         let out = run_ok(&["verify", &dtd, &fds, "--docs", "10", "--seed", "3"]);
         assert!(out.contains("xnf output check: PASS"), "{out}");
         assert!(out.contains("verification PASSED"), "{out}");
@@ -975,8 +793,8 @@ db.conf.issue -> db.conf.issue.inproceedings.@year";
         // way: request more documents than max_attempts can ever yield by
         // pointing verify at a spec that needs none — then tamper with the
         // FD file so it no longer parses, exercising the error surface too.
-        let dtd = write_tmp("d8.dtd", DBLP_DTD);
-        let fds = write_tmp("d8.fds", "db.conf -> \n");
+        let dtd = write_tmp("v2.dtd", DBLP_DTD);
+        let fds = write_tmp("v2.fds", "db.conf -> \n");
         let args: Vec<String> = ["verify", &dtd, &fds, "--no-lint"]
             .iter()
             .map(|s| s.to_string())
@@ -1516,6 +1334,26 @@ courses.course.taken_by.student.@sno -> courses.course.taken_by.student.name.S";
             }
             assert!(!out_file.exists(), "fuel {fuel}: partial SQL file written");
         }
+        // A trace file that cannot be written fails the run before the
+        // output file is written.
+        let trace = std::env::temp_dir().join("xnf-cli-tests/no-such-dir/s4.trace.json");
+        let args: Vec<String> = [
+            "shred",
+            &dtd,
+            &fds,
+            &xml,
+            "--force",
+            "--no-lint",
+            "--trace",
+            &trace.to_string_lossy(),
+            "--out",
+            &out_file.to_string_lossy(),
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        assert!(matches!(run(&args), Err(CliError::Io(..))));
+        assert!(!out_file.exists(), "SQL file written before the trace");
         // With a generous budget the same invocation writes the file.
         let args: Vec<String> = [
             "shred",
@@ -1587,6 +1425,34 @@ courses.course.taken_by.student.@sno -> courses.course.taken_by.student.name.S";
             panic!("fuel 20 must exhaust");
         };
         assert!(!report.contains("trace id "), "{report}");
+    }
+
+    #[test]
+    fn governed_usage_lines_are_pinned() {
+        let pinned = [
+            "xnf-tool is-xnf <dtd> <fds> [--no-lint] [--timeout <s>] [--fuel <n>] \
+             [--max-memory <b>] [--trace <f>] [--metrics <f>] [--obs-format <fmt>]",
+            "xnf-tool normalize <dtd> <fds> [--sigma-only] [--doc <xml>] [--stats] [--no-lint] \
+             [--timeout <s>] [--fuel <n>] [--max-memory <b>] [--trace <f>] [--metrics <f>] \
+             [--obs-format <fmt>]",
+            "xnf-tool verify <dtd> <fds> [--docs <n>] [--seed <s>] [--no-lint] [--timeout <s>] \
+             [--fuel <n>] [--max-memory <b>] [--trace <f>] [--metrics <f>] [--obs-format <fmt>]",
+            "xnf-tool shred <dtd> <fds> <xml> [--format sql|json] [--out <f>] [--force] \
+             [--no-lint] [--timeout <s>] [--fuel <n>] [--max-memory <b>] [--trace <f>] \
+             [--metrics <f>] [--obs-format <fmt>]",
+            "xnf-tool analyze <dtd> <fds> [--format human|json|dot] [--sigma-only] \
+             [--timeout <s>] [--fuel <n>] [--max-memory <b>] [--trace <f>] [--metrics <f>] \
+             [--obs-format <fmt>]",
+            "xnf-tool lint <dtd> [<fds>] [--format json] [--predictive] [--timeout <s>] \
+             [--fuel <n>] [--max-memory <b>] [--trace <f>] [--metrics <f>] [--obs-format <fmt>]",
+        ];
+        for line in pinned {
+            let cmd = line.split(' ').nth(1).unwrap();
+            match run(&[cmd.to_string()]) {
+                Err(CliError::Usage(usage)) => assert_eq!(usage, line),
+                other => panic!("{cmd}: expected its usage line, got {other:?}"),
+            }
+        }
     }
 
     #[test]

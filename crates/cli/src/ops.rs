@@ -1,13 +1,17 @@
 //! Source-level operations shared by the `xnf-tool` subcommands and the
 //! `xnf-serve` HTTP endpoints.
 //!
-//! Each function here is the *entire* body of one governed subcommand —
+//! [`is_xnf`], [`normalize_spec`], [`analyze_spec`] and [`lint_sources`]
+//! are each the *entire* body of one subcommand and of one endpoint —
 //! spec intake (governed parse plus lint gate), engine call, rendering,
 //! and the partial-result/exhaustion policy — operating on in-memory
-//! sources instead of file paths. `xnf_cli::run` reads the files and
-//! delegates here; `xnf-serve` delegates here straight from request
+//! sources instead of file paths. `xnf_cli::run` reads the files, runs
+//! one of them under its flags' budget, and writes the trace and metrics
+//! files; `xnf-serve` calls the same function straight from request
 //! bodies. One code path, two front ends: a differential suite
-//! (`tests/serve_differential.rs`) holds the two byte-identical.
+//! (`tests/serve_differential.rs`) holds the two byte-identical. `verify`
+//! and `shred` have no endpoint: their bodies live in `xnf_cli::run` and
+//! share only [`intake`] with the rest.
 
 use std::fmt::Write as _;
 

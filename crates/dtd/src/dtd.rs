@@ -14,7 +14,7 @@ use crate::nfa::Matcher;
 use crate::paths::PathSet;
 use crate::regex::Regex;
 use crate::{DtdError, Result};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a declared element type within one [`Dtd`].
@@ -292,15 +292,12 @@ impl Dtd {
                 }
             }
         }
-        let mut list: Vec<Box<str>> = Vec::new();
-        for a in attrs {
-            if list.iter().any(|x| **x == *a) {
-                return Err(DtdError::DuplicateAttribute {
-                    element: name.to_string(),
-                    attribute: a,
-                });
-            }
-            list.push(a.into_boxed_str());
+        let list: Vec<Box<str>> = attrs.into_iter().map(String::into_boxed_str).collect();
+        if let Some(a) = first_repeat(&list) {
+            return Err(DtdError::DuplicateAttribute {
+                element: name.to_string(),
+                attribute: a.to_string(),
+            });
         }
         let id = ElemId(self.elems.len() as u32);
         self.elems.push(ElementDecl {
@@ -545,34 +542,31 @@ impl DtdBuilder {
     /// referenced element is declared, the root is declared, and the root
     /// is not referenced by any content model (Definition 1).
     pub fn build(self) -> Result<Dtd> {
+        let DtdBuilder { root, decls } = self;
         let mut by_name: HashMap<Box<str>, ElemId> = HashMap::new();
         let mut elems: Vec<ElementDecl> = Vec::new();
-        for (name, content, attrs) in &self.decls {
+        for (name, content, attrs) in decls {
             if by_name.contains_key(name.as_str()) {
-                return Err(DtdError::DuplicateElement(name.clone()));
+                return Err(DtdError::DuplicateElement(name));
             }
-            let mut list: Vec<Box<str>> = Vec::new();
-            for a in attrs {
-                if list.iter().any(|x| **x == **a) {
-                    return Err(DtdError::DuplicateAttribute {
-                        element: name.clone(),
-                        attribute: a.clone(),
-                    });
-                }
-                list.push(a.clone().into_boxed_str());
+            if let Some(a) = first_repeat(&attrs) {
+                return Err(DtdError::DuplicateAttribute {
+                    attribute: a.to_string(),
+                    element: name,
+                });
             }
-            let id = ElemId(elems.len() as u32);
-            by_name.insert(name.clone().into_boxed_str(), id);
+            let name = name.into_boxed_str();
+            by_name.insert(name.clone(), ElemId(elems.len() as u32));
             elems.push(ElementDecl {
-                name: name.clone().into_boxed_str(),
-                content: content.clone(),
-                attrs: list,
+                name,
+                content,
+                attrs: attrs.into_iter().map(String::into_boxed_str).collect(),
             });
         }
-        let root = *by_name
-            .get(self.root.as_str())
+        let root_id = *by_name
+            .get(root.as_str())
             .ok_or_else(|| DtdError::UndeclaredElement {
-                name: self.root.clone(),
+                name: root.clone(),
                 referenced_by: "<root declaration>".to_string(),
             })?;
         for decl in &elems {
@@ -584,7 +578,7 @@ impl DtdBuilder {
                             referenced_by: decl.name.to_string(),
                         });
                     }
-                    if n == self.root {
+                    if n == root {
                         return Err(DtdError::RootReferenced {
                             referenced_by: decl.name.to_string(),
                         });
@@ -595,9 +589,16 @@ impl DtdBuilder {
         Ok(Dtd {
             elems,
             by_name,
-            root,
+            root: root_id,
         })
     }
+}
+
+/// The first of `names` that repeats an earlier one, in one pass through
+/// a seen-set.
+fn first_repeat<S: AsRef<str>>(names: &[S]) -> Option<&str> {
+    let mut seen = HashSet::with_capacity(names.len());
+    names.iter().map(AsRef::as_ref).find(|n| !seen.insert(*n))
 }
 
 #[cfg(test)]
@@ -624,6 +625,37 @@ mod tests {
             .text_elem("grade")
             .build()
             .expect("university DTD is well-formed")
+    }
+
+    #[test]
+    fn first_repeat_names_the_first_repeated_name() {
+        assert_eq!(first_repeat::<&str>(&[]), None);
+        assert_eq!(first_repeat(&["a", "b", "c"]), None);
+        assert_eq!(first_repeat(&["a", "b", "b", "a"]), Some("b"));
+        assert_eq!(first_repeat(&["a", "b", "c", "a", "b"]), Some("a"));
+        let mut long: Vec<String> = (0..40).map(|i| format!("n{i}")).collect();
+        assert_eq!(first_repeat(&long), None);
+        long.extend(["n30".into(), "n3".into()]);
+        assert_eq!(first_repeat(&long), Some("n30"));
+    }
+
+    #[test]
+    fn builder_rejects_duplicate_attributes() {
+        let atts = ["x", "y", "x"];
+        let err = Dtd::builder("r")
+            .elem_attrs("r", Regex::Epsilon, atts)
+            .build()
+            .unwrap_err();
+        let want = DtdError::DuplicateAttribute {
+            element: "r".into(),
+            attribute: "x".into(),
+        };
+        assert_eq!(err, want);
+        let mut dtd = Dtd::builder("r").elem("r", Regex::Epsilon).build().unwrap();
+        let err = dtd
+            .declare_element("s", ContentModel::Text, ["y".into(), "y".into()])
+            .unwrap_err();
+        assert!(matches!(err, DtdError::DuplicateAttribute { .. }), "{err}");
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String> {
+    fn name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') {
@@ -165,9 +165,7 @@ impl<'a> Scanner<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(std::str::from_utf8(&self.input[start..self.pos])
-            .expect("name bytes are ASCII")
-            .to_string())
+        Ok(std::str::from_utf8(&self.input[start..self.pos]).expect("name bytes are ASCII"))
     }
 
     /// Parses a content-model regular expression at alternation precedence.
@@ -308,12 +306,15 @@ pub fn parse_dtd_governed(input: &str, limits: ParseLimits, budget: &Budget) -> 
     let _span = budget.recorder().span("dtd.parse", "parse");
     let mut s = Scanner::with_limits(input, limits, budget);
     s.check_input_size()?;
-    let mut decls: Vec<(String, ContentModel)> = Vec::new();
-    let mut declared: HashSet<String> = HashSet::new();
-    let mut attlists: HashMap<String, Vec<String>> = HashMap::new();
+    // Names are slices of `input`: no declaration check copies a name.
+    let mut decls: Vec<(&str, ContentModel)> = Vec::new();
+    let mut declared: HashSet<&str> = HashSet::new();
+    let mut attlists: HashMap<&str, Vec<&str>> = HashMap::new();
     // ATTLIST owners in source order, so the undeclared-owner error names
     // the first one rather than whichever the map yields.
-    let mut owners: Vec<String> = Vec::new();
+    let mut owners: Vec<&str> = Vec::new();
+    // Every (owner, attribute) pair so far, for the duplicate check.
+    let mut owned: HashSet<(&str, &str)> = HashSet::new();
 
     loop {
         budget.checkpoint("dtd.parse.decl")?;
@@ -329,15 +330,15 @@ pub fn parse_dtd_governed(input: &str, limits: ParseLimits, budget: &Budget) -> 
             let cm = content_spec(&mut s)?;
             s.skip_ws_and_comments()?;
             s.expect(">")?;
-            if !declared.insert(name.clone()) {
-                return Err(DtdError::DuplicateElement(name));
+            if !declared.insert(name) {
+                return Err(DtdError::DuplicateElement(name.to_string()));
             }
             decls.push((name, cm));
         } else if s.eat("ATTLIST") {
             s.skip_ws_and_comments()?;
             let elem = s.name()?;
-            let atts = attlists.entry(elem.clone()).or_insert_with(|| {
-                owners.push(elem.clone());
+            let atts = attlists.entry(elem).or_insert_with(|| {
+                owners.push(elem);
                 Vec::new()
             });
             loop {
@@ -382,10 +383,10 @@ pub fn parse_dtd_governed(input: &str, limits: ParseLimits, budget: &Budget) -> 
                         _ => return Err(s.err("expected attribute default declaration")),
                     }
                 }
-                if atts.contains(&att) {
+                if !owned.insert((elem, att)) {
                     return Err(DtdError::DuplicateAttribute {
-                        element: elem,
-                        attribute: att,
+                        element: elem.to_string(),
+                        attribute: att.to_string(),
                     });
                 }
                 atts.push(att);
@@ -398,16 +399,15 @@ pub fn parse_dtd_governed(input: &str, limits: ParseLimits, budget: &Budget) -> 
     let root = decls
         .first()
         .ok_or_else(|| DtdError::syntax(s.input, 0, "no element declarations found"))?
-        .0
-        .clone();
+        .0;
 
     if let Some(ghost) = owners.into_iter().find(|e| !declared.contains(e)) {
-        return Err(DtdError::AttlistForUndeclared(ghost));
+        return Err(DtdError::AttlistForUndeclared(ghost.to_string()));
     }
 
     let mut b = Dtd::builder(root);
     for (name, cm) in decls {
-        let attrs = attlists.remove(&name).unwrap_or_default();
+        let attrs = attlists.remove(name).unwrap_or_default();
         b = b.decl(name, cm, attrs);
     }
     b.build()
@@ -541,6 +541,36 @@ mod tests {
             parse_dtd("<!ATTLIST ghost g CDATA #REQUIRED> <!ELEMENT r EMPTY> <!ELEMENT r EMPTY>")
                 .unwrap_err();
         assert_eq!(err, DtdError::DuplicateElement("r".into()));
+    }
+
+    #[test]
+    fn rejects_duplicate_attributes_across_attlists() {
+        // The first repeat is reported where it occurs, whichever ATTLIST
+        // of the owner declared the original, and before any later
+        // syntax error.
+        let err = parse_dtd(
+            "<!ELEMENT r EMPTY> <!ELEMENT s EMPTY>
+             <!ATTLIST r x CDATA #REQUIRED y CDATA #IMPLIED>
+             <!ATTLIST s x CDATA #REQUIRED>
+             <!ATTLIST r z CDATA #REQUIRED y CDATA #REQUIRED x CDATA #REQUIRED bad>",
+        )
+        .unwrap_err();
+        let want = DtdError::DuplicateAttribute {
+            element: "r".into(),
+            attribute: "y".into(),
+        };
+        assert_eq!(err, want);
+        // A long attribute list takes the same error.
+        let atts: String = (0..40).map(|i| format!(" a{i} CDATA #REQUIRED")).collect();
+        let src = format!("<!ELEMENT r EMPTY> <!ATTLIST r{atts} a7 CDATA #REQUIRED>");
+        let err = parse_dtd(&src).unwrap_err();
+        let want = DtdError::DuplicateAttribute {
+            element: "r".into(),
+            attribute: "a7".into(),
+        };
+        assert_eq!(err, want);
+        let dtd = parse_dtd(&format!("<!ELEMENT r EMPTY> <!ATTLIST r{atts}>")).unwrap();
+        assert_eq!(dtd.attrs(dtd.root()).count(), 40);
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub use report::{Code, Diagnostic, LintReport, Severity, SourceKind, Span};
 pub use source::DeclIndex;
 pub use structural::{generating_set, reachable_set, DtdCtx};
 
+use report::SourceText;
 use xnf_dtd::{parse_dtd, Dtd, DtdError};
 use xnf_govern::{Budget, Exhausted};
 
@@ -448,33 +449,37 @@ fn lint_inner(
     let mut diags = Vec::new();
     let structural_span = budget.recorder().span("lint.structural", "lint");
     let index = DeclIndex::scan(dtd_src);
-    structural::duplicate_decls(dtd_src, &index, &mut diags);
-    let ctx = match parsed {
-        Ok(dtd) => {
-            let ctx = DtdCtx::new(dtd_src, dtd, &index);
-            structural::rule_unreachable(&ctx, &mut diags);
-            structural::rule_non_generating(&ctx, &mut diags);
-            structural::rule_unsatisfiable(&ctx, &mut diags);
-            structural::rule_determinism(&ctx, &mut diags);
-            structural::rule_recursive(&ctx, &mut diags);
-            structural::rule_general_class(&ctx, &mut diags);
-            Some(ctx)
-        }
-        Err(err) => {
-            structural::map_parse_error(dtd_src, &index, err, &mut diags);
-            None
-        }
-    };
+    let ctx = parsed
+        .as_ref()
+        .ok()
+        .map(|dtd| DtdCtx::new(dtd_src, dtd, &index));
+    // Every span into the DTD resolves through one line table: the
+    // context's, or this one when the DTD did not parse.
+    let unparsed = SourceText::new(dtd_src);
+    let dtd_text = ctx.as_ref().map_or(&unparsed, |ctx| &ctx.text);
+    structural::duplicate_decls(dtd_text, &index, &mut diags);
+    if let Some(ctx) = &ctx {
+        structural::rule_unreachable(ctx, &mut diags);
+        structural::rule_non_generating(ctx, &mut diags);
+        structural::rule_unsatisfiable(ctx, &mut diags);
+        structural::rule_determinism(ctx, &mut diags);
+        structural::rule_recursive(ctx, &mut diags);
+        structural::rule_general_class(ctx, &mut diags);
+    }
+    if let Err(err) = parsed {
+        structural::map_parse_error(dtd_text, &index, err, &mut diags);
+    }
     drop(structural_span);
     // The path-based rules need a finite paths(D): a parsed,
     // non-recursive DTD.
     let finite = ctx.as_ref().filter(|c| !c.dtd.is_recursive());
-    let sigma = fds_src.and_then(|fds_src| {
+    let fds_text = fds_src.map(SourceText::new);
+    let sigma = fds_text.as_ref().and_then(|fds| {
         let _span = budget.recorder().span("lint.semantic", "lint");
         match finite {
-            Some(ctx) => semantic::resolve_fds(ctx, fds_src, &mut diags),
+            Some(ctx) => semantic::resolve_fds(ctx, fds, &mut diags),
             None => {
-                semantic::lint_fd_syntax_only(fds_src, &mut diags);
+                semantic::lint_fd_syntax_only(fds, &mut diags);
                 None
             }
         }
@@ -482,9 +487,9 @@ fn lint_inner(
     if tiers.shred {
         let _span = budget.recorder().span("lint.shred", "lint");
         // Mixed content *is* a parse failure; explain it anyway.
-        shred::rule_mixed_content(dtd_src, &index, &mut diags);
+        shred::rule_mixed_content(dtd_text, &index, &mut diags);
         if let Some(ctx) = &ctx {
-            shred::rule_recursive(ctx.dtd, dtd_src, &index, &mut diags);
+            shred::rule_recursive(ctx.dtd, dtd_text, &index, &mut diags);
         }
     }
 
@@ -494,9 +499,9 @@ fn lint_inner(
 
     // Report-only rules: none of them emits an error.
     if let Some(ctx) = finite {
-        if let (Some(fds_src), Some(sigma)) = (fds_src, sigma) {
+        if let (Some(fds), Some(sigma)) = (&fds_text, sigma) {
             let _span = budget.recorder().span("lint.semantic", "lint");
-            semantic::lint_resolved(ctx, fds_src, sigma, budget, &mut diags)?;
+            semantic::lint_resolved(ctx, fds, sigma, budget, &mut diags)?;
         }
         if let (true, Some(fds_src)) = (tiers.predictive, fds_src) {
             let _span = budget.recorder().span("lint.predictive", "lint");
@@ -504,7 +509,7 @@ fn lint_inner(
         }
         if tiers.shred {
             let _span = budget.recorder().span("lint.shred", "lint");
-            shred::rule_layout(ctx.dtd, dtd_src, &index, fds_src, budget, &mut diags)?;
+            shred::rule_layout(ctx.dtd, dtd_text, &index, fds_src, budget, &mut diags)?;
         }
     }
     Ok(LintReport::new(diags))

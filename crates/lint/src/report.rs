@@ -2,7 +2,9 @@
 //! report (human-readable and JSON).
 
 use crate::json;
-use xnf_dtd::span::{line_col_str, line_text, LineCol};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use xnf_dtd::span::LineCol;
 
 /// How serious a diagnostic is.
 ///
@@ -322,8 +324,9 @@ pub struct Diagnostic {
     /// Where in the source, if the rule can point somewhere.
     pub span: Option<Span>,
     /// The full source line under the span, captured at creation so the
-    /// report renders without re-reading the input.
-    pub snippet: Option<String>,
+    /// report renders without re-reading the input. Diagnostics on one
+    /// line share its text.
+    pub snippet: Option<Arc<str>>,
     /// Secondary notes (cross-references, explanations).
     pub notes: Vec<String>,
 }
@@ -344,13 +347,15 @@ impl Diagnostic {
 
     /// Attaches a span at `offset..offset+len` into `src`, capturing the
     /// line/column and the source line.
-    pub fn with_span(mut self, src: &str, offset: usize, len: usize) -> Diagnostic {
-        self.span = Some(Span {
-            offset,
-            len,
-            at: line_col_str(src, offset),
-        });
-        self.snippet = Some(line_text(src, offset).to_string());
+    pub(crate) fn with_span(
+        mut self,
+        src: &SourceText<'_>,
+        offset: usize,
+        len: usize,
+    ) -> Diagnostic {
+        let (line, start, at) = src.locate(offset);
+        self.span = Some(Span { offset, len, at });
+        self.snippet = Some(src.line_text(line, start));
         self
     }
 
@@ -411,6 +416,98 @@ impl Diagnostic {
             None => out.null("snippet"),
         }
         out.string_array("notes", self.notes.iter().map(String::as_str));
+    }
+}
+
+/// One lint input, with what its spans need resolved once instead of
+/// per diagnostic: the line count and line start at every `BLOCK`-th
+/// byte, built on the first span, so a span's line and column cost a
+/// scan of at most one block rather than a scan from byte 0; and the
+/// text of each line a span points into, copied once and shared by all
+/// the diagnostics on it. A clean input allocates nothing, and the block
+/// table is 1/256 of the input's size, however many lines it has.
+#[derive(Debug)]
+pub(crate) struct SourceText<'a> {
+    text: &'a str,
+    /// Per block: the newlines before it and the start of the line it
+    /// begins in.
+    blocks: OnceLock<Vec<(usize, usize)>>,
+    /// Line text by 0-based line number.
+    snippets: Mutex<HashMap<usize, Arc<str>>>,
+}
+
+/// Bytes per block of [`SourceText`]'s line table.
+const BLOCK: usize = 4096;
+
+impl<'a> SourceText<'a> {
+    pub(crate) fn new(text: &'a str) -> SourceText<'a> {
+        SourceText {
+            text,
+            blocks: OnceLock::new(),
+            snippets: Mutex::default(),
+        }
+    }
+
+    /// The whole input.
+    pub(crate) fn text(&self) -> &'a str {
+        self.text
+    }
+
+    fn blocks(&self) -> &[(usize, usize)] {
+        self.blocks.get_or_init(|| {
+            let bytes = self.text.as_bytes();
+            let mut blocks = Vec::with_capacity(bytes.len() / BLOCK + 1);
+            let (mut line, mut start) = (0, 0);
+            for (i, &b) in bytes.iter().enumerate() {
+                if i.is_multiple_of(BLOCK) {
+                    blocks.push((line, start));
+                }
+                if b == b'\n' {
+                    (line, start) = (line + 1, i + 1);
+                }
+            }
+            if bytes.len().is_multiple_of(BLOCK) {
+                blocks.push((line, start));
+            }
+            blocks
+        })
+    }
+
+    /// The 0-based line of byte `offset`, that line's start, and the
+    /// position of `offset`, as [`xnf_dtd::span::line_col`] resolves it
+    /// (offsets past the end clamp to one past the final byte).
+    fn locate(&self, offset: usize) -> (usize, usize, LineCol) {
+        let offset = offset.min(self.text.len());
+        let from = offset - offset % BLOCK;
+        let (mut line, mut start) = self.blocks()[offset / BLOCK];
+        for (i, &b) in self.text.as_bytes()[from..offset].iter().enumerate() {
+            if b == b'\n' {
+                (line, start) = (line + 1, from + i + 1);
+            }
+        }
+        let at = LineCol {
+            line: line as u32 + 1,
+            col: (offset - start) as u32 + 1,
+        };
+        (line, start, at)
+    }
+
+    /// The position of byte `offset`.
+    pub(crate) fn line_col(&self, offset: usize) -> LineCol {
+        self.locate(offset).2
+    }
+
+    /// The text of 0-based `line`, which starts at byte `start`, without
+    /// its newline.
+    fn line_text(&self, line: usize, start: usize) -> Arc<str> {
+        // Every insert leaves the map whole, so a poisoned lock is safe
+        // to reuse.
+        let mut snippets = self.snippets.lock().unwrap_or_else(PoisonError::into_inner);
+        let text = snippets.entry(line).or_insert_with(|| {
+            let rest = &self.text[start..];
+            rest[..rest.find('\n').unwrap_or(rest.len())].into()
+        });
+        Arc::clone(text)
     }
 }
 
@@ -521,6 +618,50 @@ mod tests {
     use super::*;
 
     #[test]
+    fn source_text_resolves_like_a_scan_from_byte_zero() {
+        use xnf_dtd::span::{line_col_str, line_text};
+        for src in [
+            "",
+            "abc",
+            "ab\ncd\n",
+            "a\r\nb\n\nc",
+            "a\u{e9}\nb\u{df}",
+            "\n\n",
+        ] {
+            let text = SourceText::new(src);
+            for offset in 0..src.len() + 3 {
+                let (line, start, at) = text.locate(offset);
+                assert_eq!(at, line_col_str(src, offset), "{src:?} at {offset}");
+                assert_eq!(&*text.line_text(line, start), line_text(src, offset));
+            }
+        }
+        // Several blocks, lines across block boundaries, and an input
+        // that ends on one.
+        let long: String = (0..700).map(|i| "x".repeat(i % 23) + "\n").collect();
+        for src in [long.as_str(), &long[..2 * BLOCK]] {
+            let text = SourceText::new(src);
+            let edges = [BLOCK - 1, BLOCK, BLOCK + 1, src.len(), src.len() + 1];
+            for offset in (0..src.len()).step_by(61).chain(edges) {
+                let (line, start, at) = text.locate(offset);
+                assert_eq!(at, line_col_str(src, offset), "at {offset}");
+                assert_eq!(&*text.line_text(line, start), line_text(src, offset));
+            }
+        }
+    }
+
+    #[test]
+    fn diagnostics_on_one_line_share_its_text() {
+        let text = SourceText::new("<!ELEMENT a EMPTY><!ELEMENT b EMPTY>\nnext");
+        let a =
+            Diagnostic::new(Code::UnreachableElement, SourceKind::Dtd, "a").with_span(&text, 10, 1);
+        let b =
+            Diagnostic::new(Code::UnreachableElement, SourceKind::Dtd, "b").with_span(&text, 28, 1);
+        let (a, b) = (a.snippet.unwrap(), b.snippet.unwrap());
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(&*a, "<!ELEMENT a EMPTY><!ELEMENT b EMPTY>");
+    }
+
+    #[test]
     fn severity_ordering_is_info_warning_error() {
         assert!(Severity::Info < Severity::Warning);
         assert!(Severity::Warning < Severity::Error);
@@ -528,7 +669,7 @@ mod tests {
 
     #[test]
     fn report_sorts_dtd_before_fds_and_by_offset() {
-        let src = "line one\nline two\n";
+        let src = &SourceText::new("line one\nline two\n");
         let d1 = Diagnostic::new(Code::TrivialFd, SourceKind::Fds, "fd").with_span(src, 0, 2);
         let d2 =
             Diagnostic::new(Code::UnreachableElement, SourceKind::Dtd, "late").with_span(src, 9, 4);
@@ -547,7 +688,7 @@ mod tests {
 
     #[test]
     fn human_rendering_shows_span_and_caret() {
-        let src = "<!ELEMENT a EMPTY>";
+        let src = &SourceText::new("<!ELEMENT a EMPTY>");
         let d = Diagnostic::new(Code::DuplicateElement, SourceKind::Dtd, "dup `a`")
             .with_span(src, 10, 1)
             .note("first declared earlier");

@@ -14,7 +14,7 @@
 //! All chase verdicts go through one [`ImplicationCache`], so repeated
 //! subset queries cost one chase run each.
 
-use crate::report::{Code, Diagnostic, SourceKind};
+use crate::report::{Code, Diagnostic, SourceKind, SourceText};
 use crate::source::{fd_segments, FdSegment};
 use crate::structural::DtdCtx;
 use xnf_core::fd::ResolvedFd;
@@ -52,14 +52,14 @@ pub struct ResolvedSigma {
 /// non-recursive DTD (`lint_inner` gates on XNF011); `None` otherwise.
 pub fn resolve_fds(
     ctx: &DtdCtx<'_>,
-    fds_src: &str,
+    fds: &SourceText<'_>,
     out: &mut Vec<Diagnostic>,
 ) -> Option<ResolvedSigma> {
-    let segments = fd_segments(fds_src);
-    let parsed = parse_segments(fds_src, &segments, out);
+    let segments = fd_segments(fds.text());
+    let parsed = parse_segments(fds, &segments, out);
     // `lint_inner` filters recursive DTDs; defensive only.
     let paths = ctx.dtd.paths().ok()?;
-    let members = resolve_and_dedup(fds_src, &segments, parsed, &paths, out);
+    let members = resolve_and_dedup(fds, &segments, parsed, &paths, out);
     Some(ResolvedSigma {
         segments,
         paths,
@@ -75,7 +75,7 @@ pub fn resolve_fds(
 /// partial report escapes).
 pub fn lint_resolved(
     ctx: &DtdCtx<'_>,
-    fds_src: &str,
+    fds: &SourceText<'_>,
     sigma: ResolvedSigma,
     budget: &Budget,
     out: &mut Vec<Diagnostic>,
@@ -86,9 +86,7 @@ pub fn lint_resolved(
         mut members,
     } = sigma;
 
-    let at = |seg: usize| -> (&str, usize, usize) {
-        (fds_src, segments[seg].offset, segments[seg].len())
-    };
+    let at = |seg: usize| (fds, segments[seg].offset, segments[seg].len());
 
     // XNF103 — vacuous FDs (mutually exclusive paths).
     for m in &mut members {
@@ -241,15 +239,15 @@ pub fn lint_resolved(
 /// Surfaces per-FD syntax errors even when the DTD itself failed to parse
 /// or is recursive (`lint_inner` calls this instead of [`resolve_fds`] in
 /// that case).
-pub fn lint_fd_syntax_only(fds_src: &str, out: &mut Vec<Diagnostic>) {
-    let segments = fd_segments(fds_src);
-    parse_segments(fds_src, &segments, out);
+pub fn lint_fd_syntax_only(fds: &SourceText<'_>, out: &mut Vec<Diagnostic>) {
+    let segments = fd_segments(fds.text());
+    parse_segments(fds, &segments, out);
 }
 
 /// XNF101 — parses each segment, reporting failures with spans. Returns
 /// the successfully parsed FDs aligned with their segment index.
 fn parse_segments(
-    fds_src: &str,
+    fds: &SourceText<'_>,
     segments: &[FdSegment],
     out: &mut Vec<Diagnostic>,
 ) -> Vec<(usize, XmlFd)> {
@@ -263,7 +261,7 @@ fn parse_segments(
                     SourceKind::Fds,
                     format!("FD does not parse: {e}"),
                 )
-                .with_span(fds_src, seg.offset, seg.len()),
+                .with_span(fds, seg.offset, seg.len()),
             ),
         }
     }
@@ -273,7 +271,7 @@ fn parse_segments(
 /// XNF102/XNF104 — resolves each parsed FD against `paths(D)` (reporting
 /// unknown paths) and drops duplicate members (reporting them).
 fn resolve_and_dedup(
-    fds_src: &str,
+    fds: &SourceText<'_>,
     segments: &[FdSegment],
     parsed: Vec<(usize, XmlFd)>,
     paths: &PathSet,
@@ -290,11 +288,7 @@ fn resolve_and_dedup(
                         SourceKind::Fds,
                         format!("FD mentions a path outside paths(D): {e}"),
                     )
-                    .with_span(
-                        fds_src,
-                        segments[seg].offset,
-                        segments[seg].len(),
-                    ),
+                    .with_span(fds, segments[seg].offset, segments[seg].len()),
                 );
                 continue;
             }
@@ -306,7 +300,7 @@ fn resolve_and_dedup(
                     SourceKind::Fds,
                     "FD appears more than once in \u{3a3}".to_string(),
                 )
-                .with_span(fds_src, segments[seg].offset, segments[seg].len())
+                .with_span(fds, segments[seg].offset, segments[seg].len())
                 .note(format!("first listed as `{}`", segments[first.seg].text)),
             );
             continue;

@@ -18,7 +18,7 @@
 //!   enumeration window, so the derived-key search degrades from
 //!   exhaustive to sampled.
 
-use crate::report::{Code, Diagnostic, SourceKind};
+use crate::report::{Code, Diagnostic, SourceKind, SourceText};
 use crate::source::DeclIndex;
 use std::collections::BTreeSet;
 use xnf_core::{compile_schema, CoreError, XmlFdSet, FD_ENUMERATION_WIDTH};
@@ -28,7 +28,12 @@ use xnf_govern::{Budget, Exhausted};
 /// `XNF301`: element declarations whose content model mixes `#PCDATA`
 /// with element names. Runs over the raw text (the strict parser rejects
 /// mixed content outright, so this is the only chance to explain it).
-pub(crate) fn rule_mixed_content(dtd_src: &str, index: &DeclIndex, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn rule_mixed_content(
+    dtd_text: &SourceText<'_>,
+    index: &DeclIndex,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let dtd_src = dtd_text.text();
     let mut seen = BTreeSet::new();
     for decl in &index.elements {
         if !seen.insert(decl.name.as_str()) {
@@ -57,7 +62,7 @@ pub(crate) fn rule_mixed_content(dtd_src: &str, index: &DeclIndex, diags: &mut V
                         decl.name
                     ),
                 )
-                .with_span(dtd_src, decl.offset, decl.len())
+                .with_span(dtd_text, decl.offset, decl.len())
                 .note("give the text its own wrapper element so it shreds to a column"),
             );
         }
@@ -67,7 +72,7 @@ pub(crate) fn rule_mixed_content(dtd_src: &str, index: &DeclIndex, diags: &mut V
 /// `XNF300`: a recursive DTD has no per-path table layout at all.
 pub(crate) fn rule_recursive(
     dtd: &Dtd,
-    dtd_src: &str,
+    dtd_text: &SourceText<'_>,
     index: &DeclIndex,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -85,7 +90,7 @@ pub(crate) fn rule_recursive(
     )
     .note("shredding requires a non-recursive DTD; break the cycle or export the subtree as a document column");
     if let Some(span) = index.element(name) {
-        d = d.with_span(dtd_src, span.offset, span.len());
+        d = d.with_span(dtd_text, span.offset, span.len());
     }
     diags.push(d);
 }
@@ -97,7 +102,7 @@ pub(crate) fn rule_recursive(
 /// against the empty Σ.
 pub(crate) fn rule_layout(
     dtd: &Dtd,
-    dtd_src: &str,
+    dtd_text: &SourceText<'_>,
     index: &DeclIndex,
     fds_src: Option<&str>,
     budget: &Budget,
@@ -131,7 +136,7 @@ pub(crate) fn rule_layout(
             )
             .note("rename one of the colliding element types to keep table names readable");
             if let Some(span) = index.element(tail) {
-                d = d.with_span(dtd_src, span.offset, span.len());
+                d = d.with_span(dtd_text, span.offset, span.len());
             }
             diags.push(d);
         }
@@ -154,7 +159,7 @@ pub(crate) fn rule_layout(
             )
             .note("UNIQUE constraints on wide tables may be incomplete; declare extra keys in Σ");
             if let Some(span) = index.element(tail) {
-                d = d.with_span(dtd_src, span.offset, span.len());
+                d = d.with_span(dtd_text, span.offset, span.len());
             }
             diags.push(d);
         }

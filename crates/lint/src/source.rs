@@ -43,13 +43,22 @@ pub struct AttlistSpan {
     pub attrs: Vec<NameSpan>,
 }
 
-/// Every declaration of a DTD text, with spans, in source order.
+/// Every declaration of a DTD text, with spans, in source order, and
+/// ordered by name. The declaration lists are crate-private because the
+/// name orders index into them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeclIndex {
     /// Each `<!ELEMENT name …>` in order of appearance.
-    pub elements: Vec<NameSpan>,
+    pub(crate) elements: Vec<NameSpan>,
     /// Each `<!ATTLIST …>` block in order of appearance.
-    pub attlists: Vec<AttlistSpan>,
+    pub(crate) attlists: Vec<AttlistSpan>,
+    /// Positions in `elements`, sorted by name; equal names keep their
+    /// source order, so each run of one name starts at its first
+    /// declaration.
+    pub(crate) element_order: Vec<usize>,
+    /// `(block, attribute)` positions in `attlists`, sorted the same way
+    /// by [`DeclIndex::attr_key`].
+    pub(crate) attr_order: Vec<(usize, usize)>,
 }
 
 impl DeclIndex {
@@ -64,6 +73,7 @@ impl DeclIndex {
         loop {
             s.skip_ws_and_comments();
             if s.at_end() {
+                index.order_by_name();
                 return index;
             }
             if s.eat("<!ELEMENT") {
@@ -123,19 +133,40 @@ impl DeclIndex {
         }
     }
 
+    /// Sorts the name orders. The sorts are stable, so the first of
+    /// several equal names stays first.
+    fn order_by_name(&mut self) {
+        let names = &self.elements;
+        let mut elements: Vec<usize> = (0..names.len()).collect();
+        elements.sort_by(|&a, &b| names[a].name.cmp(&names[b].name));
+        let mut attrs: Vec<(usize, usize)> = (self.attlists.iter().enumerate())
+            .flat_map(|(b, block)| (0..block.attrs.len()).map(move |a| (b, a)))
+            .collect();
+        attrs.sort_by(|&x, &y| self.attr_key(x).cmp(&self.attr_key(y)));
+        (self.element_order, self.attr_order) = (elements, attrs);
+    }
+
+    /// The element and attribute names at `(block, attr)` of `attlists`.
+    pub(crate) fn attr_key(&self, (block, attr): (usize, usize)) -> (&str, &str) {
+        let block = &self.attlists[block];
+        (&block.element.name, &block.attrs[attr].name)
+    }
+
     /// The first `<!ELEMENT …>` span for `name`.
     pub fn element(&self, name: &str) -> Option<&NameSpan> {
-        self.elements.iter().find(|e| e.name == name)
+        let order = &self.element_order;
+        let at = order.partition_point(|&e| self.elements[e].name.as_str() < name);
+        let first = &self.elements[*order.get(at)?];
+        (first.name == name).then_some(first)
     }
 
     /// The first declaration span of attribute `attr` of `element`, across
     /// all of its ATTLIST blocks.
     pub fn attr(&self, element: &str, attr: &str) -> Option<&NameSpan> {
-        self.attlists
-            .iter()
-            .filter(|b| b.element.name == element)
-            .flat_map(|b| b.attrs.iter())
-            .find(|a| a.name == attr)
+        let order = &self.attr_order;
+        let at = order.partition_point(|&x| self.attr_key(x) < (element, attr));
+        let &(block, a) = order.get(at)?;
+        (self.attr_key((block, a)) == (element, attr)).then(|| &self.attlists[block].attrs[a])
     }
 }
 
@@ -331,6 +362,22 @@ mod tests {
         let idx = DeclIndex::scan(src);
         let names: Vec<&str> = idx.elements.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["a", "a", "b"]);
+    }
+
+    #[test]
+    fn lookups_find_the_first_declaration_by_name() {
+        let src = "<!ELEMENT b EMPTY> <!ELEMENT a EMPTY> <!ELEMENT b (a)>
+                   <!ATTLIST b y CDATA #REQUIRED x CDATA #REQUIRED>
+                   <!ATTLIST a x CDATA #REQUIRED>
+                   <!ATTLIST b x CDATA #REQUIRED>";
+        let idx = DeclIndex::scan(src);
+        assert_eq!(idx.element("b").map(|e| e.offset), Some(10));
+        assert_eq!(idx.element("a").map(|e| e.offset), Some(29));
+        assert!(idx.element("c").is_none() && idx.element("").is_none());
+        let first_bx = &idx.attlists[0].attrs[1];
+        assert_eq!(idx.attr("b", "x"), Some(first_bx));
+        assert_eq!(idx.attr("a", "x"), Some(&idx.attlists[1].attrs[0]));
+        assert!(idx.attr("a", "y").is_none() && idx.attr("c", "x").is_none());
     }
 
     #[test]

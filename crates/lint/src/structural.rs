@@ -9,10 +9,9 @@
 //! [`map_parse_error`].
 
 use crate::determinism::check_deterministic;
-use crate::report::{Code, Diagnostic, SourceKind};
+use crate::report::{Code, Diagnostic, SourceKind, SourceText};
 use crate::source::{DeclIndex, NameSpan};
 use xnf_dtd::classify::{classify_content, DtdClass, DtdShapes};
-use xnf_dtd::span::line_col_str;
 use xnf_dtd::{ContentModel, Dtd, DtdError, Regex};
 
 /// Context handed to every model rule: the parsed DTD plus everything the
@@ -29,6 +28,8 @@ pub struct DtdCtx<'a> {
     pub reachable: Vec<bool>,
     /// `generating[e.index()]`: some finite tree is derivable from `e`.
     pub generating: Vec<bool>,
+    /// `src` with its lines resolved once for every span into it.
+    pub(crate) text: SourceText<'a>,
 }
 
 impl<'a> DtdCtx<'a> {
@@ -41,6 +42,7 @@ impl<'a> DtdCtx<'a> {
             index,
             reachable: reachable_set(dtd),
             generating: generating_set(dtd),
+            text: SourceText::new(src),
         }
     }
 
@@ -49,7 +51,7 @@ impl<'a> DtdCtx<'a> {
     fn at_decl(&self, code: Code, element: &str, message: String) -> Diagnostic {
         let d = Diagnostic::new(code, SourceKind::Dtd, message);
         match self.index.element(element) {
-            Some(span) => d.with_span(self.src, span.offset, span.len()),
+            Some(span) => d.with_span(&self.text, span.offset, span.len()),
             None => d,
         }
     }
@@ -117,16 +119,21 @@ fn has_generating_word(re: &Regex, allowed: &impl Fn(&str) -> bool) -> bool {
     }
 }
 
-fn fmt_at(src: &str, span: &NameSpan) -> String {
-    format!("dtd:{}", line_col_str(src, span.offset))
+fn fmt_at(src: &SourceText<'_>, span: &NameSpan) -> String {
+    format!("dtd:{}", src.line_col(span.offset))
 }
 
 /// XNF002/XNF003 — duplicate `<!ELEMENT>` / duplicate attribute
 /// declarations, found on the raw text so every duplicate is reported
-/// even though the strict parser stops at the first.
-pub fn duplicate_decls(src: &str, index: &DeclIndex, out: &mut Vec<Diagnostic>) {
-    for (i, decl) in index.elements.iter().enumerate() {
-        if let Some(first) = index.elements[..i].iter().find(|e| e.name == decl.name) {
+/// even though the strict parser stops at the first. In the index's name
+/// orders each run of one name starts at its first declaration; every
+/// later one in the run is a duplicate of it.
+pub fn duplicate_decls(src: &SourceText<'_>, index: &DeclIndex, out: &mut Vec<Diagnostic>) {
+    let elements = &index.elements;
+    let same_name = |&a: &usize, &b: &usize| elements[a].name == elements[b].name;
+    for run in index.element_order.chunk_by(same_name) {
+        let first = &elements[run[0]];
+        for decl in run[1..].iter().map(|&e| &elements[e]) {
             out.push(
                 Diagnostic::new(
                     Code::DuplicateElement,
@@ -138,25 +145,25 @@ pub fn duplicate_decls(src: &str, index: &DeclIndex, out: &mut Vec<Diagnostic>) 
             );
         }
     }
-    let mut seen: Vec<(&str, &str, &NameSpan)> = Vec::new();
-    for block in &index.attlists {
-        for attr in &block.attrs {
-            let key = (block.element.name.as_str(), attr.name.as_str());
-            match seen.iter().find(|(e, a, _)| (*e, *a) == key) {
-                Some((_, _, first)) => out.push(
-                    Diagnostic::new(
-                        Code::DuplicateAttribute,
-                        SourceKind::Dtd,
-                        format!(
-                            "attribute `@{}` is declared more than once for element `{}`",
-                            attr.name, block.element.name
-                        ),
-                    )
-                    .with_span(src, attr.offset, attr.len())
-                    .note(format!("first declared at {}", fmt_at(src, first))),
-                ),
-                None => seen.push((key.0, key.1, attr)),
-            }
+    let attr = |(block, a): (usize, usize)| &index.attlists[block].attrs[a];
+    let same_key =
+        |&x: &(usize, usize), &y: &(usize, usize)| index.attr_key(x) == index.attr_key(y);
+    for run in index.attr_order.chunk_by(same_key) {
+        let (element, _) = index.attr_key(run[0]);
+        let first = attr(run[0]);
+        for decl in run[1..].iter().map(|&x| attr(x)) {
+            out.push(
+                Diagnostic::new(
+                    Code::DuplicateAttribute,
+                    SourceKind::Dtd,
+                    format!(
+                        "attribute `@{}` is declared more than once for element `{element}`",
+                        decl.name
+                    ),
+                )
+                .with_span(src, decl.offset, decl.len())
+                .note(format!("first declared at {}", fmt_at(src, first))),
+            );
         }
     }
 }
@@ -164,7 +171,12 @@ pub fn duplicate_decls(src: &str, index: &DeclIndex, out: &mut Vec<Diagnostic>) 
 /// Maps a [`parse_dtd`](xnf_dtd::parse_dtd) failure onto a coded
 /// diagnostic. Duplicate-declaration errors are suppressed when the
 /// scanner already reported the same duplicate with a span.
-pub fn map_parse_error(src: &str, index: &DeclIndex, err: &DtdError, out: &mut Vec<Diagnostic>) {
+pub fn map_parse_error(
+    src: &SourceText<'_>,
+    index: &DeclIndex,
+    err: &DtdError,
+    out: &mut Vec<Diagnostic>,
+) {
     match err {
         DtdError::Syntax {
             offset, message, ..
@@ -414,6 +426,30 @@ mod tests {
         assert!(generating[idx("r")]);
         assert!(!generating[idx("a")]);
         assert!(generating[idx("b")]);
+    }
+
+    #[test]
+    fn duplicates_point_back_at_the_first_declaration() {
+        let src = "<!ELEMENT b EMPTY>\n<!ELEMENT a EMPTY>\n<!ELEMENT b (a)>\n<!ELEMENT b EMPTY>\n\
+                   <!ATTLIST a x CDATA #REQUIRED>\n\
+                   <!ATTLIST b x CDATA #REQUIRED x CDATA #IMPLIED>\n\
+                   <!ATTLIST a x CDATA #IMPLIED>";
+        let mut out = Vec::new();
+        duplicate_decls(&SourceText::new(src), &DeclIndex::scan(src), &mut out);
+        out.sort_by_key(|d| d.span.as_ref().map(|s| s.offset));
+        let found: Vec<String> = out
+            .iter()
+            .map(|d| format!("{} {} {}", d.code, d.span.as_ref().unwrap().at, d.notes[0]))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                "XNF002 3:11 first declared at dtd:1:11",
+                "XNF002 4:11 first declared at dtd:1:11",
+                "XNF003 6:31 first declared at dtd:6:13",
+                "XNF003 7:13 first declared at dtd:5:13",
+            ]
+        );
     }
 
     #[test]
