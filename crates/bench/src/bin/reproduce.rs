@@ -3,17 +3,9 @@
 //! `EXPERIMENTS.md`.
 //!
 //! Usage: `cargo run -p xnf-bench --bin reproduce [fig1|fig2|fig3|fig4|fig5|e17|e18|e19|e22|e23|e24|e25|all]`
-//!
-//! Alongside the human output, every run writes `BENCH_obs.json` — one
-//! record per experiment (id, wall time, counter snapshot, git SHA) —
-//! so perf trajectories can be diffed across commits. Engine-driven
-//! experiments run under a recorder-enabled budget; the self-timing
-//! experiments (e18, e19, e22, e24, e25) manage their own budgets
-//! and report empty counter snapshots.
 
 #![forbid(unsafe_code)]
 
-use xnf_bench::obs_report::{self, ExperimentRecord};
 use xnf_core::lossless::{transform_document, verify_lossless};
 use xnf_core::{normalize, tuples_d, NormalizeOptions, XmlFdSet};
 use xnf_dtd::classify::{DtdClass, DtdShapes};
@@ -50,20 +42,17 @@ fn university() -> (xnf_dtd::Dtd, xnf_xml::XmlTree, XmlFdSet) {
     (dtd, doc, sigma)
 }
 
-fn fig1(budget: &Budget) {
+fn fig1() {
     println!("================ Figure 1 — the university example ================");
     let (dtd, doc, sigma) = university();
     println!("-- Figure 1(a): the original document --");
     print!("{}", xnf_xml::to_string_pretty(&doc));
     assert!(xnf_xml::conforms(&doc, &dtd).is_ok());
     println!("\n-- XNF analysis --");
-    for v in xnf_core::anomalous_fds_governed(&dtd, &sigma, budget).expect("XNF test runs") {
+    for v in xnf_core::anomalous_fds(&dtd, &sigma).expect("XNF test runs") {
         println!("anomalous FD: {}", v.fd);
     }
-    let options = NormalizeOptions {
-        budget: budget.clone(),
-        ..NormalizeOptions::default()
-    };
+    let options = NormalizeOptions::default();
     let mut result = normalize(&dtd, &sigma, &options).expect("normalization succeeds");
     let transformed = transform_document(&dtd, &result, &doc).expect("transform succeeds");
     xnf_core::normalize::rename_element(&mut result.dtd, &mut result.sigma, "sno_ref", "number")
@@ -151,7 +140,7 @@ fn fig3() {
     println!("-- coded DTD (Section 5) --\n{dtd}");
 }
 
-fn fig4(budget: &Budget) {
+fn fig4() {
     println!("================ Figure 4 — the decomposition algorithm, traced ================");
     for (name, dtd_text, fds) in [
         (
@@ -182,11 +171,7 @@ fn fig4(budget: &Budget) {
     ] {
         let dtd = xnf_dtd::parse_dtd(dtd_text).expect("DTD parses");
         let sigma = XmlFdSet::parse(fds).expect("FDs parse");
-        let options = NormalizeOptions {
-            budget: budget.clone(),
-            ..NormalizeOptions::default()
-        };
-        let r = normalize(&dtd, &sigma, &options).expect("normalizes");
+        let r = normalize(&dtd, &sigma, &NormalizeOptions::default()).expect("normalizes");
         println!(
             "-- {name}: |AP| trace {:?} (Proposition 6: strictly decreasing) --",
             r.ap_trace
@@ -194,7 +179,7 @@ fn fig4(budget: &Budget) {
         for s in &r.steps {
             println!("   {s:?}");
         }
-        assert!(xnf_core::is_xnf_governed(&r.dtd, &r.sigma, budget).expect("XNF test runs"));
+        assert!(xnf_core::is_xnf(&r.dtd, &r.sigma).expect("XNF test runs"));
         println!("   result is in XNF ✓");
     }
 }
@@ -229,16 +214,13 @@ fn fig5() {
     }
 }
 
-fn e17(budget: &Budget) {
+fn e17() {
     println!("================ E17 — end-to-end verification oracle ================");
     // The same battery `xnf-tool verify` runs, over the paper's university
     // spec plus a randomized differential sample, with the headline
     // numbers printed for EXPERIMENTS.md.
     let (dtd, _, sigma) = university();
-    let config = xnf_oracle::SpecOracleConfig {
-        budget: budget.clone(),
-        ..xnf_oracle::SpecOracleConfig::default()
-    };
+    let config = xnf_oracle::SpecOracleConfig::default();
     let report = xnf_oracle::check_spec(&dtd, &sigma, &config).expect("spec oracle runs");
     println!(
         "university spec: output in XNF: {}, {} step(s); losslessness on \
@@ -564,8 +546,9 @@ fn e22() {
     );
 }
 
-fn e23(budget: &Budget) {
+fn e23() {
     use xnf_core::{compile_schema, shred_document, unshred_document};
+    let budget = &Budget::unlimited();
     println!("================ E23 — relational shredding: throughput & BCNF ================");
     // Side A: the anomalous-vs-normalized schema comparison. The paper's
     // two flagship redundancies surface as non-BCNF tables on the input
@@ -918,41 +901,24 @@ fn e25() {
     println!("acceptance: enabled < +10% vs disabled, responses byte-identical either way (see EXPERIMENTS.md E25)");
 }
 
-/// Builds the BENCH_obs counter snapshot for one experiment: the
-/// recorder's named counters plus per-site checkpoint visit tallies
-/// (names never collide — counters are plural, sites singular).
-fn snapshot(recorder: &Recorder) -> xnf_obs::CounterSnapshot {
-    let mut s = xnf_obs::CounterSnapshot::default();
-    for (name, value) in recorder.counters() {
-        s.record(name, value);
-    }
-    for (site, tally) in recorder.sites() {
-        s.record(site, tally.visits);
-    }
-    s
-}
-
 /// One dispatchable experiment: its id and entry point.
-type Experiment = (&'static str, fn(&Budget));
+type Experiment = (&'static str, fn());
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    // Every experiment takes the run's recorder-enabled budget; the
-    // self-timing ones (e18, e19, e22, e24, e25) ignore it and manage
-    // their own, and fig2, fig3 and fig5 run no engine at all.
     let experiments: Vec<Experiment> = vec![
         ("fig1", fig1),
-        ("fig2", |_| fig2()),
-        ("fig3", |_| fig3()),
+        ("fig2", fig2),
+        ("fig3", fig3),
         ("fig4", fig4),
-        ("fig5", |_| fig5()),
+        ("fig5", fig5),
         ("e17", e17),
-        ("e18", |_| e18()),
-        ("e19", |_| e19()),
-        ("e22", |_| e22()),
+        ("e18", e18),
+        ("e19", e19),
+        ("e22", e22),
         ("e23", e23),
-        ("e24", |_| e24()),
-        ("e25", |_| e25()),
+        ("e24", e24),
+        ("e25", e25),
     ];
     let selected: Vec<&Experiment> = if arg == "all" {
         experiments.iter().collect()
@@ -964,29 +930,10 @@ fn main() {
         };
         vec![exp]
     };
-    let mut records = Vec::new();
-    for (i, (id, f)) in selected.iter().enumerate() {
+    for (i, (_, f)) in selected.iter().enumerate() {
         if i > 0 {
             println!();
         }
-        let recorder = Recorder::enabled();
-        let budget = Budget::builder().recorder(recorder.clone()).build();
-        let t0 = std::time::Instant::now();
-        f(&budget);
-        records.push(ExperimentRecord {
-            id: (*id).to_string(),
-            wall_micros: u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
-            spans_dropped: recorder.spans_dropped(),
-            counters: snapshot(&recorder),
-        });
-    }
-    let json = obs_report::render(&obs_report::git_sha(), &records);
-    obs_report::check_schema(&json).expect("rendered BENCH_obs.json passes its own schema");
-    match std::fs::write("BENCH_obs.json", &json) {
-        Ok(()) => println!(
-            "\nwrote BENCH_obs.json ({} experiment record(s))",
-            records.len()
-        ),
-        Err(e) => eprintln!("\ncould not write BENCH_obs.json: {e}"),
+        f();
     }
 }

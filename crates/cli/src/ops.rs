@@ -207,7 +207,6 @@ pub fn normalize_spec(
         budget: budget.clone(),
         // Only `--doc` replays the steps on a document.
         record_stages: options.doc_src.is_some(),
-        ..NormalizeOptions::default()
     };
     let result = normalize(&dtd, &sigma, &norm_options)?;
     recorder.merge(&result.stats.chase);
@@ -317,7 +316,6 @@ pub fn analyze_spec(
     let analyze_options = xnf_core::AnalyzeOptions {
         use_implication: !options.sigma_only,
         budget: budget.clone(),
-        ..xnf_core::AnalyzeOptions::default()
     };
     let analysis = xnf_core::analyze(&dtd, &sigma, &analyze_options)?;
     match options.format {
@@ -408,7 +406,9 @@ pub struct LintSpecOptions {
     pub predictive: bool,
 }
 
-/// The `lint` operation over raw sources.
+/// The `lint` operation over raw sources: parses the DTD once, inside a
+/// `spec.parse` span, under [`Trust::Local`]'s limits and `budget` — the
+/// parse [`intake`] makes — and lints that parse.
 ///
 /// # Errors
 ///
@@ -428,10 +428,15 @@ pub fn lint_sources(
             "--predictive needs an FD file (the XNF2xx tier analyzes (D, \u{3a3}))".into(),
         ));
     }
-    let report = match (options.predictive, fds_src) {
-        (true, Some(fds)) => xnf_lint::lint_spec_predictive(dtd_src, fds, budget)?,
-        _ => xnf_lint::lint_spec_governed(dtd_src, fds_src, budget)?,
+    let parse_span = budget.recorder().span("spec.parse", "parse");
+    let dtd = xnf_dtd::parse_dtd_governed(dtd_src, Trust::Local.dtd_limits(), budget);
+    drop(parse_span);
+    let opt_in = if options.predictive {
+        xnf_lint::OptIn::Predictive
+    } else {
+        xnf_lint::OptIn::None
     };
+    let report = xnf_lint::lint(dtd_src, &dtd, fds_src, opt_in, budget)?;
     let rendered = if options.json {
         let mut j = report.to_json();
         j.push('\n');

@@ -42,6 +42,18 @@ fn lint_clean_paper_specs_exit_zero() {
     }
 }
 
+/// `lint` lints its own parse of the DTD, which its budget meters: a
+/// fuel budget smaller than the parse stops there with exit 4, as
+/// `is-xnf` does.
+#[test]
+fn lint_budget_meters_its_dtd_parse() {
+    let dtd = workspace_file("examples/specs/university.dtd");
+    let out = xnf_tool(&["lint", &dtd, "--fuel", "3"]);
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("at `dtd.parse."), "{stdout}");
+}
+
 #[test]
 fn lint_errors_exit_nonzero_with_report_on_stdout() {
     let dtd = write_tmp("err.dtd", "<!ELEMENT r (ghost)>");

@@ -95,6 +95,20 @@ fn traces_are_loadable_chrome_trace_json_with_all_phases() {
     }
 }
 
+/// `lint` lints its own parse of the DTD, so its trace records that
+/// parse like every other spec op's: one `spec.parse` holding one
+/// `dtd.parse`.
+#[test]
+fn lint_traces_its_dtd_parse() {
+    for name in ["university", "dblp", "ebxml"] {
+        let (doc, _) = trace_for("lint", name);
+        for span in ["spec.parse", "dtd.parse"] {
+            let count = doc.matches(&format!("\"name\":\"{span}\"")).count();
+            assert_eq!(count, 1, "{name}: {span}");
+        }
+    }
+}
+
 /// `analyze` is the `normalize` run plus cover, graph and dead
 /// attributes: its trace holds no preprocessing replay or provenance
 /// sweep of its own, and one candidate search per normalize iteration.

@@ -44,8 +44,6 @@ pub struct AnalyzeOptions {
     /// Mirror of [`NormalizeOptions::use_implication`]: plan the full
     /// algorithm (default) or the simplified Proposition 7 variant.
     pub use_implication: bool,
-    /// Safety cap on steps (mirror of [`NormalizeOptions::max_steps`]).
-    pub max_steps: usize,
     /// Resource budget for the analysis, the `normalize` run it makes
     /// included. Ungoverned callers still get exact fuel accounting: the
     /// analysis meters its work on an internal governed-but-limitless
@@ -59,7 +57,6 @@ impl Default for AnalyzeOptions {
     fn default() -> Self {
         AnalyzeOptions {
             use_implication: true,
-            max_steps: 1000,
             budget: Budget::unlimited(),
         }
     }
@@ -262,7 +259,6 @@ pub fn analyze(dtd: &Dtd, sigma: &XmlFdSet, options: &AnalyzeOptions) -> Result<
     // ---------------- The plan: run normalize -------------------------
     let norm_options = NormalizeOptions {
         use_implication: options.use_implication,
-        max_steps: options.max_steps,
         budget: meter.clone(),
         // Analyze reads the plan, never replays it on documents.
         record_stages: false,

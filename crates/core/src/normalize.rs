@@ -37,6 +37,11 @@ use std::time::{Duration, Instant};
 use xnf_dtd::{ContentModel, Dtd, Path, PathId, PathSet, Regex, Step as PathStep};
 use xnf_govern::{Budget, Exhausted};
 
+/// Safety cap on the number of transformation steps: Proposition 6
+/// bounds them by the anomalous-path count, so reaching it is
+/// [`CoreError::TooManySteps`], a bug.
+const MAX_STEPS: usize = 1000;
+
 /// Options controlling the decomposition algorithm.
 #[derive(Debug, Clone)]
 pub struct NormalizeOptions {
@@ -45,8 +50,6 @@ pub struct NormalizeOptions {
     /// Proposition 7 (step 3 only, applied to FDs of Σ as written), which
     /// still terminates in XNF but may produce a coarser design.
     pub use_implication: bool,
-    /// Safety cap on the number of transformation steps.
-    pub max_steps: usize,
     /// Resource budget (deadline / fuel / memory / cancellation) charged
     /// throughout the run. On exhaustion the algorithm degrades
     /// gracefully: [`normalize`] returns `Ok` with the partial step trace
@@ -66,7 +69,6 @@ impl Default for NormalizeOptions {
     fn default() -> Self {
         NormalizeOptions {
             use_implication: true,
-            max_steps: 1000,
             budget: Budget::unlimited(),
             record_stages: true,
         }
@@ -398,7 +400,7 @@ pub fn normalize(
     let mut anomalies = Vec::new();
     let mut stats = NormalizeStats::default();
     let mut exhausted_out: Option<Exhausted> = None;
-    for _ in 0..options.max_steps {
+    for _ in 0..MAX_STEPS {
         // Graceful degradation: exhaustion anywhere in the decide phase
         // abandons only the *current* (not yet applied) iteration. The
         // `(D, Σ)` pair and the step trace stay at the last fully applied

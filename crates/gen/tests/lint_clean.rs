@@ -4,10 +4,10 @@
 //! (lint code XNF007). Generated specs must now be lint-clean.
 
 use xnf_gen::dtd::{disjunctive_dtd, simple_dtd, SimpleDtdParams};
-use xnf_lint::{lint_dtd, Code};
+use xnf_lint::{lint_spec, Code};
 
 fn assert_clean(dtd: &xnf_dtd::Dtd, context: &str) {
-    let report = lint_dtd(&dtd.to_string());
+    let report = lint_spec(&dtd.to_string(), None);
     assert!(
         !report.codes().contains(&Code::UnreachableElement),
         "{context}: generated DTD has unreachable elements (XNF007)\n{}",

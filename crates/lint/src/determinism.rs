@@ -13,15 +13,14 @@
 //! contains two distinct positions of the same symbol — exactly the
 //! condition for the Glushkov NFA to be deterministic.
 //!
-//! As a cross-check, [`deterministic_via_derivatives`] decides the same
-//! property with the Brzozowski derivative engine of
+//! As a cross-check, the tests' `deterministic_via_derivatives` decides
+//! the same property with the Brzozowski derivative engine of
 //! `xnf_dtd::derivative`: mark each position uniquely, explore the
 //! derivative automaton of the marked expression, and look for a state
-//! with two live successors on same-symbol positions. The `lint` test
-//! suite runs the two against each other.
+//! with two live successors on same-symbol positions. The tests run the
+//! two against each other.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
-use xnf_dtd::derivative::derivative;
+use std::collections::{BTreeSet, HashSet};
 use xnf_dtd::Regex;
 
 /// Evidence that a content model is not 1-unambiguous.
@@ -148,94 +147,96 @@ impl<'a> Glushkov<'a> {
     }
 }
 
-/// The separator used to mark positions; cannot occur in element names
-/// (the DTD parser only accepts alphanumerics and `_-.:`)
-const MARK: char = '\u{1}';
-
-/// Decides 1-unambiguity by exploring the Brzozowski derivative automaton
-/// of the position-marked expression. Returns `None` if the state budget
-/// is exhausted (never observed on real content models; the bound guards
-/// pathological inputs).
-pub fn deterministic_via_derivatives(re: &Regex) -> Option<bool> {
-    const STATE_BUDGET: usize = 4096;
-    let mut next = 0usize;
-    let marked = mark(re, &mut next);
-    let letters: Vec<String> = marked.alphabet().iter().map(|s| s.to_string()).collect();
-
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut queue: Vec<Regex> = vec![aci_normal(&marked)];
-    seen.insert(queue[0].to_string());
-    while let Some(state) = queue.pop() {
-        // Group the live successors of this state by base symbol.
-        let mut live: HashMap<&str, usize> = HashMap::new();
-        for letter in &letters {
-            let Some(d) = derivative(&state, letter) else {
-                continue;
-            };
-            let base = letter.split(MARK).next().unwrap_or(letter);
-            *live.entry(base).or_insert(0) += 1;
-            let d = aci_normal(&d.simplified());
-            let key = d.to_string();
-            if seen.insert(key) {
-                if seen.len() > STATE_BUDGET {
-                    return None;
-                }
-                queue.push(d);
-            }
-        }
-        if live.values().any(|&n| n > 1) {
-            return Some(false);
-        }
-    }
-    Some(true)
-}
-
-/// Rebuilds `re` with each leaf occurrence made unique (`a` → `a␁k`).
-fn mark(re: &Regex, next: &mut usize) -> Regex {
-    match re {
-        Regex::Epsilon => Regex::Epsilon,
-        Regex::Elem(name) => {
-            let k = *next;
-            *next += 1;
-            Regex::elem(format!("{name}{MARK}{k}"))
-        }
-        Regex::Seq(parts) => Regex::Seq(parts.iter().map(|p| mark(p, next)).collect()),
-        Regex::Alt(parts) => Regex::Alt(parts.iter().map(|p| mark(p, next)).collect()),
-        Regex::Star(inner) => Regex::Star(Box::new(mark(inner, next))),
-        Regex::Opt(inner) => Regex::Opt(Box::new(mark(inner, next))),
-        Regex::Plus(inner) => Regex::Plus(Box::new(mark(inner, next))),
-    }
-}
-
-/// Normalizes alternations (sorted, deduplicated) so that derivative
-/// states that differ only up to associativity/commutativity/idempotence
-/// of `|` compare equal — the classic trick that keeps the reachable
-/// derivative set finite and small.
-fn aci_normal(re: &Regex) -> Regex {
-    match re {
-        Regex::Epsilon | Regex::Elem(_) => re.clone(),
-        Regex::Seq(parts) => Regex::Seq(parts.iter().map(aci_normal).collect()),
-        Regex::Alt(parts) => {
-            let mut v: Vec<Regex> = parts.iter().map(aci_normal).collect();
-            v.sort_by_key(|a| a.to_string());
-            v.dedup();
-            if v.len() == 1 {
-                v.pop().expect("len checked")
-            } else {
-                Regex::Alt(v)
-            }
-        }
-        Regex::Star(inner) => Regex::Star(Box::new(aci_normal(inner))),
-        Regex::Opt(inner) => Regex::Opt(Box::new(aci_normal(inner))),
-        Regex::Plus(inner) => Regex::Plus(Box::new(aci_normal(inner))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use xnf_dtd::derivative::derivative;
     use xnf_dtd::parse::parse_content_model;
     use xnf_dtd::ContentModel;
+
+    /// The separator used to mark positions; cannot occur in element names
+    /// (the DTD parser only accepts alphanumerics and `_-.:`)
+    const MARK: char = '\u{1}';
+
+    /// Decides 1-unambiguity by exploring the Brzozowski derivative automaton
+    /// of the position-marked expression. Returns `None` if the state budget
+    /// is exhausted (never observed on real content models; the bound guards
+    /// pathological inputs).
+    fn deterministic_via_derivatives(re: &Regex) -> Option<bool> {
+        const STATE_BUDGET: usize = 4096;
+        let mut next = 0usize;
+        let marked = mark(re, &mut next);
+        let letters: Vec<String> = marked.alphabet().iter().map(|s| s.to_string()).collect();
+
+        let mut seen: HashSet<String> = HashSet::new();
+        let mut queue: Vec<Regex> = vec![aci_normal(&marked)];
+        seen.insert(queue[0].to_string());
+        while let Some(state) = queue.pop() {
+            // Group the live successors of this state by base symbol.
+            let mut live: HashMap<&str, usize> = HashMap::new();
+            for letter in &letters {
+                let Some(d) = derivative(&state, letter) else {
+                    continue;
+                };
+                let base = letter.split(MARK).next().unwrap_or(letter);
+                *live.entry(base).or_insert(0) += 1;
+                let d = aci_normal(&d.simplified());
+                let key = d.to_string();
+                if seen.insert(key) {
+                    if seen.len() > STATE_BUDGET {
+                        return None;
+                    }
+                    queue.push(d);
+                }
+            }
+            if live.values().any(|&n| n > 1) {
+                return Some(false);
+            }
+        }
+        Some(true)
+    }
+
+    /// Rebuilds `re` with each leaf occurrence made unique (`a` → `a␁k`).
+    fn mark(re: &Regex, next: &mut usize) -> Regex {
+        match re {
+            Regex::Epsilon => Regex::Epsilon,
+            Regex::Elem(name) => {
+                let k = *next;
+                *next += 1;
+                Regex::elem(format!("{name}{MARK}{k}"))
+            }
+            Regex::Seq(parts) => Regex::Seq(parts.iter().map(|p| mark(p, next)).collect()),
+            Regex::Alt(parts) => Regex::Alt(parts.iter().map(|p| mark(p, next)).collect()),
+            Regex::Star(inner) => Regex::Star(Box::new(mark(inner, next))),
+            Regex::Opt(inner) => Regex::Opt(Box::new(mark(inner, next))),
+            Regex::Plus(inner) => Regex::Plus(Box::new(mark(inner, next))),
+        }
+    }
+
+    /// Normalizes alternations (sorted, deduplicated) so that derivative
+    /// states that differ only up to associativity/commutativity/idempotence
+    /// of `|` compare equal — the classic trick that keeps the reachable
+    /// derivative set finite and small.
+    fn aci_normal(re: &Regex) -> Regex {
+        match re {
+            Regex::Epsilon | Regex::Elem(_) => re.clone(),
+            Regex::Seq(parts) => Regex::Seq(parts.iter().map(aci_normal).collect()),
+            Regex::Alt(parts) => {
+                let mut v: Vec<Regex> = parts.iter().map(aci_normal).collect();
+                v.sort_by_key(|a| a.to_string());
+                v.dedup();
+                if v.len() == 1 {
+                    v.pop().expect("len checked")
+                } else {
+                    Regex::Alt(v)
+                }
+            }
+            Regex::Star(inner) => Regex::Star(Box::new(aci_normal(inner))),
+            Regex::Opt(inner) => Regex::Opt(Box::new(aci_normal(inner))),
+            Regex::Plus(inner) => Regex::Plus(Box::new(aci_normal(inner))),
+        }
+    }
 
     fn re(src: &str) -> Regex {
         match parse_content_model(src).expect("content model parses") {

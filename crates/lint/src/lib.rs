@@ -18,23 +18,25 @@
 //!   chase implication engine repurposed as a static analyzer: vacuous
 //!   FDs (mutually exclusive paths), trivial FDs, FDs redundant given the
 //!   rest of Σ, pairwise-equivalent FDs, and redundant LHS paths.
-//! * **Predictive** (`XNF2xx`, opt-in via [`lint_spec_predictive`]) —
+//! * **Predictive** (`XNF2xx`, opt-in via [`OptIn::Predictive`]) —
 //!   what normalization *would do*: anomalous FDs with provenance,
 //!   predicted schema blow-up, FD interaction clusters, dead attributes,
 //!   and the fixpoint-iteration bound, all driven by the static planner
 //!   [`xnf_core::analyze`](fn@xnf_core::analyze) without ever running
 //!   `normalize`.
-//! * **Shred** (`XNF3xx`, opt-in via [`lint_spec_shred`]) — what the
+//! * **Shred** (`XNF3xx`, opt-in via [`OptIn::Shred`]) — what the
 //!   XML→relational shredding backend would make of the spec: recursive
 //!   DTDs and mixed content (which shredding must refuse), leaf-name
 //!   collisions that mangle table names, and tables too wide for the
 //!   exhaustive derived-key search, driven by [`xnf_core::compile_schema`]
 //!   without emitting any DDL or rows.
 //!
-//! The engine subcommands gate on [`preflight`]: the same rules, with
-//! every rule that can emit an error run first and an early exit when
-//! none did, so a clean spec never pays for the warnings and infos the
-//! preflight would not show.
+//! Three entry points run them. [`lint`] lints the caller's own parse of
+//! the DTD under the caller's budget; [`lint_spec`] parses for itself,
+//! ungoverned, for tests and examples. The engine subcommands gate on
+//! [`preflight`]: the same rules, with every rule that can emit an error
+//! run first and an early exit when none did, so a clean spec never pays
+//! for the warnings and infos the preflight would not show.
 //!
 //! ## Example
 //!
@@ -53,21 +55,20 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod determinism;
+mod determinism;
 mod json;
-pub mod predictive;
+mod predictive;
 mod report;
-pub mod source;
-mod structural;
-
 mod semantic;
 mod shred;
+mod source;
+mod structural;
 
 pub use report::{Code, Diagnostic, LintReport, Severity, SourceKind, Span};
-pub use source::DeclIndex;
-pub use structural::{generating_set, reachable_set, DtdCtx};
 
 use report::SourceText;
+use source::DeclIndex;
+use structural::DtdCtx;
 use xnf_dtd::{parse_dtd, Dtd, DtdError};
 use xnf_govern::{Budget, Exhausted};
 
@@ -93,11 +94,18 @@ pub enum Tier {
     Shred,
 }
 
-/// One registered analysis: its code, tier, and a one-line summary.
+/// One registered analysis: its code, what the code stands for, its
+/// tier, and a one-line summary.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
     /// The stable diagnostic code.
     pub code: Code,
+    /// What [`Code::as_str`] returns.
+    code_str: &'static str,
+    /// What [`Code::id`] returns.
+    id: &'static str,
+    /// What [`Code::severity`] returns.
+    severity: Severity,
     /// How the rule is driven.
     pub tier: Tier,
     /// Whether the rule's verdicts come from the chase implication engine.
@@ -106,292 +114,378 @@ pub struct Rule {
     pub summary: &'static str,
 }
 
-/// The rule registry: every analysis [`lint_spec`] can run, in code order.
-/// (Extending the linter means adding a row here plus its implementation
-/// in the matching tier module.)
+/// The rule registry: every analysis the linter can run, one row per
+/// [`Code`] in code order. Every `Code` method reads its code's row.
 pub fn registry() -> &'static [Rule] {
-    const fn rule(code: Code, tier: Tier, implication_backed: bool, summary: &'static str) -> Rule {
-        Rule {
-            code,
-            tier,
-            implication_backed,
-            summary,
-        }
-    }
-    const RULES: &[Rule] = &[
-        rule(
-            Code::DtdSyntax,
-            Tier::Parse,
-            false,
-            "the DTD text does not parse",
-        ),
-        rule(
-            Code::DuplicateElement,
-            Tier::Scanner,
-            false,
-            "an element is declared more than once",
-        ),
-        rule(
-            Code::DuplicateAttribute,
-            Tier::Scanner,
-            false,
-            "an attribute is declared more than once for one element",
-        ),
-        rule(
-            Code::UndeclaredElement,
-            Tier::Parse,
-            false,
-            "a content model references an undeclared element",
-        ),
-        rule(
-            Code::RootReferenced,
-            Tier::Parse,
-            false,
-            "the root occurs in a content model (violates Definition 1)",
-        ),
-        rule(
-            Code::AttlistForUndeclared,
-            Tier::Parse,
-            false,
-            "an ATTLIST names an undeclared element",
-        ),
-        rule(
-            Code::UnreachableElement,
-            Tier::Structural,
-            false,
-            "an element is unreachable from the root",
-        ),
-        rule(
-            Code::NonGeneratingElement,
-            Tier::Structural,
-            false,
-            "an element can never occur in a finite document",
-        ),
-        rule(
-            Code::UnsatisfiableDtd,
-            Tier::Structural,
-            false,
-            "no finite document conforms to the DTD",
-        ),
-        rule(
-            Code::NondeterministicContent,
-            Tier::Structural,
-            false,
-            "a content model is not 1-unambiguous",
-        ),
-        rule(
-            Code::RecursiveDtd,
-            Tier::Structural,
-            false,
-            "the DTD is recursive; paths(D) is infinite",
-        ),
-        rule(
-            Code::GeneralClass,
-            Tier::Structural,
-            false,
-            "the DTD is neither simple nor disjunctive (Theorem 5 territory)",
-        ),
-        rule(
-            Code::FdSyntax,
-            Tier::Semantic,
-            false,
-            "an FD does not parse",
-        ),
-        rule(
-            Code::UnknownFdPath,
-            Tier::Semantic,
-            false,
-            "an FD path is not in paths(D)",
-        ),
-        rule(
-            Code::VacuousFd,
-            Tier::Semantic,
-            false,
-            "an FD's paths are mutually exclusive; it constrains nothing",
-        ),
-        rule(
-            Code::DuplicateFd,
-            Tier::Semantic,
-            false,
-            "the same FD is listed twice",
-        ),
-        rule(
-            Code::TrivialFd,
-            Tier::Semantic,
-            true,
-            "an FD is implied by the DTD alone",
-        ),
-        rule(
-            Code::RedundantFd,
-            Tier::Semantic,
-            true,
-            "an FD is implied by the rest of \u{3a3}",
-        ),
-        rule(
-            Code::EquivalentFds,
-            Tier::Semantic,
-            true,
-            "two FDs are equivalent given the rest of \u{3a3}",
-        ),
-        rule(
-            Code::RedundantLhsPath,
-            Tier::Semantic,
-            true,
-            "an LHS path is determined by the other LHS paths",
-        ),
-        rule(
-            Code::AnomalousFd,
-            Tier::Predictive,
-            true,
-            "an FD is anomalous: the spec is not in XNF",
-        ),
-        rule(
-            Code::SchemaBlowUp,
-            Tier::Predictive,
-            true,
-            "the predicted decomposition creates many fresh element types",
-        ),
-        rule(
-            Code::FdInteractionCluster,
-            Tier::Predictive,
-            false,
-            "a large cluster of FDs interact through shared paths",
-        ),
-        rule(
-            Code::DeadAttribute,
-            Tier::Predictive,
-            false,
-            "an attribute is mentioned by no FD",
-        ),
-        rule(
-            Code::FixpointIterationBound,
-            Tier::Predictive,
-            true,
-            "normalization needs many fixpoint iterations",
-        ),
-        rule(
-            Code::ShredRecursive,
-            Tier::Shred,
-            false,
-            "the DTD is recursive; no per-path table layout exists",
-        ),
-        rule(
-            Code::ShredMixedContent,
-            Tier::Shred,
-            false,
-            "mixed #PCDATA/element content has no stable text column",
-        ),
-        rule(
-            Code::ShredNameCollision,
-            Tier::Shred,
-            true,
-            "colliding leaf names force mangled full-path table names",
-        ),
-        rule(
-            Code::ShredWideTable,
-            Tier::Shred,
-            true,
-            "a table exceeds the exhaustive derived-key search width",
-        ),
-    ];
     RULES
 }
 
-/// Lints a DTD text and (optionally) an FD-set text, running every
-/// applicable rule of the [`registry`].
-///
-/// The structural tier always runs. The semantic tier runs when `fds_src`
-/// is given *and* the DTD parsed, is non-recursive, and — since the chase
-/// needs `paths(D)` — skips the implication-backed rules for recursive
-/// DTDs (flagged `XNF011` instead). If the DTD failed to parse, FD
-/// linting degrades to per-FD syntax checking.
+/// The rows of [`registry`]: row `i` is the rule of the code whose
+/// discriminant is `i`, so a new rule is a [`Code`] variant, its row at
+/// the same position, and its implementation in the matching tier module.
+const RULES: &[Rule] = &[
+    rule(
+        Code::DtdSyntax,
+        "XNF001",
+        "dtd-syntax",
+        Severity::Error,
+        Tier::Parse,
+        false,
+        "the DTD text does not parse",
+    ),
+    rule(
+        Code::DuplicateElement,
+        "XNF002",
+        "duplicate-element",
+        Severity::Error,
+        Tier::Scanner,
+        false,
+        "an element is declared more than once",
+    ),
+    rule(
+        Code::DuplicateAttribute,
+        "XNF003",
+        "duplicate-attribute",
+        Severity::Error,
+        Tier::Scanner,
+        false,
+        "an attribute is declared more than once for one element",
+    ),
+    rule(
+        Code::UndeclaredElement,
+        "XNF004",
+        "undeclared-element",
+        Severity::Error,
+        Tier::Parse,
+        false,
+        "a content model references an undeclared element",
+    ),
+    rule(
+        Code::RootReferenced,
+        "XNF005",
+        "root-referenced",
+        Severity::Error,
+        Tier::Parse,
+        false,
+        "the root occurs in a content model (violates Definition 1)",
+    ),
+    rule(
+        Code::AttlistForUndeclared,
+        "XNF006",
+        "attlist-for-undeclared",
+        Severity::Error,
+        Tier::Parse,
+        false,
+        "an ATTLIST names an undeclared element",
+    ),
+    rule(
+        Code::UnreachableElement,
+        "XNF007",
+        "unreachable-element",
+        Severity::Warning,
+        Tier::Structural,
+        false,
+        "an element is unreachable from the root",
+    ),
+    rule(
+        Code::NonGeneratingElement,
+        "XNF008",
+        "non-generating-element",
+        Severity::Warning,
+        Tier::Structural,
+        false,
+        "an element can never occur in a finite document",
+    ),
+    rule(
+        Code::UnsatisfiableDtd,
+        "XNF009",
+        "unsatisfiable-dtd",
+        Severity::Error,
+        Tier::Structural,
+        false,
+        "no finite document conforms to the DTD",
+    ),
+    rule(
+        Code::NondeterministicContent,
+        "XNF010",
+        "nondeterministic-content",
+        Severity::Error,
+        Tier::Structural,
+        false,
+        "a content model is not 1-unambiguous",
+    ),
+    rule(
+        Code::RecursiveDtd,
+        "XNF011",
+        "recursive-dtd",
+        Severity::Warning,
+        Tier::Structural,
+        false,
+        "the DTD is recursive; paths(D) is infinite",
+    ),
+    rule(
+        Code::GeneralClass,
+        "XNF012",
+        "general-dtd-class",
+        Severity::Info,
+        Tier::Structural,
+        false,
+        "the DTD is neither simple nor disjunctive (Theorem 5 territory)",
+    ),
+    rule(
+        Code::FdSyntax,
+        "XNF101",
+        "fd-syntax",
+        Severity::Error,
+        Tier::Semantic,
+        false,
+        "an FD does not parse",
+    ),
+    rule(
+        Code::UnknownFdPath,
+        "XNF102",
+        "unknown-fd-path",
+        Severity::Error,
+        Tier::Semantic,
+        false,
+        "an FD path is not in paths(D)",
+    ),
+    rule(
+        Code::VacuousFd,
+        "XNF103",
+        "vacuous-fd",
+        Severity::Warning,
+        Tier::Semantic,
+        false,
+        "an FD's paths are mutually exclusive; it constrains nothing",
+    ),
+    rule(
+        Code::DuplicateFd,
+        "XNF104",
+        "duplicate-fd",
+        Severity::Info,
+        Tier::Semantic,
+        false,
+        "the same FD is listed twice",
+    ),
+    rule(
+        Code::TrivialFd,
+        "XNF105",
+        "trivial-fd",
+        Severity::Warning,
+        Tier::Semantic,
+        true,
+        "an FD is implied by the DTD alone",
+    ),
+    rule(
+        Code::RedundantFd,
+        "XNF106",
+        "redundant-fd",
+        Severity::Warning,
+        Tier::Semantic,
+        true,
+        "an FD is implied by the rest of \u{3a3}",
+    ),
+    rule(
+        Code::EquivalentFds,
+        "XNF107",
+        "equivalent-fds",
+        Severity::Info,
+        Tier::Semantic,
+        true,
+        "two FDs are equivalent given the rest of \u{3a3}",
+    ),
+    rule(
+        Code::RedundantLhsPath,
+        "XNF108",
+        "redundant-lhs-path",
+        Severity::Info,
+        Tier::Semantic,
+        true,
+        "an LHS path is determined by the other LHS paths",
+    ),
+    rule(
+        Code::AnomalousFd,
+        "XNF200",
+        "anomalous-fd",
+        Severity::Warning,
+        Tier::Predictive,
+        true,
+        "an FD is anomalous: the spec is not in XNF",
+    ),
+    rule(
+        Code::SchemaBlowUp,
+        "XNF201",
+        "schema-blow-up",
+        Severity::Warning,
+        Tier::Predictive,
+        true,
+        "the predicted decomposition creates many fresh element types",
+    ),
+    rule(
+        Code::FdInteractionCluster,
+        "XNF202",
+        "fd-interaction-cluster",
+        Severity::Info,
+        Tier::Predictive,
+        false,
+        "a large cluster of FDs interact through shared paths",
+    ),
+    rule(
+        Code::DeadAttribute,
+        "XNF203",
+        "dead-attribute",
+        Severity::Info,
+        Tier::Predictive,
+        false,
+        "an attribute is mentioned by no FD",
+    ),
+    rule(
+        Code::FixpointIterationBound,
+        "XNF204",
+        "fixpoint-iteration-bound",
+        Severity::Info,
+        Tier::Predictive,
+        true,
+        "normalization needs many fixpoint iterations",
+    ),
+    rule(
+        Code::ShredRecursive,
+        "XNF300",
+        "shred-recursive",
+        Severity::Error,
+        Tier::Shred,
+        false,
+        "the DTD is recursive; no per-path table layout exists",
+    ),
+    rule(
+        Code::ShredMixedContent,
+        "XNF301",
+        "shred-mixed-content",
+        Severity::Error,
+        Tier::Shred,
+        false,
+        "mixed #PCDATA/element content has no stable text column",
+    ),
+    rule(
+        Code::ShredNameCollision,
+        "XNF302",
+        "shred-name-collision",
+        Severity::Warning,
+        Tier::Shred,
+        true,
+        "colliding leaf names force mangled full-path table names",
+    ),
+    rule(
+        Code::ShredWideTable,
+        "XNF303",
+        "shred-wide-table",
+        Severity::Info,
+        Tier::Shred,
+        true,
+        "a table exceeds the exhaustive derived-key search width",
+    ),
+];
+
+const fn rule(
+    code: Code,
+    code_str: &'static str,
+    id: &'static str,
+    severity: Severity,
+    tier: Tier,
+    implication_backed: bool,
+    summary: &'static str,
+) -> Rule {
+    Rule {
+        code,
+        code_str,
+        id,
+        severity,
+        tier,
+        implication_backed,
+        summary,
+    }
+}
+
+/// Lints a DTD text and (optionally) an FD-set text with the default
+/// tiers, parsing the DTD itself with the ungoverned [`parse_dtd`] and
+/// running unbudgeted — for tests and examples. Everything else is as
+/// [`lint`] with [`OptIn::None`].
 pub fn lint_spec(dtd_src: &str, fds_src: Option<&str>) -> LintReport {
-    match lint_spec_governed(dtd_src, fds_src, UNLIMITED) {
+    let parsed = parse_dtd(dtd_src);
+    match lint(dtd_src, &parsed, fds_src, OptIn::None, UNLIMITED) {
         Ok(report) => report,
         Err(_) => unreachable!("an unlimited budget cannot exhaust"),
     }
 }
 
-/// Budget-governed [`lint_spec`]: the implication-backed semantic rules
-/// charge `budget` per FD and per chase run, and the whole lint aborts
-/// with [`Exhausted`] when it runs out. An `Err` means the report was
-/// *not* completed — no partial report is returned, so a clean report
-/// always means a fully linted spec.
-///
-/// Nothing before those rules charges `budget`: the DTD parse (under
-/// the default limits), the structural tier, FD resolution, `paths(D)`
-/// and the chase's fact tables run ungoverned. The engine ops' gate,
-/// [`preflight`], reads the op's own metered parse instead. These phases
-/// are not cheap on a hostile schema — the structural tier's determinism
-/// check builds every Glushkov `follow` set, quadratic in a content
-/// model's positions, and outlasts the budgeted chase by far (see
-/// "Hostile schemas" in `ROADMAP.md`).
-pub fn lint_spec_governed(
-    dtd_src: &str,
-    fds_src: Option<&str>,
-    budget: &Budget,
-) -> Result<LintReport, Exhausted> {
-    lint_inner(
-        dtd_src,
-        &parse_dtd(dtd_src),
-        fds_src,
-        budget,
-        Tiers::default(),
-    )
+/// The opt-in tier a [`lint`] run adds to the structural and semantic
+/// tiers: none, or exactly one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OptIn {
+    /// The structural and semantic tiers alone.
+    None,
+    /// The **predictive tier** (`XNF2xx`): runs the static decomposition
+    /// planner ([`xnf_core::analyze`](fn@xnf_core::analyze)) over
+    /// `(D, Σ)` and reports what normalization would do — anomalous FDs
+    /// with provenance, predicted schema blow-up, interaction clusters,
+    /// dead attributes, and the fixpoint-iteration bound. Predictive
+    /// diagnostics are observations about a *valid* spec, so the tier is
+    /// skipped without FDs and whenever the earlier tiers found the spec
+    /// degenerate (unparseable, recursive, paths outside `paths(D)`):
+    /// those runs return exactly the [`OptIn::None`] report.
+    Predictive,
+    /// The **shred tier** (`XNF3xx`), the shredding backend's preflight:
+    /// compiles the relational layout for `(D, Σ)` with
+    /// [`xnf_core::compile_schema`] — without emitting DDL or rows — and
+    /// reports what shredding would refuse (recursive DTDs, mixed
+    /// content) or silently degrade on (mangled table names, sampled key
+    /// search).
+    Shred,
 }
 
-/// [`lint_spec_governed`] plus the opt-in **predictive tier** (`XNF2xx`):
-/// runs the static decomposition planner
-/// ([`xnf_core::analyze`](fn@xnf_core::analyze)) over `(D, Σ)` and reports
-/// what normalization would do — anomalous FDs with provenance, predicted
-/// schema blow-up, interaction clusters, dead attributes, and the
-/// fixpoint-iteration bound.
+/// Lints a DTD text and (optionally) an FD-set text, running every
+/// applicable rule of the [`registry`] plus the `opt_in` tier, under
+/// `budget`.
 ///
-/// Predictive diagnostics are observations about a *valid* spec, so the
-/// tier is skipped whenever the earlier tiers found the spec degenerate
-/// (unparseable, recursive, paths outside `paths(D)`): those runs return
-/// exactly the [`lint_spec_governed`] report. The planner charges
-/// `budget` like any implication-backed rule.
-pub fn lint_spec_predictive(
+/// `lint` does not parse the DTD: `parsed` is the caller's own parse of
+/// `dtd_src`, success or failure, so an op that parses under its budget
+/// and trust limits has that one metered parse linted. A parse that ran
+/// out of budget has no report: its [`Exhausted`] comes back as the
+/// error.
+///
+/// The structural tier always runs. The semantic tier runs when
+/// `fds_src` is given *and* the DTD parsed and is non-recursive — the
+/// chase needs a finite `paths(D)`, so recursive DTDs get `XNF011`
+/// instead. If the DTD failed to parse, FD linting degrades to per-FD
+/// syntax checking.
+///
+/// The implication-backed rules and the opt-in tiers charge `budget` per
+/// FD and per chase run, and the whole lint aborts with [`Exhausted`]
+/// when it runs out. An `Err` means the report was *not* completed — no
+/// partial report is returned, so a clean report always means a fully
+/// linted spec. Nothing between the parse and those rules charges
+/// `budget`: the structural tier, FD resolution, `paths(D)` and the
+/// chase's fact tables run ungoverned. These phases are not cheap on a
+/// hostile schema — the structural tier's determinism check builds every
+/// Glushkov `follow` set, quadratic in a content model's positions, and
+/// outlasts the budgeted chase by far (see "Hostile schemas" in
+/// `ROADMAP.md`).
+pub fn lint(
     dtd_src: &str,
-    fds_src: &str,
-    budget: &Budget,
-) -> Result<LintReport, Exhausted> {
-    let tiers = Tiers {
-        predictive: true,
-        ..Tiers::default()
-    };
-    lint_inner(dtd_src, &parse_dtd(dtd_src), Some(fds_src), budget, tiers)
-}
-
-/// [`lint_spec_governed`] plus the opt-in **shred tier** (`XNF3xx`): the
-/// shredding backend's preflight. Compiles the relational layout for
-/// `(D, Σ)` with [`xnf_core::compile_schema`] — without emitting DDL or
-/// rows — and reports what shredding would refuse (recursive DTDs, mixed
-/// content) or silently degrade on (mangled table names, sampled key
-/// search).
-pub fn lint_spec_shred(
-    dtd_src: &str,
+    parsed: &Result<Dtd, DtdError>,
     fds_src: Option<&str>,
+    opt_in: OptIn,
     budget: &Budget,
 ) -> Result<LintReport, Exhausted> {
-    let tiers = Tiers {
-        shred: true,
-        ..Tiers::default()
-    };
-    lint_inner(dtd_src, &parse_dtd(dtd_src), fds_src, budget, tiers)
+    lint_inner(dtd_src, parsed, fds_src, opt_in, false, budget)
 }
 
 /// The preflight gate of the engine subcommands: does the spec have a
 /// hard lint error? `None` when it has none; otherwise the full report —
-/// exactly [`lint_spec_governed`]'s, or [`lint_spec_shred`]'s with
-/// `shred_tier` — for the caller to render.
-///
-/// The gate does not parse the DTD: `parsed` is the caller's own parse
-/// of `dtd_src`, success or failure, so an op that parses under its
-/// budget and trust limits has that one metered parse linted. A parse
-/// that ran out of budget has no report: its [`Exhausted`] comes back
-/// as the error.
+/// exactly [`lint`]'s with [`OptIn::None`], or with [`OptIn::Shred`]
+/// under `shred_tier` — for the caller to render. Like [`lint`], the
+/// gate reads the caller's parse and never parses.
 ///
 /// Only the rules that can emit an error run first: the structural
 /// tier, FD syntax and path resolution (`XNF101`/`XNF102`), and with
@@ -410,38 +504,28 @@ pub fn preflight(
     budget: &Budget,
 ) -> Result<Option<LintReport>, Exhausted> {
     let _span = budget.recorder().span("lint.preflight", "lint");
-    let tiers = Tiers {
-        shred: shred_tier,
-        gate: true,
-        ..Tiers::default()
+    let opt_in = if shred_tier {
+        OptIn::Shred
+    } else {
+        OptIn::None
     };
-    let report = lint_inner(dtd_src, parsed, fds_src, budget, tiers)?;
+    let report = lint_inner(dtd_src, parsed, fds_src, opt_in, true, budget)?;
     Ok(report.has_errors().then_some(report))
 }
 
-/// Which rules one [`lint_inner`] run covers.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tiers {
-    /// The opt-in predictive tier (`XNF2xx`).
-    predictive: bool,
-    /// The opt-in shred tier (`XNF3xx`).
-    shred: bool,
-    /// Stop before the report-only rules unless an error fired.
-    gate: bool,
-}
-
-/// The one rule sequence behind every entry point, over `parsed`, the
-/// entry point's parse of `dtd_src`. Every rule that can emit an error
-/// runs before every rule that cannot; the gate is the early exit
-/// between them. The order of rules does not reach the report:
-/// [`LintReport::new`] sorts stably by (source, offset, code), and each
-/// code comes from one rule.
+/// The one rule sequence behind [`lint`] and [`preflight`], over
+/// `parsed`, the caller's parse of `dtd_src`. Every rule that can emit an
+/// error runs before every rule that cannot; with `gate`, a run that
+/// found no error stops between them. The order of rules does not reach
+/// the report: [`LintReport::new`] sorts stably by (source, offset,
+/// code), and each code comes from one rule.
 fn lint_inner(
     dtd_src: &str,
     parsed: &Result<Dtd, DtdError>,
     fds_src: Option<&str>,
+    opt_in: OptIn,
+    gate: bool,
     budget: &Budget,
-    tiers: Tiers,
 ) -> Result<LintReport, Exhausted> {
     if let Err(DtdError::Exhausted(e)) = parsed {
         return Err(e.clone());
@@ -484,7 +568,7 @@ fn lint_inner(
             }
         }
     });
-    if tiers.shred {
+    if opt_in == OptIn::Shred {
         let _span = budget.recorder().span("lint.shred", "lint");
         // Mixed content *is* a parse failure; explain it anyway.
         shred::rule_mixed_content(dtd_text, &index, &mut diags);
@@ -493,7 +577,7 @@ fn lint_inner(
         }
     }
 
-    if tiers.gate && !diags.iter().any(|d| d.severity == Severity::Error) {
+    if gate && !diags.iter().any(|d| d.severity == Severity::Error) {
         return Ok(LintReport::new(diags));
     }
 
@@ -503,21 +587,16 @@ fn lint_inner(
             let _span = budget.recorder().span("lint.semantic", "lint");
             semantic::lint_resolved(ctx, fds, sigma, budget, &mut diags)?;
         }
-        if let (true, Some(fds_src)) = (tiers.predictive, fds_src) {
+        if let (OptIn::Predictive, Some(fds_src)) = (opt_in, fds_src) {
             let _span = budget.recorder().span("lint.predictive", "lint");
             predictive::lint_predictive(ctx, fds_src, budget, &mut diags)?;
         }
-        if tiers.shred {
+        if opt_in == OptIn::Shred {
             let _span = budget.recorder().span("lint.shred", "lint");
             shred::rule_layout(ctx.dtd, dtd_text, &index, fds_src, budget, &mut diags)?;
         }
     }
     Ok(LintReport::new(diags))
-}
-
-/// Lints the DTD alone (structural tier only).
-pub fn lint_dtd(dtd_src: &str) -> LintReport {
-    lint_spec(dtd_src, None)
 }
 
 #[cfg(test)]
@@ -532,8 +611,6 @@ mod tests {
         let before = codes.len();
         codes.dedup();
         assert_eq!(codes.len(), before, "duplicate code in registry");
-        // The registry is total: one row per `Code` variant.
-        assert_eq!(rules.len(), Code::ALL.len());
         let structural = rules
             .iter()
             .filter(|r| !matches!(r.tier, Tier::Semantic | Tier::Predictive))
@@ -557,8 +634,29 @@ mod tests {
         assert!(rules.len() >= 8);
     }
 
+    /// Every `Code` method reads its code's row: each row sits at its
+    /// code's index, and the table runs to the last variant, so every
+    /// code has a row.
+    #[test]
+    fn every_row_sits_at_its_codes_index() {
+        for (i, rule) in RULES.iter().enumerate() {
+            assert_eq!(rule.code as usize, i, "{:?} is off its index", rule.code);
+        }
+        assert_eq!(RULES.len(), Code::ShredWideTable as usize + 1);
+    }
+
+    /// [`lint`] over a parse of its own source, as `lint_spec` runs it.
+    fn lint_parsed(
+        dtd: &str,
+        fds: Option<&str>,
+        opt_in: OptIn,
+        budget: &Budget,
+    ) -> Result<LintReport, Exhausted> {
+        lint(dtd, &parse_dtd(dtd), fds, opt_in, budget)
+    }
+
     /// The predictive tier is strictly opt-in: the default lint stays
-    /// clean on the paper's DBLP spec while [`lint_spec_predictive`]
+    /// clean on the paper's DBLP spec while [`OptIn::Predictive`]
     /// surfaces the `XNF2xx` forecast for the very same input.
     #[test]
     fn predictive_tier_is_opt_in() {
@@ -577,7 +675,7 @@ mod tests {
                    db.conf.issue -> db.conf.issue.inproceedings.@year";
         let plain = lint_spec(dtd, Some(fds));
         assert!(plain.is_clean(), "{}", plain.render_human());
-        let predicted = lint_spec_predictive(dtd, fds, UNLIMITED).unwrap();
+        let predicted = lint_parsed(dtd, Some(fds), OptIn::Predictive, UNLIMITED).unwrap();
         assert!(!predicted.is_clean());
         assert!(
             predicted.codes().contains(&Code::AnomalousFd),
@@ -590,11 +688,12 @@ mod tests {
         }
         // A degenerate spec gets no predictive diagnostics: the report
         // is exactly the default one.
-        let broken = lint_spec_predictive(dtd, "db.nope -> db.conf", UNLIMITED).unwrap();
-        assert_eq!(
-            broken.codes(),
-            lint_spec(dtd, Some("db.nope -> db.conf")).codes()
-        );
+        let broken_fds = Some("db.nope -> db.conf");
+        let broken = lint_parsed(dtd, broken_fds, OptIn::Predictive, UNLIMITED).unwrap();
+        assert_eq!(broken.codes(), lint_spec(dtd, broken_fds).codes());
+        // Without FDs there is nothing to predict.
+        let no_fds = lint_parsed(dtd, None, OptIn::Predictive, UNLIMITED).unwrap();
+        assert_eq!(no_fds, lint_spec(dtd, None));
     }
 
     /// The preflight gate's premise: every code emitted only after its
@@ -646,8 +745,9 @@ mod tests {
         assert_eq!(err.resource, xnf_govern::Resource::Fuel);
     }
 
-    /// The gate reads the caller's parse: a parse that exhausted comes
-    /// back as that exhaustion, with no report and no rule run.
+    /// The gate and [`lint`] read the caller's parse: a parse that
+    /// exhausted comes back as that exhaustion, with no report and no
+    /// rule run.
     #[test]
     fn preflight_passes_on_a_parse_exhaustion() {
         let dtd = "<!ELEMENT r (a*)> <!ELEMENT a EMPTY> <!ELEMENT a EMPTY>";
@@ -659,6 +759,10 @@ mod tests {
         let metered = Budget::builder().build();
         let err = preflight(dtd, &parsed, None, false, &metered).unwrap_err();
         assert_eq!(&err, cause);
+        for opt_in in [OptIn::None, OptIn::Predictive, OptIn::Shred] {
+            let err = lint(dtd, &parsed, Some("r.a -> r"), opt_in, &metered).unwrap_err();
+            assert_eq!(&err, cause);
+        }
         assert_eq!(metered.ticks(), 0);
         // The same source, parsed in full, fails the gate (XNF002).
         let report = preflight(dtd, &parse_dtd(dtd), None, false, &metered).unwrap();
@@ -681,11 +785,11 @@ mod tests {
         let plain = lint_spec(dtd, Some(fds));
         // Generous budget: identical report.
         let generous = Budget::builder().fuel(1_000_000).build();
-        let governed = lint_spec_governed(dtd, Some(fds), &generous).unwrap();
+        let governed = lint_parsed(dtd, Some(fds), OptIn::None, &generous).unwrap();
         assert_eq!(governed.codes(), plain.codes());
         // Tiny budget: a structured error, never a truncated report.
         let tiny = Budget::builder().fuel(2).build();
-        let err = lint_spec_governed(dtd, Some(fds), &tiny).unwrap_err();
+        let err = lint_parsed(dtd, Some(fds), OptIn::None, &tiny).unwrap_err();
         assert_eq!(err.resource, xnf_govern::Resource::Fuel);
     }
 }

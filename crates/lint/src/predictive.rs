@@ -1,7 +1,7 @@
 //! Predictive lint rules (codes `XNF2xx`): what the Figure 4
 //! normalization *would do* to the spec, computed statically.
 //!
-//! The tier is opt-in ([`crate::lint_spec_predictive`]): it drives
+//! The tier is opt-in ([`crate::OptIn::Predictive`]): it drives
 //! [`xnf_core::analyze`](fn@xnf_core::analyze) — the static decomposition
 //! planner — over `(D, Σ)` and then applies pure rules to the resulting
 //! [`Analysis`]. Unlike the semantic tier, nothing here says the spec is

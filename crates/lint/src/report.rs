@@ -1,7 +1,7 @@
 //! The diagnostics data model: codes, severities, spans, and the rendered
 //! report (human-readable and JSON).
 
-use crate::json;
+use crate::{json, Rule, RULES};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use xnf_dtd::span::LineCol;
@@ -58,7 +58,9 @@ impl SourceKind {
     }
 }
 
-/// The stable, coded identity of each lint analysis.
+/// The stable, coded identity of each lint analysis. A code's string,
+/// rule name and severity are its row of the rule table
+/// ([`registry`](crate::registry)), which sits at the variant's index.
 ///
 /// Codes `XNF001`–`XNF0xx` are structural (the DTD alone); codes
 /// `XNF1xx` are semantic (the FD set Σ against the DTD, several of them
@@ -148,147 +150,29 @@ pub enum Code {
 }
 
 impl Code {
-    /// The stable `XNFnnn` code string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Code::DtdSyntax => "XNF001",
-            Code::DuplicateElement => "XNF002",
-            Code::DuplicateAttribute => "XNF003",
-            Code::UndeclaredElement => "XNF004",
-            Code::RootReferenced => "XNF005",
-            Code::AttlistForUndeclared => "XNF006",
-            Code::UnreachableElement => "XNF007",
-            Code::NonGeneratingElement => "XNF008",
-            Code::UnsatisfiableDtd => "XNF009",
-            Code::NondeterministicContent => "XNF010",
-            Code::RecursiveDtd => "XNF011",
-            Code::GeneralClass => "XNF012",
-            Code::FdSyntax => "XNF101",
-            Code::UnknownFdPath => "XNF102",
-            Code::VacuousFd => "XNF103",
-            Code::DuplicateFd => "XNF104",
-            Code::TrivialFd => "XNF105",
-            Code::RedundantFd => "XNF106",
-            Code::EquivalentFds => "XNF107",
-            Code::RedundantLhsPath => "XNF108",
-            Code::AnomalousFd => "XNF200",
-            Code::SchemaBlowUp => "XNF201",
-            Code::FdInteractionCluster => "XNF202",
-            Code::DeadAttribute => "XNF203",
-            Code::FixpointIterationBound => "XNF204",
-            Code::ShredRecursive => "XNF300",
-            Code::ShredMixedContent => "XNF301",
-            Code::ShredNameCollision => "XNF302",
-            Code::ShredWideTable => "XNF303",
-        }
+    /// The code's row of the rule table.
+    fn rule(self) -> &'static Rule {
+        &RULES[self as usize]
     }
 
-    /// Every code, in report (numeric) order.
-    pub const ALL: &'static [Code] = &[
-        Code::DtdSyntax,
-        Code::DuplicateElement,
-        Code::DuplicateAttribute,
-        Code::UndeclaredElement,
-        Code::RootReferenced,
-        Code::AttlistForUndeclared,
-        Code::UnreachableElement,
-        Code::NonGeneratingElement,
-        Code::UnsatisfiableDtd,
-        Code::NondeterministicContent,
-        Code::RecursiveDtd,
-        Code::GeneralClass,
-        Code::FdSyntax,
-        Code::UnknownFdPath,
-        Code::VacuousFd,
-        Code::DuplicateFd,
-        Code::TrivialFd,
-        Code::RedundantFd,
-        Code::EquivalentFds,
-        Code::RedundantLhsPath,
-        Code::AnomalousFd,
-        Code::SchemaBlowUp,
-        Code::FdInteractionCluster,
-        Code::DeadAttribute,
-        Code::FixpointIterationBound,
-        Code::ShredRecursive,
-        Code::ShredMixedContent,
-        Code::ShredNameCollision,
-        Code::ShredWideTable,
-    ];
+    /// The stable `XNFnnn` code string.
+    pub fn as_str(self) -> &'static str {
+        self.rule().code_str
+    }
 
     /// Parses a stable `XNFnnn` code string back into the code.
     pub fn parse(s: &str) -> Option<Code> {
-        Code::ALL.iter().copied().find(|c| c.as_str() == s)
+        RULES.iter().find(|r| r.code_str == s).map(|r| r.code)
     }
 
     /// Short kebab-case rule name (JSON `rule` field, docs).
     pub fn id(self) -> &'static str {
-        match self {
-            Code::DtdSyntax => "dtd-syntax",
-            Code::DuplicateElement => "duplicate-element",
-            Code::DuplicateAttribute => "duplicate-attribute",
-            Code::UndeclaredElement => "undeclared-element",
-            Code::RootReferenced => "root-referenced",
-            Code::AttlistForUndeclared => "attlist-for-undeclared",
-            Code::UnreachableElement => "unreachable-element",
-            Code::NonGeneratingElement => "non-generating-element",
-            Code::UnsatisfiableDtd => "unsatisfiable-dtd",
-            Code::NondeterministicContent => "nondeterministic-content",
-            Code::RecursiveDtd => "recursive-dtd",
-            Code::GeneralClass => "general-dtd-class",
-            Code::FdSyntax => "fd-syntax",
-            Code::UnknownFdPath => "unknown-fd-path",
-            Code::VacuousFd => "vacuous-fd",
-            Code::DuplicateFd => "duplicate-fd",
-            Code::TrivialFd => "trivial-fd",
-            Code::RedundantFd => "redundant-fd",
-            Code::EquivalentFds => "equivalent-fds",
-            Code::RedundantLhsPath => "redundant-lhs-path",
-            Code::AnomalousFd => "anomalous-fd",
-            Code::SchemaBlowUp => "schema-blow-up",
-            Code::FdInteractionCluster => "fd-interaction-cluster",
-            Code::DeadAttribute => "dead-attribute",
-            Code::FixpointIterationBound => "fixpoint-iteration-bound",
-            Code::ShredRecursive => "shred-recursive",
-            Code::ShredMixedContent => "shred-mixed-content",
-            Code::ShredNameCollision => "shred-name-collision",
-            Code::ShredWideTable => "shred-wide-table",
-        }
+        self.rule().id
     }
 
     /// The severity every diagnostic with this code carries.
     pub fn severity(self) -> Severity {
-        match self {
-            Code::DtdSyntax
-            | Code::DuplicateElement
-            | Code::DuplicateAttribute
-            | Code::UndeclaredElement
-            | Code::RootReferenced
-            | Code::AttlistForUndeclared
-            | Code::UnsatisfiableDtd
-            | Code::NondeterministicContent
-            | Code::FdSyntax
-            | Code::UnknownFdPath
-            | Code::ShredRecursive
-            | Code::ShredMixedContent => Severity::Error,
-            Code::UnreachableElement
-            | Code::NonGeneratingElement
-            | Code::RecursiveDtd
-            | Code::VacuousFd
-            | Code::TrivialFd
-            | Code::RedundantFd
-            | Code::AnomalousFd
-            | Code::SchemaBlowUp
-            | Code::ShredNameCollision => Severity::Warning,
-            Code::GeneralClass
-            | Code::DuplicateFd
-            | Code::EquivalentFds
-            | Code::RedundantLhsPath
-            | Code::FdInteractionCluster
-            | Code::DeadAttribute
-            | Code::FixpointIterationBound
-            | Code::ShredWideTable => Severity::Info,
-        }
+        self.rule().severity
     }
 }
 
@@ -704,13 +588,13 @@ mod tests {
         );
     }
 
-    /// Satellite pin: the `Code` ↔ `"XNF###"` mapping round-trips over
-    /// every variant (including the predictive `XNF2xx` tier), the
-    /// strings are unique and well-formed, and `ALL` is in numeric order.
+    /// The `Code` ↔ `"XNF###"` mapping round-trips over every row
+    /// (including the predictive `XNF2xx` tier), the strings are unique
+    /// and well-formed, and the rows are in numeric order.
     #[test]
     fn code_string_round_trip_is_exhaustive() {
         let mut seen = std::collections::BTreeSet::new();
-        for &code in Code::ALL {
+        for code in RULES.iter().map(|r| r.code) {
             let s = code.as_str();
             assert_eq!(s.len(), 6, "{s}");
             assert!(s.starts_with("XNF"), "{s}");
@@ -719,10 +603,10 @@ mod tests {
             assert!(seen.insert(s), "duplicate code string {s}");
             assert!(!code.id().is_empty());
         }
-        let ordered: Vec<&str> = Code::ALL.iter().map(|c| c.as_str()).collect();
+        let ordered: Vec<&str> = RULES.iter().map(|r| r.code.as_str()).collect();
         let mut sorted = ordered.clone();
         sorted.sort_unstable();
-        assert_eq!(ordered, sorted, "Code::ALL is not in numeric order");
+        assert_eq!(ordered, sorted, "the rule table is not in numeric order");
         // Tier bands are populated: structural, semantic, predictive,
         // shred.
         for band in ["XNF0", "XNF1", "XNF2", "XNF3"] {

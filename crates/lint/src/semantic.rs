@@ -17,6 +17,7 @@
 use crate::report::{Code, Diagnostic, SourceKind, SourceText};
 use crate::source::{fd_segments, FdSegment};
 use crate::structural::DtdCtx;
+use std::collections::HashMap;
 use xnf_core::fd::ResolvedFd;
 use xnf_core::implication::{Chase, Implication, ImplicationCache};
 use xnf_core::XmlFd;
@@ -269,7 +270,8 @@ fn parse_segments(
 }
 
 /// XNF102/XNF104 — resolves each parsed FD against `paths(D)` (reporting
-/// unknown paths) and drops duplicate members (reporting them).
+/// unknown paths) and drops duplicate members (reporting them against
+/// their first listing).
 fn resolve_and_dedup(
     fds: &SourceText<'_>,
     segments: &[FdSegment],
@@ -278,6 +280,8 @@ fn resolve_and_dedup(
     out: &mut Vec<Diagnostic>,
 ) -> Vec<Member> {
     let mut members: Vec<Member> = Vec::new();
+    // The segment of each resolved FD's first listing.
+    let mut first_seg: HashMap<ResolvedFd, usize> = HashMap::new();
     for (seg, fd) in parsed {
         let resolved = match fd.resolve(paths) {
             Ok(r) => r,
@@ -293,7 +297,7 @@ fn resolve_and_dedup(
                 continue;
             }
         };
-        if let Some(first) = members.iter().find(|m| m.resolved == resolved) {
+        if let Some(&first) = first_seg.get(&resolved) {
             out.push(
                 Diagnostic::new(
                     Code::DuplicateFd,
@@ -301,10 +305,11 @@ fn resolve_and_dedup(
                     "FD appears more than once in \u{3a3}".to_string(),
                 )
                 .with_span(fds, segments[seg].offset, segments[seg].len())
-                .note(format!("first listed as `{}`", segments[first.seg].text)),
+                .note(format!("first listed as `{}`", segments[first].text)),
             );
             continue;
         }
+        first_seg.insert(resolved.clone(), seg);
         members.push(Member {
             seg,
             fd,

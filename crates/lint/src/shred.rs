@@ -187,14 +187,17 @@ fn sanitize_ident(name: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::{lint_spec, lint_spec_shred, Code, Severity};
-    use xnf_govern::Budget;
+    use crate::{lint, lint_spec, Code, LintReport, OptIn, Severity, UNLIMITED};
+    use xnf_dtd::parse_dtd;
 
-    const UNLIMITED: &Budget = &Budget::unlimited();
+    /// The lint with the shred tier, over a parse of `dtd`.
+    fn lint_spec_shred(dtd: &str, fds: Option<&str>) -> LintReport {
+        lint(dtd, &parse_dtd(dtd), fds, OptIn::Shred, UNLIMITED)
+            .expect("unlimited budget cannot exhaust")
+    }
 
     fn shred_codes(dtd: &str, fds: Option<&str>) -> Vec<Code> {
-        lint_spec_shred(dtd, fds, UNLIMITED)
-            .expect("unlimited budget cannot exhaust")
+        lint_spec_shred(dtd, fds)
             .codes()
             .into_iter()
             .filter(|c| c.as_str().starts_with("XNF3"))
@@ -206,7 +209,7 @@ mod tests {
         let dtd = "<!ELEMENT r (part)>\n<!ELEMENT part (part*)>";
         // The shred tier is opt-in: the default lint stays XNF0xx-only.
         assert!(!lint_spec(dtd, None).codes().contains(&Code::ShredRecursive));
-        let report = lint_spec_shred(dtd, None, UNLIMITED).unwrap();
+        let report = lint_spec_shred(dtd, None);
         let d = report
             .diagnostics()
             .iter()
@@ -219,7 +222,7 @@ mod tests {
     #[test]
     fn mixed_content_is_explained_in_shredding_terms() {
         let dtd = "<!ELEMENT r (p*)>\n<!ELEMENT p (#PCDATA | em)*>\n<!ELEMENT em (#PCDATA)>";
-        let report = lint_spec_shred(dtd, None, UNLIMITED).unwrap();
+        let report = lint_spec_shred(dtd, None);
         // The strict parser rejects mixed content; XNF301 adds the why.
         assert!(report.codes().contains(&Code::ShredMixedContent));
         let d = report
@@ -240,7 +243,7 @@ mod tests {
                    <!ELEMENT b (x*)>
                    <!ELEMENT x (y)>
                    <!ELEMENT y EMPTY>";
-        let report = lint_spec_shred(dtd, None, UNLIMITED).unwrap();
+        let report = lint_spec_shred(dtd, None);
         let collisions: Vec<_> = report
             .diagnostics()
             .iter()
@@ -258,7 +261,7 @@ mod tests {
                    <!ATTLIST w a CDATA #REQUIRED b CDATA #REQUIRED c CDATA #REQUIRED
                                d CDATA #REQUIRED e CDATA #REQUIRED f CDATA #REQUIRED
                                g CDATA #REQUIRED>";
-        let report = lint_spec_shred(dtd, None, UNLIMITED).unwrap();
+        let report = lint_spec_shred(dtd, None);
         let d = report
             .diagnostics()
             .iter()

@@ -27,11 +27,6 @@ impl NameSpan {
     pub fn len(&self) -> usize {
         self.name.len()
     }
-
-    /// Whether the name is empty (never produced by the scanner).
-    pub fn is_empty(&self) -> bool {
-        self.name.is_empty()
-    }
 }
 
 /// One `<!ATTLIST …>` block: the element it names and its attribute names.
@@ -44,8 +39,7 @@ pub struct AttlistSpan {
 }
 
 /// Every declaration of a DTD text, with spans, in source order, and
-/// ordered by name. The declaration lists are crate-private because the
-/// name orders index into them.
+/// ordered by name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeclIndex {
     /// Each `<!ELEMENT name …>` in order of appearance.
@@ -159,15 +153,6 @@ impl DeclIndex {
         let first = &self.elements[*order.get(at)?];
         (first.name == name).then_some(first)
     }
-
-    /// The first declaration span of attribute `attr` of `element`, across
-    /// all of its ATTLIST blocks.
-    pub fn attr(&self, element: &str, attr: &str) -> Option<&NameSpan> {
-        let order = &self.attr_order;
-        let at = order.partition_point(|&x| self.attr_key(x) < (element, attr));
-        let &(block, a) = order.get(at)?;
-        (self.attr_key((block, a)) == (element, attr)).then(|| &self.attlists[block].attrs[a])
-    }
 }
 
 struct Cursor<'a> {
@@ -271,11 +256,6 @@ impl FdSegment {
     pub fn len(&self) -> usize {
         self.text.len()
     }
-
-    /// Whether the segment is empty (never produced by the splitter).
-    pub fn is_empty(&self) -> bool {
-        self.text.is_empty()
-    }
 }
 
 /// Splits FD-set text into per-FD segments with source spans, mirroring
@@ -329,7 +309,7 @@ mod tests {
             .map(|a| a.name.as_str())
             .collect();
         assert_eq!(attrs, ["x", "y"]);
-        let y = idx.attr("a", "y").unwrap();
+        let y = &idx.attlists[0].attrs[1];
         assert_eq!(&src[y.offset..][..1], "y");
     }
 
@@ -374,10 +354,6 @@ mod tests {
         assert_eq!(idx.element("b").map(|e| e.offset), Some(10));
         assert_eq!(idx.element("a").map(|e| e.offset), Some(29));
         assert!(idx.element("c").is_none() && idx.element("").is_none());
-        let first_bx = &idx.attlists[0].attrs[1];
-        assert_eq!(idx.attr("b", "x"), Some(first_bx));
-        assert_eq!(idx.attr("a", "x"), Some(&idx.attlists[1].attrs[0]));
-        assert!(idx.attr("a", "y").is_none() && idx.attr("c", "x").is_none());
     }
 
     #[test]

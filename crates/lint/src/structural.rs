@@ -18,8 +18,6 @@ use xnf_dtd::{ContentModel, Dtd, DtdError, Regex};
 /// driver precomputes once.
 #[derive(Debug)]
 pub struct DtdCtx<'a> {
-    /// The raw DTD text.
-    pub src: &'a str,
     /// The parsed DTD.
     pub dtd: &'a Dtd,
     /// Declaration spans scanned from `src`.
@@ -28,7 +26,8 @@ pub struct DtdCtx<'a> {
     pub reachable: Vec<bool>,
     /// `generating[e.index()]`: some finite tree is derivable from `e`.
     pub generating: Vec<bool>,
-    /// `src` with its lines resolved once for every span into it.
+    /// The raw DTD text, with its lines resolved once for every span into
+    /// it.
     pub(crate) text: SourceText<'a>,
 }
 
@@ -37,7 +36,6 @@ impl<'a> DtdCtx<'a> {
     /// fixpoints.
     pub fn new(src: &'a str, dtd: &'a Dtd, index: &'a DeclIndex) -> DtdCtx<'a> {
         DtdCtx {
-            src,
             dtd,
             index,
             reachable: reachable_set(dtd),
@@ -168,7 +166,7 @@ pub fn duplicate_decls(src: &SourceText<'_>, index: &DeclIndex, out: &mut Vec<Di
     }
 }
 
-/// Maps a [`parse_dtd`](xnf_dtd::parse_dtd) failure onto a coded
+/// Maps a DTD parse failure onto a coded
 /// diagnostic. Duplicate-declaration errors are suppressed when the
 /// scanner already reported the same duplicate with a span.
 pub fn map_parse_error(
@@ -259,9 +257,10 @@ pub fn map_parse_error(
                 None => d,
             });
         }
-        // parse_dtd never returns these (the ungoverned entry point cannot
-        // exhaust); keep the mapping total so a future parser change
-        // cannot drop an error on the floor.
+        // The parser never returns the first two, and `lint_inner` hands
+        // an exhausted parse back before any rule runs; keep the mapping
+        // total so a future parser change cannot drop an error on the
+        // floor.
         DtdError::RecursiveDtd { .. } | DtdError::NoSuchPath(_) | DtdError::Exhausted(_) => out
             .push(Diagnostic::new(
                 Code::DtdSyntax,

@@ -360,6 +360,36 @@ fn xnf104_fires_on_a_repeated_fd() {
     assert_eq!(report.diagnostics()[0].span.as_ref().unwrap().at.line, 2);
 }
 
+/// On a Σ of 2 100 FDs — 700 FDs, each listed three times in three
+/// spellings — every repeat gets XNF104, naming its FD's first listing.
+/// The FDs are vacuous (`a` and `b` never co-occur), so no chase runs.
+#[test]
+fn xnf104_names_the_first_listing_of_every_repeat() {
+    const N: usize = 700;
+    let attrs: String = (0..N).map(|i| format!(" a{i} CDATA #REQUIRED")).collect();
+    let dtd = format!(
+        "<!ELEMENT r (a | b)>\n<!ELEMENT a EMPTY>\n<!ATTLIST a{attrs}>\n<!ELEMENT b EMPTY>"
+    );
+    let first = |i: usize| format!("r.a.@a{i} -> r.b");
+    let mut lines: Vec<String> = (0..N).map(first).collect();
+    lines.extend((0..N).rev().map(|i| format!("r.a.@a{i}  ->  r.b")));
+    lines.extend((0..N).map(|i| format!("r.a.@a{i}, r.a.@a{i} -> r.b")));
+    let report = lint_spec(&dtd, Some(&lines.join("\n")));
+    let repeats: Vec<_> = (report.diagnostics().iter())
+        .filter(|d| d.code == Code::DuplicateFd)
+        .collect();
+    assert_eq!(repeats.len(), 2 * N);
+    for d in repeats {
+        let line = d.span.as_ref().expect("XNF104 has a span").at.line as usize;
+        assert!(line > N, "line {line} is a first listing");
+        let digits = &lines[line - 1]["r.a.@a".len()..];
+        let i: usize = digits[..digits.find(|c: char| !c.is_ascii_digit()).unwrap()]
+            .parse()
+            .unwrap();
+        assert_eq!(d.notes, [format!("first listed as `{}`", first(i))]);
+    }
+}
+
 #[test]
 fn xnf104_does_not_fire_on_distinct_fds() {
     assert!(!fires(

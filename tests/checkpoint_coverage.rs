@@ -116,8 +116,14 @@ fn visited_sites() -> Vec<(&'static str, u64)> {
     )
     .expect("normalization succeeds");
     assert!(r.exhausted.is_none());
-    xnf_lint::lint_spec_predictive(UNIVERSITY_DTD, UNIVERSITY_FDS, &budget)
-        .expect("predictive lint completes");
+    xnf_lint::lint(
+        UNIVERSITY_DTD,
+        &xnf_dtd::parse_dtd(UNIVERSITY_DTD),
+        Some(UNIVERSITY_FDS),
+        xnf_lint::OptIn::Predictive,
+        &budget,
+    )
+    .expect("predictive lint completes");
     // The shredding backend (sites `shred.*`): compile, shred a
     // conforming document, rebuild it.
     let schema = xnf_core::compile_schema(&dtd, &sigma, &budget).expect("schema compiles");

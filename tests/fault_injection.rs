@@ -148,7 +148,13 @@ fn run_pipeline(budget: &Budget) -> Result<Verdicts, Exhausted> {
     };
 
     // Stage 8: governed lint (site `lint.semantic.fd`).
-    let lint_report = xnf_lint::lint_spec_governed(UNIVERSITY_DTD, Some(UNIVERSITY_FDS), budget)?;
+    let lint_report = xnf_lint::lint(
+        UNIVERSITY_DTD,
+        &xnf_dtd::parse_dtd(UNIVERSITY_DTD),
+        Some(UNIVERSITY_FDS),
+        xnf_lint::OptIn::None,
+        budget,
+    )?;
 
     // Stage 9: governed losslessness oracle (site `oracle.doc`).
     let oracle_config = xnf_oracle::SpecOracleConfig {

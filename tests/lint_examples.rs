@@ -7,11 +7,23 @@
 //!   JSON rendering.
 
 //! * The shredding-specific bad specs must produce the `XNF3xx` codes
-//!   under the opt-in shred tier (`lint_spec_shred`) and stay invisible
+//!   under the opt-in shred tier (`OptIn::Shred`) and stay invisible
 //!   to the default tiers.
 
-use xnf::lint::{lint_spec, lint_spec_governed, lint_spec_shred, preflight};
+use xnf::lint::{lint, lint_spec, preflight, LintReport, OptIn};
 use xnf_govern::Budget;
+
+/// The lint with the shred tier, over a parse of `dtd`.
+fn lint_spec_shred(dtd: &str, fds: Option<&str>) -> LintReport {
+    lint(
+        dtd,
+        &xnf::dtd::parse_dtd(dtd),
+        fds,
+        OptIn::Shred,
+        &Budget::unlimited(),
+    )
+    .expect("unlimited budget cannot exhaust")
+}
 
 fn read(rel: &str) -> String {
     let path = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
@@ -104,8 +116,7 @@ const SHRED_SPECS: &[(&str, &[&str])] = &[
 fn shred_bad_specs_produce_exactly_the_expected_codes() {
     for &(dtd_file, expected) in SHRED_SPECS {
         let dtd = read(dtd_file);
-        let report = lint_spec_shred(&dtd, None, &Budget::unlimited())
-            .expect("unlimited budget cannot exhaust");
+        let report = lint_spec_shred(&dtd, None);
         let got: Vec<&str> = report.codes().iter().map(|c| c.as_str()).collect();
         assert_eq!(got, expected, "{dtd_file}:\n{}", report.render_human());
         // The shred tier is opt-in: the default lint never shows XNF3xx.
@@ -127,7 +138,7 @@ fn paper_specs_under_the_shred_tier() {
     for name in ["university", "dblp"] {
         let dtd = read(&format!("examples/specs/{name}.dtd"));
         let fds = read(&format!("examples/specs/{name}.fds"));
-        let report = lint_spec_shred(&dtd, Some(&fds), &Budget::unlimited()).unwrap();
+        let report = lint_spec_shred(&dtd, Some(&fds));
         assert!(
             report
                 .codes()
@@ -142,7 +153,7 @@ fn paper_specs_under_the_shred_tier() {
     // nothing worse. Pin the exact set so drift is visible.
     let dtd = read("examples/specs/ebxml.dtd");
     let fds = read("examples/specs/ebxml.fds");
-    let report = lint_spec_shred(&dtd, Some(&fds), &Budget::unlimited()).unwrap();
+    let report = lint_spec_shred(&dtd, Some(&fds));
     let shred: Vec<&str> = report
         .codes()
         .iter()
@@ -190,13 +201,13 @@ fn preflight_gate_agrees_with_the_full_report() {
         for fds_file in &fds_files {
             let fds = fds_file.as_deref().map(read);
             for shred_tier in [false, true] {
-                let full = if shred_tier {
-                    lint_spec_shred(&dtd, fds.as_deref(), &unlimited)
-                } else {
-                    lint_spec_governed(&dtd, fds.as_deref(), &unlimited)
-                }
-                .unwrap();
                 let parsed = xnf::dtd::parse_dtd(&dtd);
+                let opt_in = if shred_tier {
+                    OptIn::Shred
+                } else {
+                    OptIn::None
+                };
+                let full = lint(&dtd, &parsed, fds.as_deref(), opt_in, &unlimited).unwrap();
                 let gate =
                     preflight(&dtd, &parsed, fds.as_deref(), shred_tier, &unlimited).unwrap();
                 let what = format!("{dtd_file} + {fds_file:?} (shred tier: {shred_tier})");
