@@ -646,11 +646,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
                 Ok(true)
             })?;
-            if options.predictive && cli.files.len() < 2 {
-                return Err(CliError::Usage(
-                    "--predictive needs an FD file (the XNF2xx tier analyzes (D, \u{3a3}))".into(),
-                ));
-            }
             let dtd_src = read(cli.files[0])?;
             let fds_src = cli.files.get(1).map(|path| read(path)).transpose()?;
             return cli

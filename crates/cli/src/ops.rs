@@ -16,9 +16,10 @@
 use std::fmt::Write as _;
 
 use crate::CliError;
+use xnf_core::fd::FdListing;
 use xnf_core::lossless::{transform_document, verify_lossless};
 use xnf_core::{normalize, NormalizeOptions, XmlFdSet};
-use xnf_dtd::Dtd;
+use xnf_dtd::{Dtd, DtdError};
 use xnf_govern::{Budget, Recorder};
 
 /// How a spec arrived, selecting the parser hardening profile:
@@ -85,12 +86,27 @@ impl Gate {
     }
 }
 
+/// The one parse of a spec, shared by [`intake`] and [`lint_sources`]:
+/// the DTD under the `trust` profile's limits and `budget`, and Σ's
+/// listing (unmetered), inside one `spec.parse` span on the budget's
+/// recorder.
+fn parse_spec<'a>(
+    dtd_src: &str,
+    fds_src: Option<&'a str>,
+    trust: Trust,
+    budget: &Budget,
+) -> (Result<Dtd, DtdError>, Option<FdListing<'a>>) {
+    let _span = budget.recorder().span("spec.parse", "parse");
+    let dtd = xnf_dtd::parse_dtd_governed(dtd_src, trust.dtd_limits(), budget);
+    (dtd, fds_src.map(FdListing::read))
+}
+
 /// The one spec intake of every spec-level operation: parses `(D, Σ)`
-/// once, under the `trust` profile's limits and `budget`, inside a
-/// `spec.parse` span on the budget's recorder, then runs the lint
-/// `gate` ([`xnf_lint::preflight`]) on that same parse. A clean gate
-/// costs no chase; a failing one renders its full report under
-/// `budget`.
+/// once — the DTD under the `trust` profile's limits and `budget`, and
+/// Σ's [`FdListing`], inside one `spec.parse` span on the budget's
+/// recorder — then runs the lint `gate` ([`xnf_lint::preflight`]) on
+/// that same parse of both. A clean gate costs no chase; a failing one
+/// renders its full report under `budget`.
 ///
 /// # Errors
 ///
@@ -104,13 +120,10 @@ pub fn intake(
     gate: Gate,
     budget: &Budget,
 ) -> Result<(Dtd, XmlFdSet), CliError> {
-    let parse_span = budget.recorder().span("spec.parse", "parse");
-    let dtd = xnf_dtd::parse_dtd_governed(dtd_src, trust.dtd_limits(), budget);
-    let sigma = XmlFdSet::parse(fds_src);
-    drop(parse_span);
+    let (dtd, fds) = parse_spec(dtd_src, Some(fds_src), trust, budget);
     if gate != Gate::Off {
         let shred_tier = gate == Gate::Shred;
-        if let Some(report) = xnf_lint::preflight(dtd_src, &dtd, Some(fds_src), shred_tier, budget)?
+        if let Some(report) = xnf_lint::preflight(dtd_src, &dtd, fds.as_ref(), shred_tier, budget)?
         {
             return Err(CliError::Lint(format!(
                 "{}preflight lint failed; fix the errors above or rerun with --no-lint\n",
@@ -118,6 +131,7 @@ pub fn intake(
             )));
         }
     }
+    let sigma = fds.map_or_else(|| Ok(XmlFdSet::new()), FdListing::into_set);
     Ok((dtd?, sigma?))
 }
 
@@ -406,9 +420,9 @@ pub struct LintSpecOptions {
     pub predictive: bool,
 }
 
-/// The `lint` operation over raw sources: parses the DTD once, inside a
-/// `spec.parse` span, under [`Trust::Local`]'s limits and `budget` — the
-/// parse [`intake`] makes — and lints that parse.
+/// The `lint` operation over raw sources: parses the spec once, through
+/// the step [`intake`] parses with, under [`Trust::Local`]'s limits and
+/// `budget`, and lints that parse.
 ///
 /// # Errors
 ///
@@ -428,15 +442,13 @@ pub fn lint_sources(
             "--predictive needs an FD file (the XNF2xx tier analyzes (D, \u{3a3}))".into(),
         ));
     }
-    let parse_span = budget.recorder().span("spec.parse", "parse");
-    let dtd = xnf_dtd::parse_dtd_governed(dtd_src, Trust::Local.dtd_limits(), budget);
-    drop(parse_span);
+    let (dtd, fds) = parse_spec(dtd_src, fds_src, Trust::Local, budget);
     let opt_in = if options.predictive {
         xnf_lint::OptIn::Predictive
     } else {
         xnf_lint::OptIn::None
     };
-    let report = xnf_lint::lint(dtd_src, &dtd, fds_src, opt_in, budget)?;
+    let report = xnf_lint::lint(dtd_src, &dtd, fds.as_ref(), opt_in, budget)?;
     let rendered = if options.json {
         let mut j = report.to_json();
         j.push('\n');

@@ -79,6 +79,44 @@ fn lint_json_exit_codes_match_human() {
     assert!(stdout.contains("\"code\": \"XNF004\""), "{stdout}");
 }
 
+/// `--predictive` without an FD file is a usage error: exit 1, the
+/// usage line on stderr, nothing on stdout.
+#[test]
+fn predictive_lint_needs_an_fd_file() {
+    let dtd = workspace_file("examples/specs/university.dtd");
+    let out = xnf_tool(&["lint", &dtd, "--predictive"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "xnf-tool: usage: --predictive needs an FD file \
+         (the XNF2xx tier analyzes (D, \u{3a3}))\n"
+    );
+}
+
+/// A `#` comment runs to the end of its line, past a `;`: the gate and
+/// the engine both read the commented FD file as the plain one.
+#[test]
+fn a_comment_runs_to_the_end_of_its_line() {
+    let dtd = workspace_file("examples/specs/university.dtd");
+    let plain = workspace_file("examples/specs/university.fds");
+    let text = std::fs::read_to_string(&plain).expect("fixture");
+    let commented = write_tmp(
+        "comment.fds",
+        &format!("# FD1; the key of a course -> courses.course\n{text}"),
+    );
+    for flags in [&[][..], &["--no-lint"]] {
+        let run = |fds: &str| {
+            let mut args = vec!["is-xnf", &dtd, fds];
+            args.extend(flags);
+            xnf_tool(&args)
+        };
+        let (want, got) = (run(&plain), run(&commented));
+        assert_eq!(got.status.code(), Some(0), "{flags:?}: {got:?}");
+        assert_eq!(got.stdout, want.stdout, "{flags:?}");
+    }
+}
+
 #[test]
 fn normalize_aborts_on_hard_lint_errors_without_panicking() {
     let dtd = write_tmp(

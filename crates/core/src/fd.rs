@@ -9,6 +9,7 @@
 use crate::tuples::tuples_d;
 use crate::{CoreError, Result};
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 use xnf_dtd::{Dtd, Path, PathId, PathSet};
 use xnf_xml::XmlTree;
@@ -216,18 +217,11 @@ impl XmlFdSet {
         XmlFdSet { fds }
     }
 
-    /// Parses a newline- or semicolon-separated list of FDs in the text
-    /// syntax; `#`-prefixed lines are comments.
+    /// Parses an FD-set text in the syntax of [`FdListing::read`]: FDs
+    /// separated by newlines or `;`, and `#` comments running to the end
+    /// of their line. Fails with the first error in source order.
     pub fn parse(input: &str) -> Result<XmlFdSet> {
-        let mut fds = Vec::new();
-        for line in input.split(['\n', ';']) {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            fds.push(line.parse()?);
-        }
-        Ok(XmlFdSet::from_fds(fds))
+        FdListing::read(input).into_set()
     }
 
     /// Adds an FD (keeping the set sorted and deduplicated).
@@ -299,6 +293,74 @@ impl IntoIterator for XmlFdSet {
 impl FromIterator<XmlFd> for XmlFdSet {
     fn from_iter<I: IntoIterator<Item = XmlFd>>(iter: I) -> Self {
         XmlFdSet::from_fds(iter)
+    }
+}
+
+/// One FD of an FD-set text: where its text sits, and what it parses to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FdEntry {
+    /// Byte span of the FD's trimmed text in the source.
+    pub span: Range<usize>,
+    /// The FD, or why its text does not parse.
+    pub fd: Result<XmlFd>,
+}
+
+/// An FD-set text read once: every FD in source order, with its span and
+/// its parse. [`FdListing::read`] is the one reader of the text syntax;
+/// [`XmlFdSet::parse`] is its set, and the linter reports its entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FdListing<'a> {
+    src: &'a str,
+    entries: Vec<FdEntry>,
+}
+
+impl<'a> FdListing<'a> {
+    /// Reads an FD-set text. FDs are separated by newlines or `;`, and
+    /// each is trimmed; blank ones are skipped. An FD whose trimmed text
+    /// starts with `#` starts a comment, which runs to the end of its
+    /// line, past any `;`.
+    pub fn read(src: &'a str) -> FdListing<'a> {
+        let mut entries = Vec::new();
+        let mut line_start = 0;
+        for line in src.split('\n') {
+            let mut start = line_start;
+            for raw in line.split(';') {
+                let text = raw.trim();
+                if text.starts_with('#') {
+                    break;
+                }
+                if !text.is_empty() {
+                    let offset = start + (raw.len() - raw.trim_start().len());
+                    entries.push(FdEntry {
+                        span: offset..offset + text.len(),
+                        fd: text.parse(),
+                    });
+                }
+                start += raw.len() + 1;
+            }
+            line_start += line.len() + 1;
+        }
+        FdListing { src, entries }
+    }
+
+    /// The text the listing was read from.
+    pub fn src(&self) -> &'a str {
+        self.src
+    }
+
+    /// Every FD of the text, in source order.
+    pub fn entries(&self) -> &[FdEntry] {
+        &self.entries
+    }
+
+    /// The listed FDs as a set, or the first error in source order.
+    pub fn to_set(&self) -> Result<XmlFdSet> {
+        self.entries.iter().map(|e| e.fd.clone()).collect()
+    }
+
+    /// [`FdListing::to_set`], moving the FDs out.
+    pub fn into_set(self) -> Result<XmlFdSet> {
+        self.entries.into_iter().map(|e| e.fd).collect()
     }
 }
 
@@ -446,6 +508,9 @@ mod tests {
     fn fdset_parse_skips_comments() {
         let set = XmlFdSet::parse("# comment\n\na.b -> a.c; a.c -> a.d").unwrap();
         assert_eq!(set.len(), 2);
+        // A comment runs to the end of its line, past a `;`.
+        let set = XmlFdSet::parse("# FD1; the key -> a\na.b -> a; # x; y\n").unwrap();
+        assert_eq!(set.len(), 1);
     }
 
     #[test]

@@ -100,6 +100,13 @@ impl ShredSchema {
         self.paths.path(self.maps[ix].path)
     }
 
+    /// Whether table `ix` is named after its element's leaf name, which
+    /// it loses when the leaf name is shared or its identifier taken.
+    pub fn keeps_leaf_name(&self, ix: usize) -> bool {
+        let name = &self.design.tables[ix].name;
+        matches!(self.paths.step(self.maps[ix].path), Step::Elem(leaf) if *name == sanitize_ident(leaf))
+    }
+
     /// The DTD path a column of table `ix` corresponds to: the table's
     /// element path for the id, the parent element path for the parent
     /// column, `p.@l` / `p.S` / `p.c.S` for data columns, and `None`

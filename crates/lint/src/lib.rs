@@ -32,11 +32,12 @@
 //!   without emitting any DDL or rows.
 //!
 //! Three entry points run them. [`lint`] lints the caller's own parse of
-//! the DTD under the caller's budget; [`lint_spec`] parses for itself,
-//! ungoverned, for tests and examples. The engine subcommands gate on
-//! [`preflight`]: the same rules, with every rule that can emit an error
-//! run first and an early exit when none did, so a clean spec never pays
-//! for the warnings and infos the preflight would not show.
+//! the DTD and its [`FdListing`] of Σ under the caller's budget;
+//! [`lint_spec`] parses both for itself, ungoverned, for tests and
+//! examples. The engine subcommands gate on [`preflight`]: the same
+//! rules, with every rule that can emit an error run first and an early
+//! exit when none did, so a clean spec never pays for the warnings and
+//! infos the preflight would not show.
 //!
 //! ## Example
 //!
@@ -69,6 +70,7 @@ pub use report::{Code, Diagnostic, LintReport, Severity, SourceKind, Span};
 use report::SourceText;
 use source::DeclIndex;
 use structural::DtdCtx;
+use xnf_core::fd::FdListing;
 use xnf_dtd::{parse_dtd, Dtd, DtdError};
 use xnf_govern::{Budget, Exhausted};
 
@@ -408,12 +410,14 @@ const fn rule(
 }
 
 /// Lints a DTD text and (optionally) an FD-set text with the default
-/// tiers, parsing the DTD itself with the ungoverned [`parse_dtd`] and
-/// running unbudgeted — for tests and examples. Everything else is as
-/// [`lint`] with [`OptIn::None`].
+/// tiers, parsing both itself — the DTD with the ungoverned
+/// [`parse_dtd`], the FDs with [`FdListing::read`] — and running
+/// unbudgeted, for tests and examples. Everything else is as [`lint`]
+/// with [`OptIn::None`].
 pub fn lint_spec(dtd_src: &str, fds_src: Option<&str>) -> LintReport {
     let parsed = parse_dtd(dtd_src);
-    match lint(dtd_src, &parsed, fds_src, OptIn::None, UNLIMITED) {
+    let fds = fds_src.map(FdListing::read);
+    match lint(dtd_src, &parsed, fds.as_ref(), OptIn::None, UNLIMITED) {
         Ok(report) => report,
         Err(_) => unreachable!("an unlimited budget cannot exhaust"),
     }
@@ -444,48 +448,48 @@ pub enum OptIn {
     Shred,
 }
 
-/// Lints a DTD text and (optionally) an FD-set text, running every
+/// Lints a DTD text and (optionally) an FD set, running every
 /// applicable rule of the [`registry`] plus the `opt_in` tier, under
 /// `budget`.
 ///
-/// `lint` does not parse the DTD: `parsed` is the caller's own parse of
-/// `dtd_src`, success or failure, so an op that parses under its budget
-/// and trust limits has that one metered parse linted. A parse that ran
-/// out of budget has no report: its [`Exhausted`] comes back as the
+/// `lint` parses neither input: `parsed` is the caller's own parse of
+/// `dtd_src`, success or failure, and `fds` the caller's
+/// [`FdListing`] of the FD-set text, so an op that parses under its
+/// budget and trust limits has that one parse linted. A DTD parse that
+/// ran out of budget has no report: its [`Exhausted`] comes back as the
 /// error.
 ///
-/// The structural tier always runs. The semantic tier runs when
-/// `fds_src` is given *and* the DTD parsed and is non-recursive — the
-/// chase needs a finite `paths(D)`, so recursive DTDs get `XNF011`
-/// instead. If the DTD failed to parse, FD linting degrades to per-FD
-/// syntax checking.
+/// The structural tier always runs. The semantic tier runs when `fds` is
+/// given *and* the DTD parsed and is non-recursive — the chase needs a
+/// finite `paths(D)`, so recursive DTDs get `XNF011` instead. If the DTD
+/// failed to parse, FD linting degrades to the listing's syntax errors.
 ///
 /// The implication-backed rules and the opt-in tiers charge `budget` per
 /// FD and per chase run, and the whole lint aborts with [`Exhausted`]
 /// when it runs out. An `Err` means the report was *not* completed — no
 /// partial report is returned, so a clean report always means a fully
-/// linted spec. Nothing between the parse and those rules charges
-/// `budget`: the structural tier, FD resolution, `paths(D)` and the
-/// chase's fact tables run ungoverned. These phases are not cheap on a
-/// hostile schema — the structural tier's determinism check builds every
-/// Glushkov `follow` set, quadratic in a content model's positions, and
-/// outlasts the budgeted chase by far (see "Hostile schemas" in
-/// `ROADMAP.md`).
+/// linted spec. Of the phases before those rules only the caller's DTD
+/// parse charges `budget`: the FD parse (the caller's too), the
+/// structural tier, FD resolution, `paths(D)` and the chase's fact
+/// tables run unmetered. These phases are not cheap on a hostile schema
+/// — the structural tier's determinism check builds every Glushkov
+/// `follow` set, quadratic in a content model's positions, and outlasts
+/// the budgeted chase by far (see "Hostile schemas" in `ROADMAP.md`).
 pub fn lint(
     dtd_src: &str,
     parsed: &Result<Dtd, DtdError>,
-    fds_src: Option<&str>,
+    fds: Option<&FdListing<'_>>,
     opt_in: OptIn,
     budget: &Budget,
 ) -> Result<LintReport, Exhausted> {
-    lint_inner(dtd_src, parsed, fds_src, opt_in, false, budget)
+    lint_inner(dtd_src, parsed, fds, opt_in, false, budget)
 }
 
 /// The preflight gate of the engine subcommands: does the spec have a
 /// hard lint error? `None` when it has none; otherwise the full report —
 /// exactly [`lint`]'s with [`OptIn::None`], or with [`OptIn::Shred`]
 /// under `shred_tier` — for the caller to render. Like [`lint`], the
-/// gate reads the caller's parse and never parses.
+/// gate reads the caller's parse of both inputs and never parses.
 ///
 /// Only the rules that can emit an error run first: the structural
 /// tier, FD syntax and path resolution (`XNF101`/`XNF102`), and with
@@ -499,7 +503,7 @@ pub fn lint(
 pub fn preflight(
     dtd_src: &str,
     parsed: &Result<Dtd, DtdError>,
-    fds_src: Option<&str>,
+    fds: Option<&FdListing<'_>>,
     shred_tier: bool,
     budget: &Budget,
 ) -> Result<Option<LintReport>, Exhausted> {
@@ -509,20 +513,21 @@ pub fn preflight(
     } else {
         OptIn::None
     };
-    let report = lint_inner(dtd_src, parsed, fds_src, opt_in, true, budget)?;
+    let report = lint_inner(dtd_src, parsed, fds, opt_in, true, budget)?;
     Ok(report.has_errors().then_some(report))
 }
 
 /// The one rule sequence behind [`lint`] and [`preflight`], over
-/// `parsed`, the caller's parse of `dtd_src`. Every rule that can emit an
-/// error runs before every rule that cannot; with `gate`, a run that
-/// found no error stops between them. The order of rules does not reach
-/// the report: [`LintReport::new`] sorts stably by (source, offset,
-/// code), and each code comes from one rule.
+/// `parsed`, the caller's parse of `dtd_src`, and `fds`, its listing of
+/// Σ. Every rule that can emit an error runs before every rule that
+/// cannot; with `gate`, a run that found no error stops between them.
+/// The order of rules does not reach the report: [`LintReport::new`]
+/// sorts stably by (source, offset, code), and each code comes from one
+/// rule.
 fn lint_inner(
     dtd_src: &str,
     parsed: &Result<Dtd, DtdError>,
-    fds_src: Option<&str>,
+    fds: Option<&FdListing<'_>>,
     opt_in: OptIn,
     gate: bool,
     budget: &Budget,
@@ -557,16 +562,9 @@ fn lint_inner(
     // The path-based rules need a finite paths(D): a parsed,
     // non-recursive DTD.
     let finite = ctx.as_ref().filter(|c| !c.dtd.is_recursive());
-    let fds_text = fds_src.map(SourceText::new);
-    let sigma = fds_text.as_ref().and_then(|fds| {
+    let sigma = fds.and_then(|listing| {
         let _span = budget.recorder().span("lint.semantic", "lint");
-        match finite {
-            Some(ctx) => semantic::resolve_fds(ctx, fds, &mut diags),
-            None => {
-                semantic::lint_fd_syntax_only(fds, &mut diags);
-                None
-            }
-        }
+        semantic::resolve_fds(finite, listing, &mut diags)
     });
     if opt_in == OptIn::Shred {
         let _span = budget.recorder().span("lint.shred", "lint");
@@ -583,17 +581,23 @@ fn lint_inner(
 
     // Report-only rules: none of them emits an error.
     if let Some(ctx) = finite {
-        if let (Some(fds), Some(sigma)) = (&fds_text, sigma) {
+        if let Some(sigma) = sigma {
             let _span = budget.recorder().span("lint.semantic", "lint");
-            semantic::lint_resolved(ctx, fds, sigma, budget, &mut diags)?;
+            semantic::lint_resolved(ctx, sigma, budget, &mut diags)?;
         }
-        if let (OptIn::Predictive, Some(fds_src)) = (opt_in, fds_src) {
+        if let (OptIn::Predictive, Some(listing)) = (opt_in, fds) {
             let _span = budget.recorder().span("lint.predictive", "lint");
-            predictive::lint_predictive(ctx, fds_src, budget, &mut diags)?;
+            // Σ that does not parse has its XNF101 already.
+            if let Ok(sigma) = listing.to_set() {
+                predictive::lint_predictive(ctx, &sigma, budget, &mut diags)?;
+            }
         }
         if opt_in == OptIn::Shred {
             let _span = budget.recorder().span("lint.shred", "lint");
-            shred::rule_layout(ctx.dtd, dtd_text, &index, fds_src, budget, &mut diags)?;
+            // Σ that does not parse has its XNF101 already; the layout
+            // rules then run against the empty Σ.
+            let sigma = fds.and_then(|l| l.to_set().ok()).unwrap_or_default();
+            shred::rule_layout(ctx.dtd, dtd_text, &index, &sigma, budget, &mut diags)?;
         }
     }
     Ok(LintReport::new(diags))
@@ -652,7 +656,8 @@ mod tests {
         opt_in: OptIn,
         budget: &Budget,
     ) -> Result<LintReport, Exhausted> {
-        lint(dtd, &parse_dtd(dtd), fds, opt_in, budget)
+        let fds = fds.map(FdListing::read);
+        lint(dtd, &parse_dtd(dtd), fds.as_ref(), opt_in, budget)
     }
 
     /// The predictive tier is strictly opt-in: the default lint stays
@@ -734,14 +739,16 @@ mod tests {
         let warned = "r.a.@k -> r.a\nr.a -> r";
         assert!(lint_spec(dtd, Some(warned)).count(Severity::Warning) > 0);
         let metered = Budget::builder().build();
+        let warned = FdListing::read(warned);
         assert_eq!(
-            preflight(dtd, &parse_dtd(dtd), Some(warned), false, &metered),
+            preflight(dtd, &parse_dtd(dtd), Some(&warned), false, &metered),
             Ok(None)
         );
         assert_eq!(metered.ticks(), 0);
         let broken = "r.a.@k -> r.a\nr.a -> r\nr.nope -> r";
         let tiny = Budget::builder().fuel(2).build();
-        let err = preflight(dtd, &parse_dtd(dtd), Some(broken), false, &tiny).unwrap_err();
+        let broken = FdListing::read(broken);
+        let err = preflight(dtd, &parse_dtd(dtd), Some(&broken), false, &tiny).unwrap_err();
         assert_eq!(err.resource, xnf_govern::Resource::Fuel);
     }
 
@@ -760,7 +767,8 @@ mod tests {
         let err = preflight(dtd, &parsed, None, false, &metered).unwrap_err();
         assert_eq!(&err, cause);
         for opt_in in [OptIn::None, OptIn::Predictive, OptIn::Shred] {
-            let err = lint(dtd, &parsed, Some("r.a -> r"), opt_in, &metered).unwrap_err();
+            let fds = FdListing::read("r.a -> r");
+            let err = lint(dtd, &parsed, Some(&fds), opt_in, &metered).unwrap_err();
             assert_eq!(&err, cause);
         }
         assert_eq!(metered.ticks(), 0);

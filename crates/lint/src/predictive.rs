@@ -41,24 +41,21 @@ pub const CLUSTER_MIN_FDS: usize = 3;
 pub const ITERATION_BOUND: u64 = 5;
 
 /// Runs the predictive tier: [`analyze`] under `budget`, then the pure
-/// rules. Skips silently when Σ does not parse or resolve (the semantic
-/// tier already reported `XNF101`/`XNF102`) — predictive diagnostics are
-/// only meaningful for specs the normalizer would accept. A budget
-/// exhaustion aborts the whole lint (no partial report escapes).
+/// rules. Skips silently when Σ does not resolve (the semantic tier
+/// already reported `XNF102`) — predictive diagnostics are only
+/// meaningful for specs the normalizer would accept. A budget exhaustion
+/// aborts the whole lint (no partial report escapes).
 pub fn lint_predictive(
     ctx: &DtdCtx<'_>,
-    fds_src: &str,
+    sigma: &XmlFdSet,
     budget: &Budget,
     out: &mut Vec<Diagnostic>,
 ) -> Result<(), Exhausted> {
-    let Ok(sigma) = XmlFdSet::parse(fds_src) else {
-        return Ok(());
-    };
     let options = AnalyzeOptions {
         budget: budget.clone(),
         ..AnalyzeOptions::default()
     };
-    let analysis = match analyze(ctx.dtd, &sigma, &options) {
+    let analysis = match analyze(ctx.dtd, sigma, &options) {
         Ok(a) => a,
         Err(CoreError::Exhausted(e)) => return Err(e),
         // Unresolvable paths, degenerate FDs, recursion: already flagged

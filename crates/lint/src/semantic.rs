@@ -15,10 +15,10 @@
 //! subset queries cost one chase run each.
 
 use crate::report::{Code, Diagnostic, SourceKind, SourceText};
-use crate::source::{fd_segments, FdSegment};
 use crate::structural::DtdCtx;
 use std::collections::HashMap;
-use xnf_core::fd::ResolvedFd;
+use std::ops::Range;
+use xnf_core::fd::{FdListing, ResolvedFd};
 use xnf_core::implication::{Chase, Implication, ImplicationCache};
 use xnf_core::XmlFd;
 use xnf_dtd::paths::Step;
@@ -26,10 +26,10 @@ use xnf_dtd::{Dtd, PathSet, Regex};
 use xnf_govern::{Budget, Exhausted};
 
 /// One successfully parsed, resolved, non-duplicate member of Σ.
-struct Member {
-    /// Index into the segment list (for spans/messages).
-    seg: usize,
-    fd: XmlFd,
+struct Member<'a> {
+    /// Byte span of the FD's text (for spans/messages).
+    span: Range<usize>,
+    fd: &'a XmlFd,
     resolved: ResolvedFd,
     /// XNF103 fired: excluded from the chase-backed rules.
     vacuous: bool,
@@ -39,31 +39,89 @@ struct Member {
     equivalent: bool,
 }
 
-/// Σ after the tier's cheap half: segmented, parsed, resolved against
+/// Σ after the tier's cheap half: the listing's FDs resolved against
 /// `paths(D)` and deduplicated — the input of [`lint_resolved`].
-pub struct ResolvedSigma {
-    segments: Vec<FdSegment>,
+pub struct ResolvedSigma<'a> {
+    /// Σ's text, with its lines resolved once for every span into it.
+    text: SourceText<'a>,
     paths: PathSet,
-    members: Vec<Member>,
+    members: Vec<Member<'a>>,
 }
 
 /// The cheap half of the semantic tier, and the only half that can emit
-/// an error: FD syntax (XNF101), paths outside `paths(D)` (XNF102) and
-/// duplicates (XNF104). `ctx` must come from a successfully parsed,
-/// non-recursive DTD (`lint_inner` gates on XNF011); `None` otherwise.
-pub fn resolve_fds(
-    ctx: &DtdCtx<'_>,
-    fds: &SourceText<'_>,
+/// an error, in one pass over the listing: FD syntax (XNF101), paths
+/// outside `paths(D)` (XNF102) and duplicates (XNF104). Without `ctx` —
+/// the DTD did not parse or is recursive (`lint_inner` gates on XNF011)
+/// — only XNF101 runs, and the result is `None`.
+pub fn resolve_fds<'a>(
+    ctx: Option<&DtdCtx<'_>>,
+    listing: &'a FdListing<'_>,
     out: &mut Vec<Diagnostic>,
-) -> Option<ResolvedSigma> {
-    let segments = fd_segments(fds.text());
-    let parsed = parse_segments(fds, &segments, out);
-    // `lint_inner` filters recursive DTDs; defensive only.
-    let paths = ctx.dtd.paths().ok()?;
-    let members = resolve_and_dedup(fds, &segments, parsed, &paths, out);
+) -> Option<ResolvedSigma<'a>> {
+    let fds = SourceText::new(listing.src());
+    // `lint_inner` filters recursive DTDs; `ok()` is defensive only.
+    let paths = ctx.and_then(|ctx| ctx.dtd.paths().ok());
+    let mut members: Vec<Member<'a>> = Vec::new();
+    // The text of each resolved FD's first listing.
+    let mut first_text: HashMap<ResolvedFd, &str> = HashMap::new();
+    for entry in listing.entries() {
+        let (offset, len) = (entry.span.start, entry.span.len());
+        let fd = match &entry.fd {
+            Ok(fd) => fd,
+            Err(e) => {
+                out.push(
+                    Diagnostic::new(
+                        Code::FdSyntax,
+                        SourceKind::Fds,
+                        format!("FD does not parse: {e}"),
+                    )
+                    .with_span(&fds, offset, len),
+                );
+                continue;
+            }
+        };
+        let Some(paths) = &paths else {
+            continue;
+        };
+        let resolved = match fd.resolve(paths) {
+            Ok(r) => r,
+            Err(e) => {
+                out.push(
+                    Diagnostic::new(
+                        Code::UnknownFdPath,
+                        SourceKind::Fds,
+                        format!("FD mentions a path outside paths(D): {e}"),
+                    )
+                    .with_span(&fds, offset, len),
+                );
+                continue;
+            }
+        };
+        if let Some(first) = first_text.get(&resolved) {
+            out.push(
+                Diagnostic::new(
+                    Code::DuplicateFd,
+                    SourceKind::Fds,
+                    "FD appears more than once in \u{3a3}".to_string(),
+                )
+                .with_span(&fds, offset, len)
+                .note(format!("first listed as `{first}`")),
+            );
+            continue;
+        }
+        first_text.insert(resolved.clone(), &listing.src()[entry.span.clone()]);
+        members.push(Member {
+            span: entry.span.clone(),
+            fd,
+            resolved,
+            vacuous: false,
+            trivial: false,
+            equivalent: false,
+        });
+    }
     Some(ResolvedSigma {
-        segments,
-        paths,
+        text: fds,
+        paths: paths?,
         members,
     })
 }
@@ -76,24 +134,23 @@ pub fn resolve_fds(
 /// partial report escapes).
 pub fn lint_resolved(
     ctx: &DtdCtx<'_>,
-    fds: &SourceText<'_>,
-    sigma: ResolvedSigma,
+    sigma: ResolvedSigma<'_>,
     budget: &Budget,
     out: &mut Vec<Diagnostic>,
 ) -> Result<(), Exhausted> {
     let ResolvedSigma {
-        segments,
+        text: fds,
         paths,
         mut members,
     } = sigma;
 
-    let at = |seg: usize| (fds, segments[seg].offset, segments[seg].len());
+    let at = |m: &Member<'_>| (&fds, m.span.start, m.span.len());
 
     // XNF103 — vacuous FDs (mutually exclusive paths).
     for m in &mut members {
-        if let Some(exclusion) = find_exclusive_pair(ctx.dtd, &m.fd) {
+        if let Some(exclusion) = find_exclusive_pair(ctx.dtd, m.fd) {
             m.vacuous = true;
-            let (src, off, len) = at(m.seg);
+            let (src, off, len) = at(m);
             out.push(
                 Diagnostic::new(
                     Code::VacuousFd,
@@ -125,7 +182,7 @@ pub fn lint_resolved(
         }
         if implied(&oracle, &[], &m.resolved)? {
             m.trivial = true;
-            let (src, off, len) = at(m.seg);
+            let (src, off, len) = at(m);
             out.push(
                 Diagnostic::new(
                     Code::TrivialFd,
@@ -160,8 +217,8 @@ pub fn lint_resolved(
             if implied(&oracle, &with_i, &sigma[j])? && implied(&oracle, &with_j, &sigma[i])? {
                 members[i].equivalent = true;
                 members[j].equivalent = true;
-                let other = segments[members[i].seg].text.clone();
-                let (src, off, len) = at(members[j].seg);
+                let other = &fds.text()[members[i].span.clone()];
+                let (src, off, len) = at(&members[j]);
                 out.push(
                     Diagnostic::new(
                         Code::EquivalentFds,
@@ -187,7 +244,7 @@ pub fn lint_resolved(
             .map(|(_, fd)| fd.clone())
             .collect();
         if implied(&oracle, &rest, &m.resolved)? {
-            let (src, off, len) = at(m.seg);
+            let (src, off, len) = at(m);
             out.push(
                 Diagnostic::new(
                     Code::RedundantFd,
@@ -217,7 +274,7 @@ pub fn lint_resolved(
                 .map(|(_, &p)| p);
             let derives_x = ResolvedFd::from_ids(rest_lhs, [x]);
             if implied(&oracle, &[], &derives_x)? {
-                let (src, off, len) = at(m.seg);
+                let (src, off, len) = at(m);
                 out.push(
                     Diagnostic::new(
                         Code::RedundantLhsPath,
@@ -235,91 +292,6 @@ pub fn lint_resolved(
         }
     }
     Ok(())
-}
-
-/// Surfaces per-FD syntax errors even when the DTD itself failed to parse
-/// or is recursive (`lint_inner` calls this instead of [`resolve_fds`] in
-/// that case).
-pub fn lint_fd_syntax_only(fds: &SourceText<'_>, out: &mut Vec<Diagnostic>) {
-    let segments = fd_segments(fds.text());
-    parse_segments(fds, &segments, out);
-}
-
-/// XNF101 — parses each segment, reporting failures with spans. Returns
-/// the successfully parsed FDs aligned with their segment index.
-fn parse_segments(
-    fds: &SourceText<'_>,
-    segments: &[FdSegment],
-    out: &mut Vec<Diagnostic>,
-) -> Vec<(usize, XmlFd)> {
-    let mut parsed = Vec::new();
-    for (i, seg) in segments.iter().enumerate() {
-        match XmlFd::parse(&seg.text) {
-            Ok(fd) => parsed.push((i, fd)),
-            Err(e) => out.push(
-                Diagnostic::new(
-                    Code::FdSyntax,
-                    SourceKind::Fds,
-                    format!("FD does not parse: {e}"),
-                )
-                .with_span(fds, seg.offset, seg.len()),
-            ),
-        }
-    }
-    parsed
-}
-
-/// XNF102/XNF104 — resolves each parsed FD against `paths(D)` (reporting
-/// unknown paths) and drops duplicate members (reporting them against
-/// their first listing).
-fn resolve_and_dedup(
-    fds: &SourceText<'_>,
-    segments: &[FdSegment],
-    parsed: Vec<(usize, XmlFd)>,
-    paths: &PathSet,
-    out: &mut Vec<Diagnostic>,
-) -> Vec<Member> {
-    let mut members: Vec<Member> = Vec::new();
-    // The segment of each resolved FD's first listing.
-    let mut first_seg: HashMap<ResolvedFd, usize> = HashMap::new();
-    for (seg, fd) in parsed {
-        let resolved = match fd.resolve(paths) {
-            Ok(r) => r,
-            Err(e) => {
-                out.push(
-                    Diagnostic::new(
-                        Code::UnknownFdPath,
-                        SourceKind::Fds,
-                        format!("FD mentions a path outside paths(D): {e}"),
-                    )
-                    .with_span(fds, segments[seg].offset, segments[seg].len()),
-                );
-                continue;
-            }
-        };
-        if let Some(&first) = first_seg.get(&resolved) {
-            out.push(
-                Diagnostic::new(
-                    Code::DuplicateFd,
-                    SourceKind::Fds,
-                    "FD appears more than once in \u{3a3}".to_string(),
-                )
-                .with_span(fds, segments[seg].offset, segments[seg].len())
-                .note(format!("first listed as `{}`", segments[first].text)),
-            );
-            continue;
-        }
-        first_seg.insert(resolved.clone(), seg);
-        members.push(Member {
-            seg,
-            fd,
-            resolved,
-            vacuous: false,
-            trivial: false,
-            equivalent: false,
-        });
-    }
-    members
 }
 
 /// Whether `(D, sigma) ⊢ fd`, splitting a multi-path RHS into single-RHS

@@ -97,21 +97,16 @@ pub(crate) fn rule_recursive(
 
 /// The layout rules (`XNF302`, `XNF303`) over a non-recursive DTD:
 /// compiles the spec with [`xnf_core::compile_schema`] and reports on
-/// the layout. Report-only — a warning and an info. Σ parse problems are
-/// ignored here (the semantic tier owns them); the layout rules then run
-/// against the empty Σ.
+/// the layout. Report-only — a warning and an info.
 pub(crate) fn rule_layout(
     dtd: &Dtd,
     dtd_text: &SourceText<'_>,
     index: &DeclIndex,
-    fds_src: Option<&str>,
+    sigma: &XmlFdSet,
     budget: &Budget,
     diags: &mut Vec<Diagnostic>,
 ) -> Result<(), Exhausted> {
-    let sigma = fds_src
-        .and_then(|s| XmlFdSet::parse(s).ok())
-        .unwrap_or_default();
-    let schema = match compile_schema(dtd, &sigma, budget) {
+    let schema = match compile_schema(dtd, sigma, budget) {
         Ok(schema) => schema,
         Err(CoreError::Exhausted(e)) => return Err(e),
         // Degenerate specs (unknown FD paths, unsatisfiable DTDs, …) are
@@ -124,7 +119,7 @@ pub(crate) fn rule_layout(
             continue;
         };
         let table = &schema.design.tables[ix];
-        if table.name != sanitize_ident(tail) {
+        if !schema.keeps_leaf_name(ix) {
             let mut d = Diagnostic::new(
                 Code::ShredNameCollision,
                 SourceKind::Dtd,
@@ -167,32 +162,16 @@ pub(crate) fn rule_layout(
     Ok(())
 }
 
-/// The same identifier sanitization the shred compiler applies to element
-/// names, so an un-collided, un-mangled table name compares equal to its
-/// element's leaf name.
-fn sanitize_ident(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    if out.chars().next().is_none_or(|c| c.is_ascii_digit()) {
-        out.insert(0, 't');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{lint, lint_spec, Code, LintReport, OptIn, Severity, UNLIMITED};
+    use xnf_core::fd::FdListing;
     use xnf_dtd::parse_dtd;
 
     /// The lint with the shred tier, over a parse of `dtd`.
     fn lint_spec_shred(dtd: &str, fds: Option<&str>) -> LintReport {
-        lint(dtd, &parse_dtd(dtd), fds, OptIn::Shred, UNLIMITED)
+        let fds = fds.map(FdListing::read);
+        lint(dtd, &parse_dtd(dtd), fds.as_ref(), OptIn::Shred, UNLIMITED)
             .expect("unlimited budget cannot exhaust")
     }
 

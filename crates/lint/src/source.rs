@@ -1,4 +1,4 @@
-//! A lenient, span-preserving scanner over raw spec text.
+//! A lenient, span-preserving scanner over raw DTD text.
 //!
 //! [`xnf_dtd::parse_dtd`] validates eagerly and stops at the first problem,
 //! and its [`xnf_dtd::Dtd`] output no longer knows where in the text each
@@ -9,9 +9,8 @@
 //! every `<!ATTLIST …>`, skipping comments, and silently giving up on any
 //! declaration it cannot follow (the strict parser owns syntax errors).
 //!
-//! The same module splits FD-set text into per-FD segments with spans,
-//! mirroring the `\n`/`;`/`#`-comment conventions of
-//! `xnf_core::XmlFdSet::parse`.
+//! The FD-set text has no scanner here: `xnf_core::fd::FdListing`, the
+//! one reader of its syntax, already gives every FD its span.
 
 /// A name occurrence in the source: the name and its byte span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,52 +241,6 @@ impl Cursor<'_> {
     }
 }
 
-/// One FD segment of an FD-set text: the trimmed text and its byte span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FdSegment {
-    /// The FD text, trimmed, comments removed.
-    pub text: String,
-    /// Byte offset of the first non-whitespace byte of the segment.
-    pub offset: usize,
-}
-
-impl FdSegment {
-    /// Byte length of the trimmed FD text.
-    pub fn len(&self) -> usize {
-        self.text.len()
-    }
-}
-
-/// Splits FD-set text into per-FD segments with source spans, mirroring
-/// the conventions of `XmlFdSet::parse` exactly: FDs are separated by
-/// newlines or `;`, and segments whose trimmed text starts with `#` are
-/// comments.
-pub fn fd_segments(src: &str) -> Vec<FdSegment> {
-    let mut out = Vec::new();
-    let mut seg_start = 0usize;
-    for (i, c) in src.char_indices() {
-        if c == '\n' || c == ';' {
-            push_segment(src, seg_start, i, &mut out);
-            seg_start = i + 1;
-        }
-    }
-    push_segment(src, seg_start, src.len(), &mut out);
-    out
-}
-
-fn push_segment(src: &str, start: usize, end: usize, out: &mut Vec<FdSegment>) {
-    let raw = &src[start..end];
-    let trimmed = raw.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return;
-    }
-    let lead = raw.len() - raw.trim_start().len();
-    out.push(FdSegment {
-        text: trimmed.to_string(),
-        offset: start + lead,
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,16 +307,5 @@ mod tests {
         assert_eq!(idx.element("b").map(|e| e.offset), Some(10));
         assert_eq!(idx.element("a").map(|e| e.offset), Some(29));
         assert!(idx.element("c").is_none() && idx.element("").is_none());
-    }
-
-    #[test]
-    fn fd_segments_split_and_span() {
-        let src = "# header\na -> b\n\nc, d -> e ; f -> g\n  # trailing comment";
-        let segs = fd_segments(src);
-        let texts: Vec<&str> = segs.iter().map(|s| s.text.as_str()).collect();
-        assert_eq!(texts, ["a -> b", "c, d -> e", "f -> g"]);
-        for seg in &segs {
-            assert_eq!(&src[seg.offset..][..seg.len()], seg.text);
-        }
     }
 }

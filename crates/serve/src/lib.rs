@@ -1797,6 +1797,11 @@ mod tests {
         let addr = server.addr();
         assert_eq!(post(addr, "/v1/lint", "{not json", &[]).0, 400);
         assert_eq!(post(addr, "/v1/lint", "{}", &[]).0, 400);
+        // The predictive tier needs FDs.
+        let predictive = lint_body().replace('}', ",\"predictive\":true}");
+        let (status, body) = post(addr, "/v1/lint", &predictive, &[]);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("\"kind\":\"usage\""), "{body}");
         let (status, body) = post(
             addr,
             "/v1/is-xnf",

@@ -119,7 +119,7 @@ fn visited_sites() -> Vec<(&'static str, u64)> {
     xnf_lint::lint(
         UNIVERSITY_DTD,
         &xnf_dtd::parse_dtd(UNIVERSITY_DTD),
-        Some(UNIVERSITY_FDS),
+        Some(&xnf_core::fd::FdListing::read(UNIVERSITY_FDS)),
         xnf_lint::OptIn::Predictive,
         &budget,
     )

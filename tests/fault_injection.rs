@@ -151,7 +151,7 @@ fn run_pipeline(budget: &Budget) -> Result<Verdicts, Exhausted> {
     let lint_report = xnf_lint::lint(
         UNIVERSITY_DTD,
         &xnf_dtd::parse_dtd(UNIVERSITY_DTD),
-        Some(UNIVERSITY_FDS),
+        Some(&xnf_core::fd::FdListing::read(UNIVERSITY_FDS)),
         xnf_lint::OptIn::None,
         budget,
     )?;

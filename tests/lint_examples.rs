@@ -10,6 +10,7 @@
 //!   under the opt-in shred tier (`OptIn::Shred`) and stay invisible
 //!   to the default tiers.
 
+use xnf::core::fd::FdListing;
 use xnf::lint::{lint, lint_spec, preflight, LintReport, OptIn};
 use xnf_govern::Budget;
 
@@ -18,7 +19,7 @@ fn lint_spec_shred(dtd: &str, fds: Option<&str>) -> LintReport {
     lint(
         dtd,
         &xnf::dtd::parse_dtd(dtd),
-        fds,
+        fds.map(FdListing::read).as_ref(),
         OptIn::Shred,
         &Budget::unlimited(),
     )
@@ -200,6 +201,7 @@ fn preflight_gate_agrees_with_the_full_report() {
         let dtd = read(&dtd_file);
         for fds_file in &fds_files {
             let fds = fds_file.as_deref().map(read);
+            let fds = fds.as_deref().map(FdListing::read);
             for shred_tier in [false, true] {
                 let parsed = xnf::dtd::parse_dtd(&dtd);
                 let opt_in = if shred_tier {
@@ -207,9 +209,8 @@ fn preflight_gate_agrees_with_the_full_report() {
                 } else {
                     OptIn::None
                 };
-                let full = lint(&dtd, &parsed, fds.as_deref(), opt_in, &unlimited).unwrap();
-                let gate =
-                    preflight(&dtd, &parsed, fds.as_deref(), shred_tier, &unlimited).unwrap();
+                let full = lint(&dtd, &parsed, fds.as_ref(), opt_in, &unlimited).unwrap();
+                let gate = preflight(&dtd, &parsed, fds.as_ref(), shred_tier, &unlimited).unwrap();
                 let what = format!("{dtd_file} + {fds_file:?} (shred tier: {shred_tier})");
                 match gate {
                     None => {
