@@ -117,6 +117,39 @@ fn a_comment_runs_to_the_end_of_its_line() {
     }
 }
 
+/// A path component is `S`, a DTD name or `@` and a name: anything
+/// else is FD syntax (XNF101), not a path outside `paths(D)` (XNF102).
+#[test]
+fn malformed_path_components_are_syntax_errors() {
+    let dtd = workspace_file("examples/specs/university.dtd");
+    for (i, (fd, component)) in [
+        ("courses . course -> courses.course.@cno", "`courses `"),
+        (
+            "the key of a course -> courses.course",
+            "`the key of a course`",
+        ),
+        (
+            "courses.course.@cno -> courses.course # note",
+            "`course # note`",
+        ),
+        ("courses.course.@ -> courses.course", "`@`"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let fds = write_tmp(&format!("component{i}.fds"), &format!("{fd}\n"));
+        let out = xnf_tool(&["lint", &dtd, &fds]);
+        assert_eq!(out.status.code(), Some(1), "{fd}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("error[XNF101]"), "{fd}: {stdout}");
+        assert!(!stdout.contains("XNF102"), "{fd}: {stdout}");
+        assert!(
+            stdout.contains(&format!("path component {component}")),
+            "{fd}: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn normalize_aborts_on_hard_lint_errors_without_panicking() {
     let dtd = write_tmp(

@@ -20,6 +20,82 @@
 //! ([`xnf_dtd::classify::letter_bounds`]) otherwise, so the chase is sound
 //! on **every** DTD and sharpest on simple/disjunctive ones — mirroring
 //! Theorems 3–5.
+//!
+//! # Simple DTDs: saturation decides (Theorem 3)
+//!
+//! The chase is *simple* when every content model classified into
+//! Section 7 factors with no exclusive-disjunction group, none fell back
+//! to interval hulls, and `paths(D)` is complete (not truncated). A simple
+//! chase answers from the saturated goal alone: a contradiction is
+//! "implied", a consistent state is "not implied". Presence case-splits
+//! remain for disjunctive and general DTDs (Theorems 4–5), where a group's
+//! exclusive choice is a real disjunction. Saturation is polynomial, so
+//! Theorem 3's bound holds for the answer itself. The argument, for the
+//! default configuration (every rule on):
+//!
+//! 1. **Horn.** Each rule is a Horn implication over the per-path atoms
+//!    `n₁(p)`, `n₂(p)`, `eq(p)` read as True or False: known facts in,
+//!    one more fact out, and a fact derived both ways is the empty clause
+//!    (the contradiction). The swap rule looks for the shallowest
+//!    ancestor with `eq ≠ True`, but more `eq = True` facts only move that
+//!    zone root down and widen what it concludes, so it is monotone too.
+//!    `saturate` forward-chains to the least fixpoint, which every
+//!    counterexample's own facts contain.
+//! 2. **The goal's disjunction.** `t₁.q ≠ t₂.q` makes one side of `q`
+//!    non-null. The premise and every rule treat the tuples alike, so
+//!    swapping them puts that side on `t₁`: [`Session::assume_goal`] takes
+//!    `t₁.q` non-null, and nothing else in the goal is a disjunction.
+//! 3. **A consistent fixpoint builds a witness.** `CounterexampleSearch`'s
+//!    minimal mode ([`CounterexampleSearch::find`](crate::implication::CounterexampleSearch::find))
+//!    makes the open choices one at a time, top down, each followed by
+//!    saturation: it materializes the *spine* (the prefixes of `S` and
+//!    `q`), leaves every other open presence absent, then merges each
+//!    element path present on both sides whose `eq` is still open, and
+//!    otherwise keeps it distinct. On a simple DTD none of these choices
+//!    contradicts:
+//!    * *Absent.* Nulling an open child only nulls its subtree and makes
+//!      null paths equal (`⊥ = ⊥`). Every rule that could object already
+//!      holds the other way: a required child of a present node, a child
+//!      equal to a present one, a child of an equal parent and a child
+//!      that differs from a null one are all forced present, not open.
+//!      No FD premise becomes non-null, and the contrapositive rule counts
+//!      a null premise as undecided, so it can only null it again.
+//!    * *Distinct.* `eq = False` on an element path present on both sides
+//!      discharges no premise and moves no zone root. An FD that would
+//!      make it equal has already fired, and by then every presence is
+//!      decided, so the contrapositive rule has only null premises left.
+//! 4. **Σ holds on every pair of the witness's tuples.** A tuple of the
+//!    witness picks `t₁`'s or `t₂`'s subtree at each *zone*, an element
+//!    path whose parent is one shared node and whose two values differ,
+//!    and agrees with both elsewhere. A pair that fires an FD agrees on
+//!    the zones of the FD's unequal premises. The basic rule covers the
+//!    pair `(t₁, t₂)`; the swap rule covers a pair that takes all those
+//!    zones from one common side. No other pair can fire: the only
+//!    non-null fact the goal states for one side only is `t₁.q`, and the
+//!    spine is materialized on `t₂` only where it is present on `t₁`, so
+//!    every path present on `t₂` is present on `t₁` (each structural rule
+//!    that makes a path present on one side does so on the other side
+//!    from the mirrored premises), and `t₁`'s side serves every zone.
+//! 5. **φ fails** on `(t₁, t₂)`: `t₁.S = t₂.S ≠ ⊥`, and `t₁.q` is non-null
+//!    and differs from `t₂.q`.
+//!
+//! The contrapositive rule does no work in this argument; on simple DTDs
+//! it changes no verdict, and it and the splits bite only on disjunctive
+//! and general DTDs (E13 in `EXPERIMENTS.md`). Two steps rest on the
+//! implementation rather than on this argument, and the suites certify
+//! them instead (`tests/implication_validation.rs` and
+//! `tests/presence_dichotomies.rs` check every "not implied" against a
+//! verified witness):
+//!
+//! * `saturate` reaches the fixpoint of the rules as stated: each rule is
+//!   re-run when one of its premises changes (the worklist re-queues every
+//!   changed fact, and Σ is rescanned after every round that progressed).
+//! * The witness layout: `trees_d` orders a node's children by path. That
+//!   is a word of every *trivial* content model, the shape the generators
+//!   emit; a simple model whose words interleave letters, such as
+//!   `(a, b, a*)`, would need its children reordered. The verdict does not
+//!   depend on it, since tree tuples ignore sibling order and every letter
+//!   count in a simple model's Parikh box is some word's count.
 
 use crate::fd::ResolvedFd;
 use crate::implication::Implication;
@@ -196,7 +272,8 @@ pub struct ChaseConfig {
     /// the conclusion is known to differ).
     pub contrapositive_rule: bool,
     /// Budget for presence case-splits on blocked premises (0 disables
-    /// splitting).
+    /// splitting). It no longer applies to simple DTDs, which never split
+    /// (see the module doc); disjunctive and general DTDs keep it.
     pub split_budget: usize,
 }
 
@@ -217,6 +294,10 @@ pub struct Chase<'a> {
     facts: Vec<PathFacts>,
     groups: Vec<Group>,
     config: ChaseConfig,
+    /// Whether the facts describe a simple DTD: no exclusive-disjunction
+    /// group, no interval-hull fallback, and the whole of `paths(D)`. Such
+    /// a chase decides by saturation alone (see the module doc).
+    simple: bool,
     stats: ChaseStats,
     /// Resource budget consulted by [`Chase::try_run`] (and every governed
     /// caller above it). `run`/`implies` ignore it by contract. The handle
@@ -323,11 +404,17 @@ impl<'a> Chase<'a> {
                 }
             }
         }
+        let simple = groups.is_empty()
+            && !paths.truncated()
+            && !contents
+                .iter()
+                .any(|c| matches!(c, Some(ContentFacts::Bounds(_))));
         Chase {
             paths,
             facts,
             groups,
             config,
+            simple,
             stats: ChaseStats::default(),
             budget: Budget::unlimited(),
         }
@@ -409,6 +496,12 @@ impl<'a> Chase<'a> {
         if !session.assume_goal(sigma, lhs, q) {
             session.check_exhausted()?;
             return Ok(ChaseOutcome::Implied);
+        }
+        // On a simple DTD the saturated state decides (Theorem 3; the
+        // module doc gives the argument).
+        if self.simple {
+            session.check_exhausted()?;
+            return Ok(ChaseOutcome::NotImplied(session.into_state()));
         }
         // Bounded case-splitting on *blocked premises*: an FD whose LHS
         // is entirely `eq = True` but whose null-status is open can fire
@@ -560,8 +653,13 @@ impl<'c, 'a> Session<'c, 'a> {
 
     /// Installs the standard refutation goal (Section 4 semantics): the
     /// shared non-null root, `eq` + non-null on the premise paths, and
-    /// disequality on `q`; saturates. Returns `false` on contradiction
-    /// (the implication holds).
+    /// disequality on `q` with `t₁.q` non-null; saturates. Returns `false`
+    /// on contradiction (the implication holds).
+    ///
+    /// Taking `t₁.q` non-null loses no counterexample: `t₁.q ≠ t₂.q` puts
+    /// a non-null value on one side, the premise is symmetric in the two
+    /// tuples, and every rule treats both sides alike, so swapping the
+    /// tuples puts it on `t₁`.
     pub fn assume_goal(&mut self, sigma: &[ResolvedFd], lhs: &[PathId], q: PathId) -> bool {
         let root = self.chase.paths.root();
         self.set_eq(root, Ternary::True);
@@ -572,6 +670,7 @@ impl<'c, 'a> Session<'c, 'a> {
             self.set_null(0, p, Ternary::False);
         }
         self.set_eq(q, Ternary::False);
+        self.set_null(0, q, Ternary::False);
         self.saturate(sigma);
         !self.contradiction
     }
@@ -1298,19 +1397,35 @@ mod tests {
         ));
     }
 
+    /// Ablation case (c): DTD, Σ and φ of an implication only a presence
+    /// split on a disjunction proves.
+    const SPLIT_CASE: [&str; 3] = [
+        "<!ELEMENT e0 (e1+, e4+)>
+         <!ELEMENT e1 (e2?, e3)>
+         <!ELEMENT e2 EMPTY> <!ATTLIST e2 a CDATA #REQUIRED>
+         <!ELEMENT e3 (e6*)>
+         <!ELEMENT e4 (d0 | d1)>
+         <!ELEMENT e6 (#PCDATA)>
+         <!ELEMENT d0 EMPTY> <!ELEMENT d1 EMPTY>",
+        "e0.e4.d0 -> e0.e1.e2.@a; e0.e4.d1 -> e0.e1.e3",
+        "e0.e1.e3.e6.S -> e0.e1.e2.@a",
+    ];
+
+    /// Resolves Σ and φ and asks a chase built with `cfg`.
+    fn implies_with(d: &Dtd, cfg: ChaseConfig, sigma: &str, fd: &str) -> bool {
+        let paths = d.paths().unwrap();
+        let sigma = XmlFdSet::parse(sigma).unwrap().resolve(&paths).unwrap();
+        let fd = XmlFd::parse(fd).unwrap().resolve(&paths).unwrap();
+        Chase::with_config(d, &paths, cfg).implies(&sigma, &fd)
+    }
+
     /// The three completeness rules are individually load-bearing: each
     /// case below is *implied* (verified semantically during development)
-    /// and is only proven by the full chase, not by the ablated one.
+    /// and is only proven by the full chase, not by the ablated one. The
+    /// contrapositive rule and the splits do no work on simple DTDs (see
+    /// the module doc), so their cases are disjunctive.
     #[test]
     fn ablation_rules_are_load_bearing() {
-        use crate::implication::ChaseConfig;
-        let ablated = |d: &Dtd, cfg: ChaseConfig, sigma: &str, fd: &str| {
-            let paths = d.paths().unwrap();
-            let sigma = XmlFdSet::parse(sigma).unwrap().resolve(&paths).unwrap();
-            let fd = XmlFd::parse(fd).unwrap().resolve(&paths).unwrap();
-            Chase::with_config(d, &paths, cfg).implies(&sigma, &fd)
-        };
-
         // (a) swap rule: {e2, @a0_0} → e1 under e0 = (e1*, e2+): every
         // tuple can realign its e2 choice, so @a0_0 → e1 is implied.
         let d = xnf_dtd::parse_dtd(
@@ -1321,8 +1436,8 @@ mod tests {
         .unwrap();
         let sigma = "e0.e2, e0.@a0_0 -> e0.e1";
         let fd = "e0.@a0_0 -> e0.e1";
-        assert!(ablated(&d, ChaseConfig::default(), sigma, fd));
-        assert!(!ablated(
+        assert!(implies_with(&d, ChaseConfig::default(), sigma, fd));
+        assert!(!implies_with(
             &d,
             ChaseConfig {
                 swap_rule: false,
@@ -1332,10 +1447,89 @@ mod tests {
             fd
         ));
 
-        // (b) contrapositive rule: under e0=(e1); e1=(e2+); e2=(e3?);
-        // e3=(e4+); e4=#PCDATA with Σ as below, @a2_0 → e4 is implied
-        // because every completion of the null-status of e4.S
-        // contradicts.
+        // (b) contrapositive rule, splits off: equal @a makes @v equal
+        // (third FD), and the differing e2 then forces @v null on both
+        // sides (contrapositive of the first), so both e1s choose d1; the
+        // second FD, swapped through e1, makes e2 equal.
+        let d = xnf_dtd::parse_dtd(
+            "<!ELEMENT e0 (e1*, e2+)>
+             <!ELEMENT e1 (d0 | d1)>
+             <!ATTLIST e1 a CDATA #REQUIRED>
+             <!ELEMENT e2 EMPTY>
+             <!ELEMENT d0 EMPTY> <!ATTLIST d0 v CDATA #REQUIRED>
+             <!ELEMENT d1 EMPTY> <!ATTLIST d1 w CDATA #REQUIRED>",
+        )
+        .unwrap();
+        let sigma = "e0.e1.d0.@v -> e0.e2
+                     e0.e1.d1.@w, e0.e1.@a -> e0.e2
+                     e0.e1.@a -> e0.e1.d0.@v";
+        let fd = "e0.e1.@a -> e0.e2";
+        let no_split = ChaseConfig {
+            split_budget: 0,
+            ..ChaseConfig::default()
+        };
+        assert!(implies_with(&d, no_split, sigma, fd));
+        assert!(!implies_with(
+            &d,
+            ChaseConfig {
+                contrapositive_rule: false,
+                ..no_split
+            },
+            sigma,
+            fd
+        ));
+
+        // (c) case splitting: an e4 choosing d0 makes @a agree (first FD,
+        // swapped through e4); one choosing d1 makes e3 agree (second FD),
+        // hence its e1 and @a. Only a split on the disjunction sees both
+        // branches.
+        let [dtd, sigma, fd] = SPLIT_CASE;
+        let d = xnf_dtd::parse_dtd(dtd).unwrap();
+        let (implied, visits) = split_visits(&d, sigma, fd);
+        assert!(implied && visits > 0);
+        assert!(!implies_with(&d, no_split, sigma, fd));
+    }
+
+    /// The verdict and `chase.split` visits of one governed `implies` call.
+    fn split_visits(d: &Dtd, sigma: &str, fd: &str) -> (bool, u64) {
+        let paths = d.paths().unwrap();
+        let sigma = XmlFdSet::parse(sigma).unwrap().resolve(&paths).unwrap();
+        let fd = XmlFd::parse(fd).unwrap().resolve(&paths).unwrap();
+        let budget = Budget::builder()
+            .recorder(xnf_obs::Recorder::enabled())
+            .build();
+        let chase = Chase::new(d, &paths).with_budget(budget.clone());
+        let implied = chase.try_implies(&sigma, &fd).unwrap();
+        let visits = budget
+            .recorder()
+            .sites()
+            .into_iter()
+            .find(|&(site, _)| site == "chase.split")
+            .map_or(0, |(_, tally)| tally.visits);
+        (implied, visits)
+    }
+
+    /// Two simple shapes whose implication hinges on an optional
+    /// element's presence are proven by propagation alone: the goal puts
+    /// `t₁`'s side of the query present, which forces the optional
+    /// parents present and shared.
+    #[test]
+    fn former_split_shapes_are_proven_without_splits() {
+        // e0=(e1?), e1=(e4*): e1 → e1.e4 makes e4 functional once e1 is
+        // present, and t₁'s @a4 forces e1 present on both sides.
+        let d = xnf_dtd::parse_dtd(
+            "<!ELEMENT e0 (e1?)>
+             <!ATTLIST e0 a0_0 CDATA #REQUIRED>
+             <!ELEMENT e1 (e4*)>
+             <!ELEMENT e4 EMPTY>
+             <!ATTLIST e4 a4_0 CDATA #REQUIRED>",
+        )
+        .unwrap();
+        assert_eq!(
+            split_visits(&d, "e0.e1 -> e0.e1.e4", "e0.@a0_0 -> e0.e1.e4.@a4_0"),
+            (true, 0)
+        );
+        // e0=(e1); e1=(e2+); e2=(e3?); e3=(e4+); e4=#PCDATA.
         let d = xnf_dtd::parse_dtd(
             "<!ELEMENT e0 (e1)>
              <!ELEMENT e1 (e2+)>
@@ -1347,42 +1541,19 @@ mod tests {
         .unwrap();
         let sigma = "e0.e1, e0.e1.e2.@a2_0 -> e0.e1.e2.e3.e4.S
                      e0.e1.e2.e3.e4.S -> e0.e1.e2.e3.e4";
-        let fd = "e0.e1.e2.@a2_0 -> e0.e1.e2.e3.e4";
-        assert!(ablated(&d, ChaseConfig::default(), sigma, fd));
-        assert!(!ablated(
+        assert_eq!(
+            split_visits(&d, sigma, "e0.e1.e2.@a2_0 -> e0.e1.e2.e3.e4"),
+            (true, 0)
+        );
+        // Without the contrapositive rule too.
+        assert!(implies_with(
             &d,
             ChaseConfig {
-                contrapositive_rule: false,
-                split_budget: 0,
-                ..ChaseConfig::default()
-            },
-            sigma,
-            fd
-        ));
-
-        // (c) case splitting: e0=(e1?); e1=(e2?, e4*) with e1 → e1.e4:
-        // @a0_0 → e4.@a4_0 is implied (e1 present ⇒ e4 functional via the
-        // FD; e1 absent ⇒ both ⊥), but only a presence split sees it.
-        let d = xnf_dtd::parse_dtd(
-            "<!ELEMENT e0 (e1?)>
-             <!ATTLIST e0 a0_0 CDATA #REQUIRED>
-             <!ELEMENT e1 (e4*)>
-             <!ELEMENT e4 EMPTY>
-             <!ATTLIST e4 a4_0 CDATA #REQUIRED>",
-        )
-        .unwrap();
-        let sigma = "e0.e1 -> e0.e1.e4";
-        let fd = "e0.@a0_0 -> e0.e1.e4.@a4_0";
-        assert!(ablated(&d, ChaseConfig::default(), sigma, fd));
-        assert!(!ablated(
-            &d,
-            ChaseConfig {
-                split_budget: 0,
                 contrapositive_rule: false,
                 ..ChaseConfig::default()
             },
             sigma,
-            fd
+            "e0.e1.e2.@a2_0 -> e0.e1.e2.e3.e4"
         ));
     }
 

@@ -6,12 +6,15 @@
 //!   three-valued per-path state describing two hypothetical tree tuples
 //!   of a counterexample document. Every derivation rule is sound (doc
 //!   comments on each rule carry the argument), so a derived contradiction
-//!   proves implication. On simple and disjunctive DTDs the chase is also
+//!   proves implication. On simple DTDs saturation alone decides: the
+//!   chase never case-splits, so Theorem 3's polynomial bound holds for
+//!   the answer itself, and the chase module doc argues completeness
+//!   (two implementation steps of that argument are certified by the
+//!   suites rather than proven). Disjunctive and general DTDs keep
+//!   bounded presence case-splits (Theorems 4–5); there the chase is
 //!   empirically complete — validated against the counterexample
 //!   constructor on the paper's examples and on randomized corpora (see
-//!   the crate tests and `EXPERIMENTS.md`). Runtime is polynomial
-//!   (near-quadratic in `|paths(D)| + |Σ|` on simple DTDs), realizing the
-//!   Theorem 3 bound.
+//!   the crate tests and `EXPERIMENTS.md`).
 //! * [`CounterexampleSearch`] — builds an *actual witness document* from a
 //!   non-contradictory chase fixpoint and verifies it end-to-end
 //!   (`T ⊨ D`, `T ⊨ Σ`, `T ⊭ φ`), falling back to randomized and

@@ -21,7 +21,8 @@
 
 use crate::dtd::{ContentModel, Dtd};
 use crate::regex::Regex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// How many times a letter may occur in words of a simple expression — the
@@ -123,59 +124,79 @@ impl Iv {
     }
 }
 
-/// An exact Parikh box: letters mapped to intervals; absent letters are
-/// implicitly `[0,0]`.
-type Box_ = BTreeMap<Box<str>, Iv>;
+/// An exact Parikh box: `(letter, interval)` pairs sorted by letter, each
+/// letter once; absent letters are implicitly `[0,0]`, which no pair
+/// holds. The letters borrow the expression's names, so building a box
+/// copies no name.
+type Box_<'r> = Vec<(&'r str, Iv)>;
 
-fn box_subset(a: &Box_, b: &Box_) -> bool {
-    let get = |m: &Box_, k: &str| m.get(k).copied().unwrap_or(Iv::ZERO);
-    a.keys()
-        .chain(b.keys())
-        .all(|k| get(b, k).contains_iv(get(a, k)))
+/// The box of a concatenation, given its parts' pairs in one run: sorts
+/// by letter and adds the intervals of equal letters.
+fn box_sum(mut pairs: Box_<'_>) -> Box_<'_> {
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 = kept.1.add(next.1);
+        }
+        same
+    });
+    pairs
+}
+
+/// Walks two boxes in letter order: each letter of either, with its
+/// interval in `a` and in `b`.
+fn box_zip<'b, 'r>(
+    a: &'b [(&'r str, Iv)],
+    b: &'b [(&'r str, Iv)],
+) -> impl Iterator<Item = (&'r str, Iv, Iv)> + 'b {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let (ka, kb) = (a.get(i).map(|e| e.0), b.get(j).map(|e| e.0));
+        let order = match (ka, kb) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(x), Some(y)) => x.cmp(y),
+        };
+        let x = if order.is_le() { a[i].1 } else { Iv::ZERO };
+        let y = if order.is_ge() { b[j].1 } else { Iv::ZERO };
+        let key = if order.is_le() { a[i].0 } else { b[j].0 };
+        i += usize::from(order.is_le());
+        j += usize::from(order.is_ge());
+        Some((key, x, y))
+    })
+}
+
+fn box_subset(a: &[(&str, Iv)], b: &[(&str, Iv)]) -> bool {
+    box_zip(a, b).all(|(_, x, y)| y.contains_iv(x))
 }
 
 /// Exact Parikh box of `re`, or `None` if not (established to be) a box.
-fn parikh_box(re: &Regex) -> Option<Box_> {
+fn parikh_box(re: &Regex) -> Option<Box_<'_>> {
     match re {
-        Regex::Epsilon => Some(Box_::new()),
-        Regex::Elem(name) => {
-            let mut m = Box_::new();
-            m.insert(name.clone(), Iv::ONE);
-            Some(m)
-        }
+        Regex::Epsilon => Some(Vec::new()),
+        Regex::Elem(name) => Some(vec![(&**name, Iv::ONE)]),
         Regex::Seq(parts) => {
-            let mut acc = Box_::new();
+            let mut pairs = Vec::new();
             for p in parts {
-                let b = parikh_box(p)?;
-                for (k, iv) in b {
-                    let entry = acc.entry(k).or_insert(Iv::ZERO);
-                    *entry = entry.add(iv);
-                }
+                pairs.extend(parikh_box(p)?);
             }
-            Some(acc)
+            Some(box_sum(pairs))
         }
         Regex::Alt(parts) => {
             let mut acc = parikh_box(&parts[0])?;
             for p in &parts[1..] {
-                let b = parikh_box(p)?;
-                acc = box_union(&acc, &b)?;
+                acc = box_union(&acc, &parikh_box(p)?)?;
             }
             Some(acc)
         }
         Regex::Star(r) => star_box(r),
-        Regex::Opt(r) => {
-            let b = parikh_box(r)?;
-            box_union(&b, &Box_::new())
-        }
+        Regex::Opt(r) => box_union(&parikh_box(r)?, &[]),
         Regex::Plus(r) => {
-            let b = parikh_box(r)?;
-            let starred = star_box(r)?;
-            let mut acc = b;
-            for (k, iv) in starred {
-                let entry = acc.entry(k).or_insert(Iv::ZERO);
-                *entry = entry.add(iv);
-            }
-            Some(acc)
+            let mut pairs = parikh_box(r)?;
+            pairs.extend(star_box(r)?);
+            Some(box_sum(pairs))
         }
     }
 }
@@ -189,59 +210,70 @@ fn parikh_box(re: &Regex) -> Option<Box_> {
 /// `L(r)`. That word membership is read off the syntax exactly (see
 /// [`one_letter_words`]), so this rule is both sound and complete (e.g. it
 /// accepts `(a|b|c)*` and `(a?, b?)*`, and rejects `(a, b)*`).
-fn star_box(r: &Regex) -> Option<Box_> {
-    let letters = r.alphabet();
-    let (_, words) = one_letter_words(r);
-    if letters.iter().all(|a| words.contains(a)) {
-        Some(
-            letters
-                .into_iter()
-                .map(|a| (Box::from(a), Iv { lo: 0, hi: None }))
-                .collect(),
-        )
-    } else {
-        None
-    }
+fn star_box(r: &Regex) -> Option<Box_<'_>> {
+    let mut letters = r.alphabet();
+    letters.sort_unstable();
+    let mut words = Vec::new();
+    one_letter_words(r, &mut words);
+    words.sort_unstable();
+    words.dedup();
+    // Every one-letter word is a letter of `r`, so equal lists mean every
+    // letter is one.
+    (words == letters).then(|| {
+        letters
+            .into_iter()
+            .map(|a| (a, Iv { lo: 0, hi: None }))
+            .collect()
+    })
 }
 
-/// Whether `ε ∈ L(r)`, and the letters `a` whose one-letter word `a` is in
-/// `L(r)`, in one pass over the syntax. No sub-expression has an empty
-/// language, so a one-letter word of a sequence is one part's one-letter
-/// word with every other part empty: all parts' letters when every part is
-/// nullable, the one non-nullable part's letters when there is exactly
-/// one, and none otherwise.
-fn one_letter_words(r: &Regex) -> (bool, BTreeSet<&str>) {
+/// Whether `ε ∈ L(r)`; appends to `words` the letters `a` whose
+/// one-letter word `a` is in `L(r)` (possibly repeated), in one pass over
+/// the syntax. No sub-expression has an empty language, so a one-letter
+/// word of a sequence is one part's one-letter word with every other part
+/// empty: all parts' letters when every part is nullable, the one
+/// non-nullable part's letters when there is exactly one, and none
+/// otherwise.
+fn one_letter_words<'r>(r: &'r Regex, words: &mut Vec<&'r str>) -> bool {
     match r {
-        Regex::Epsilon => (true, BTreeSet::new()),
-        Regex::Elem(a) => (false, BTreeSet::from([&**a])),
-        Regex::Star(inner) | Regex::Opt(inner) => (true, one_letter_words(inner).1),
-        Regex::Plus(inner) => one_letter_words(inner),
+        Regex::Epsilon => true,
+        Regex::Elem(a) => {
+            words.push(a);
+            false
+        }
+        Regex::Star(inner) | Regex::Opt(inner) => {
+            one_letter_words(inner, words);
+            true
+        }
+        Regex::Plus(inner) => one_letter_words(inner, words),
         Regex::Alt(parts) => {
             let mut nullable = false;
-            let mut words = BTreeSet::new();
             for p in parts {
-                let (n, w) = one_letter_words(p);
-                nullable |= n;
-                words.extend(w);
+                nullable |= one_letter_words(p, words);
             }
-            (nullable, words)
+            nullable
         }
         Regex::Seq(parts) => {
-            let mut nullable_words = BTreeSet::new();
-            let mut required: Option<BTreeSet<&str>> = None;
+            let start = words.len();
+            // Where the one non-nullable part's words sit, once seen.
+            let mut required: Option<(usize, usize)> = None;
             for p in parts {
-                let (n, w) = one_letter_words(p);
-                if n {
-                    nullable_words.extend(w);
-                } else if required.is_some() {
-                    return (false, BTreeSet::new());
-                } else {
-                    required = Some(w);
+                let before = words.len();
+                if !one_letter_words(p, words) {
+                    if required.is_some() {
+                        words.truncate(start);
+                        return false;
+                    }
+                    required = Some((before, words.len()));
                 }
             }
             match required {
-                None => (true, nullable_words),
-                Some(w) => (false, w),
+                None => true,
+                Some((from, to)) => {
+                    words.truncate(to);
+                    words.drain(start..from);
+                    false
+                }
             }
         }
     }
@@ -319,35 +351,27 @@ pub fn letter_bounds(re: &Regex) -> BTreeMap<Box<str>, (u64, Option<u64>)> {
 ///
 /// `B₁ ∪ B₂` is a box iff one contains the other, or they differ in exactly
 /// one letter-dimension whose two intervals union to an interval.
-fn box_union(a: &Box_, b: &Box_) -> Option<Box_> {
+fn box_union<'r>(a: &[(&'r str, Iv)], b: &[(&'r str, Iv)]) -> Option<Box_<'r>> {
     if box_subset(a, b) {
-        return Some(b.clone());
+        return Some(b.to_vec());
     }
     if box_subset(b, a) {
-        return Some(a.clone());
+        return Some(a.to_vec());
     }
-    let get = |m: &Box_, k: &str| m.get(k).copied().unwrap_or(Iv::ZERO);
-    let mut keys: Vec<&str> = a.keys().chain(b.keys()).map(|k| &**k).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    let mut diff_key: Option<&str> = None;
-    for k in &keys {
-        if get(a, k) != get(b, k) {
-            if diff_key.is_some() {
-                return None; // differ in ≥ 2 dimensions
-            }
-            diff_key = Some(k);
-        }
+    let mut diff = box_zip(a, b).filter(|&(_, x, y)| x != y);
+    let (k, x, y) = diff
+        .next()
+        .expect("boxes differ (neither contains the other)");
+    if diff.next().is_some() {
+        return None; // differ in ≥ 2 dimensions
     }
-    let k = diff_key.expect("boxes differ (neither contains the other)");
-    let merged = get(a, k).union_if_interval(get(b, k))?;
-    let mut out = a.clone();
-    if merged == Iv::ZERO {
-        out.remove(k);
-    } else {
-        out.insert(k.into(), merged);
-    }
-    Some(out)
+    let merged = x.union_if_interval(y)?;
+    Some(
+        box_zip(a, b)
+            .map(|(key, x, _)| (key, if key == k { merged } else { x }))
+            .filter(|&(_, iv)| iv != Iv::ZERO)
+            .collect(),
+    )
 }
 
 /// The classification of one element's content model within a disjunctive
@@ -439,15 +463,20 @@ impl SimpleContent {
 /// If `re` is simple, its per-letter multiplicity map (the trivial
 /// expression witnessing simplicity).
 pub fn simple_multiplicities(re: &Regex) -> Option<BTreeMap<Box<str>, Multiplicity>> {
-    let b = parikh_box(re)?;
-    let mut out = BTreeMap::new();
-    for (k, iv) in b {
-        if iv == Iv::ZERO {
-            continue; // letter cannot occur; omit from the trivial form
-        }
-        out.insert(k, iv.as_multiplicity()?);
-    }
-    Some(out)
+    Some(owned_letters(simple_letters(re)?))
+}
+
+/// [`simple_multiplicities`] with the letters borrowed from `re`, sorted.
+fn simple_letters(re: &Regex) -> Option<Vec<(&str, Multiplicity)>> {
+    parikh_box(re)?
+        .into_iter()
+        .map(|(k, iv)| Some((k, iv.as_multiplicity()?)))
+        .collect()
+}
+
+/// Copies each letter name once, into the map a [`Factor::Simple`] holds.
+fn owned_letters(letters: Vec<(&str, Multiplicity)>) -> BTreeMap<Box<str>, Multiplicity> {
+    letters.into_iter().map(|(k, m)| (k.into(), m)).collect()
 }
 
 /// Whether `re` is a *trivial* regular expression (syntactically
@@ -515,32 +544,32 @@ pub fn classify_content(cm: &ContentModel) -> Option<SimpleContent> {
         ContentModel::Text => return Some(SimpleContent::Text),
         ContentModel::Regex(re) => re,
     };
-    let parts: Vec<&Regex> = match re {
-        Regex::Seq(parts) => parts.iter().collect(),
-        other => vec![other],
+    let parts = match re {
+        Regex::Seq(parts) => parts.as_slice(),
+        other => std::slice::from_ref(other),
     };
     let mut factors = Vec::with_capacity(parts.len());
-    let mut seen: Vec<Box<str>> = Vec::new();
+    // Factor alphabets must be pairwise disjoint.
+    let mut seen: HashSet<&str> = HashSet::new();
     // Greedily merge maximal runs of simple sub-factors; a non-simple part
     // must itself be a simple disjunction.
     for p in parts {
-        let factor = if let Some(m) = simple_multiplicities(p) {
-            Factor::Simple(m)
+        let factor = if let Some(letters) = simple_letters(p) {
+            if !letters.iter().all(|&(l, _)| seen.insert(l)) {
+                return None;
+            }
+            Factor::Simple(owned_letters(letters))
         } else if let Some((letters, nullable)) = as_simple_disjunction(p) {
+            // A simple disjunction's leaves are its distinct letters.
+            let mut fresh = true;
+            p.visit_leaves(&mut |l| fresh &= seen.insert(l));
+            if !fresh {
+                return None;
+            }
             Factor::Disjunction { letters, nullable }
         } else {
             return None;
         };
-        let letters: Vec<Box<str>> = match &factor {
-            Factor::Simple(m) => m.keys().cloned().collect(),
-            Factor::Disjunction { letters, .. } => letters.clone(),
-        };
-        for l in &letters {
-            if seen.contains(l) {
-                return None; // factor alphabets must be pairwise disjoint
-            }
-        }
-        seen.extend(letters);
         factors.push(factor);
     }
     // Coalesce adjacent simple factors into one (their concatenation is
@@ -665,6 +694,291 @@ mod tests {
     use super::*;
     use crate::dtd::Dtd;
     use crate::parse::parse_content_model;
+    use proptest::prelude::*;
+
+    /// An owned-map classification (a `BTreeMap<Box<str>, _>` per
+    /// sub-expression, a `BTreeSet` per node), the reference that
+    /// `borrowed_boxes_match_the_reference` compares the borrowed boxes
+    /// against.
+    mod reference {
+        use super::super::{as_simple_disjunction, Factor, Iv, Multiplicity, SimpleContent};
+        use crate::dtd::ContentModel;
+        use crate::regex::Regex;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        // An exact Parikh box: letters mapped to intervals; absent letters are
+        // implicitly `[0,0]`.
+        type Box_ = BTreeMap<Box<str>, Iv>;
+
+        fn box_subset(a: &Box_, b: &Box_) -> bool {
+            let get = |m: &Box_, k: &str| m.get(k).copied().unwrap_or(Iv::ZERO);
+            a.keys()
+                .chain(b.keys())
+                .all(|k| get(b, k).contains_iv(get(a, k)))
+        }
+
+        // Exact Parikh box of `re`, or `None` if not (established to be) a box.
+        fn parikh_box(re: &Regex) -> Option<Box_> {
+            match re {
+                Regex::Epsilon => Some(Box_::new()),
+                Regex::Elem(name) => {
+                    let mut m = Box_::new();
+                    m.insert(name.clone(), Iv::ONE);
+                    Some(m)
+                }
+                Regex::Seq(parts) => {
+                    let mut acc = Box_::new();
+                    for p in parts {
+                        let b = parikh_box(p)?;
+                        for (k, iv) in b {
+                            let entry = acc.entry(k).or_insert(Iv::ZERO);
+                            *entry = entry.add(iv);
+                        }
+                    }
+                    Some(acc)
+                }
+                Regex::Alt(parts) => {
+                    let mut acc = parikh_box(&parts[0])?;
+                    for p in &parts[1..] {
+                        let b = parikh_box(p)?;
+                        acc = box_union(&acc, &b)?;
+                    }
+                    Some(acc)
+                }
+                Regex::Star(r) => star_box(r),
+                Regex::Opt(r) => {
+                    let b = parikh_box(r)?;
+                    box_union(&b, &Box_::new())
+                }
+                Regex::Plus(r) => {
+                    let b = parikh_box(r)?;
+                    let starred = star_box(r)?;
+                    let mut acc = b;
+                    for (k, iv) in starred {
+                        let entry = acc.entry(k).or_insert(Iv::ZERO);
+                        *entry = entry.add(iv);
+                    }
+                    Some(acc)
+                }
+            }
+        }
+
+        // Exact Parikh box of `r*`, or `None` if `Parikh(L(r*))` is not a box.
+        //
+        // `Parikh(L(r*))` is the monoid generated by `Parikh(L(r))`, which equals
+        // the full box `∏_{a ∈ alphabet(r)} [0,∞]` iff every unit vector `e_a` is
+        // in it — and a *sum* of non-negative vectors equals `e_a` only when `e_a`
+        // itself is a generator, i.e. the single-letter word `a` belongs to
+        // `L(r)`. That word membership is read off the syntax exactly (see
+        // [`one_letter_words`]), so this rule is both sound and complete (e.g. it
+        // accepts `(a|b|c)*` and `(a?, b?)*`, and rejects `(a, b)*`).
+        fn star_box(r: &Regex) -> Option<Box_> {
+            let letters = r.alphabet();
+            let (_, words) = one_letter_words(r);
+            if letters.iter().all(|a| words.contains(a)) {
+                Some(
+                    letters
+                        .into_iter()
+                        .map(|a| (Box::from(a), Iv { lo: 0, hi: None }))
+                        .collect(),
+                )
+            } else {
+                None
+            }
+        }
+
+        // Whether `ε ∈ L(r)`, and the letters `a` whose one-letter word `a` is in
+        // `L(r)`, in one pass over the syntax. No sub-expression has an empty
+        // language, so a one-letter word of a sequence is one part's one-letter
+        // word with every other part empty: all parts' letters when every part is
+        // nullable, the one non-nullable part's letters when there is exactly
+        // one, and none otherwise.
+        fn one_letter_words(r: &Regex) -> (bool, BTreeSet<&str>) {
+            match r {
+                Regex::Epsilon => (true, BTreeSet::new()),
+                Regex::Elem(a) => (false, BTreeSet::from([&**a])),
+                Regex::Star(inner) | Regex::Opt(inner) => (true, one_letter_words(inner).1),
+                Regex::Plus(inner) => one_letter_words(inner),
+                Regex::Alt(parts) => {
+                    let mut nullable = false;
+                    let mut words = BTreeSet::new();
+                    for p in parts {
+                        let (n, w) = one_letter_words(p);
+                        nullable |= n;
+                        words.extend(w);
+                    }
+                    (nullable, words)
+                }
+                Regex::Seq(parts) => {
+                    let mut nullable_words = BTreeSet::new();
+                    let mut required: Option<BTreeSet<&str>> = None;
+                    for p in parts {
+                        let (n, w) = one_letter_words(p);
+                        if n {
+                            nullable_words.extend(w);
+                        } else if required.is_some() {
+                            return (false, BTreeSet::new());
+                        } else {
+                            required = Some(w);
+                        }
+                    }
+                    match required {
+                        None => (true, nullable_words),
+                        Some(w) => (false, w),
+                    }
+                }
+            }
+        }
+
+        // Union of two exact boxes, if the union is itself a box.
+        //
+        // `B₁ ∪ B₂` is a box iff one contains the other, or they differ in exactly
+        // one letter-dimension whose two intervals union to an interval.
+        fn box_union(a: &Box_, b: &Box_) -> Option<Box_> {
+            if box_subset(a, b) {
+                return Some(b.clone());
+            }
+            if box_subset(b, a) {
+                return Some(a.clone());
+            }
+            let get = |m: &Box_, k: &str| m.get(k).copied().unwrap_or(Iv::ZERO);
+            let mut keys: Vec<&str> = a.keys().chain(b.keys()).map(|k| &**k).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut diff_key: Option<&str> = None;
+            for k in &keys {
+                if get(a, k) != get(b, k) {
+                    if diff_key.is_some() {
+                        return None; // differ in ≥ 2 dimensions
+                    }
+                    diff_key = Some(k);
+                }
+            }
+            let k = diff_key.expect("boxes differ (neither contains the other)");
+            let merged = get(a, k).union_if_interval(get(b, k))?;
+            let mut out = a.clone();
+            if merged == Iv::ZERO {
+                out.remove(k);
+            } else {
+                out.insert(k.into(), merged);
+            }
+            Some(out)
+        }
+
+        // If `re` is simple, its per-letter multiplicity map (the trivial
+        // expression witnessing simplicity).
+        pub(super) fn simple_multiplicities(
+            re: &Regex,
+        ) -> Option<BTreeMap<Box<str>, Multiplicity>> {
+            let b = parikh_box(re)?;
+            let mut out = BTreeMap::new();
+            for (k, iv) in b {
+                if iv == Iv::ZERO {
+                    continue; // letter cannot occur; omit from the trivial form
+                }
+                out.insert(k, iv.as_multiplicity()?);
+            }
+            Some(out)
+        }
+
+        // Classifies a content model as disjunctive: a concatenation of factors,
+        // each simple or a simple disjunction, over pairwise-disjoint alphabets.
+        pub(super) fn classify_content(cm: &ContentModel) -> Option<SimpleContent> {
+            let re = match cm {
+                ContentModel::Text => return Some(SimpleContent::Text),
+                ContentModel::Regex(re) => re,
+            };
+            let parts: Vec<&Regex> = match re {
+                Regex::Seq(parts) => parts.iter().collect(),
+                other => vec![other],
+            };
+            let mut factors = Vec::with_capacity(parts.len());
+            let mut seen: Vec<Box<str>> = Vec::new();
+            // Greedily merge maximal runs of simple sub-factors; a non-simple part
+            // must itself be a simple disjunction.
+            for p in parts {
+                let factor = if let Some(m) = simple_multiplicities(p) {
+                    Factor::Simple(m)
+                } else if let Some((letters, nullable)) = as_simple_disjunction(p) {
+                    Factor::Disjunction { letters, nullable }
+                } else {
+                    return None;
+                };
+                let letters: Vec<Box<str>> = match &factor {
+                    Factor::Simple(m) => m.keys().cloned().collect(),
+                    Factor::Disjunction { letters, .. } => letters.clone(),
+                };
+                for l in &letters {
+                    if seen.contains(l) {
+                        return None; // factor alphabets must be pairwise disjoint
+                    }
+                }
+                seen.extend(letters);
+                factors.push(factor);
+            }
+            // Coalesce adjacent simple factors into one (their concatenation is
+            // simple because alphabets are disjoint).
+            let mut merged: Vec<Factor> = Vec::with_capacity(factors.len());
+            for f in factors {
+                match (merged.last_mut(), f) {
+                    (Some(Factor::Simple(acc)), Factor::Simple(m)) => acc.extend(m),
+                    (_, f) => merged.push(f),
+                }
+            }
+            Some(SimpleContent::Factors(merged))
+        }
+    }
+
+    /// Random content models over a small alphabet, nested a few levels.
+    fn arb_regex() -> impl Strategy<Value = Regex> {
+        let leaf = prop_oneof![
+            Just(Regex::Epsilon),
+            prop_oneof![Just("a"), Just("b"), Just("c"), Just("d")].prop_map(Regex::elem),
+        ];
+        leaf.prop_recursive(4, 32, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 1..5).prop_map(Regex::seq),
+                prop::collection::vec(inner.clone(), 2..4).prop_map(Regex::alt),
+                inner.clone().prop_map(Regex::star),
+                inner.clone().prop_map(Regex::opt),
+                inner.prop_map(Regex::plus),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The borrowed-letter boxes classify every content model exactly
+        /// as the owned-map reference does.
+        #[test]
+        fn borrowed_boxes_match_the_reference(re in arb_regex()) {
+            prop_assert_eq!(
+                simple_multiplicities(&re),
+                reference::simple_multiplicities(&re),
+                "simple multiplicities of {}", re
+            );
+            let cm = ContentModel::Regex(re.clone());
+            prop_assert_eq!(
+                classify_content(&cm),
+                reference::classify_content(&cm),
+                "classification of {}", re
+            );
+            if let Regex::Seq(parts) = &re {
+                // Sequences of disjunctions exercise the disjoint-alphabet
+                // check across factors.
+                let alts = Regex::seq(parts.iter().map(|p| {
+                    Regex::alt([p.clone(), Regex::elem("e")])
+                }));
+                let cm = ContentModel::Regex(alts.clone());
+                prop_assert_eq!(
+                    classify_content(&cm),
+                    reference::classify_content(&cm),
+                    "classification of {}", alts
+                );
+            }
+        }
+    }
 
     fn re(s: &str) -> Regex {
         match parse_content_model(s).unwrap() {

@@ -55,6 +55,12 @@ impl ParseLimits {
     }
 }
 
+/// Whether `c` may occur in a DTD name: ASCII letters and digits and
+/// `_ - . :`.
+pub(crate) fn is_name_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':')
+}
+
 struct Scanner<'a> {
     input: &'a [u8],
     pos: usize,
@@ -156,7 +162,7 @@ impl<'a> Scanner<'a> {
     fn name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') {
+            if is_name_byte(c) {
                 self.pos += 1;
             } else {
                 break;

@@ -15,6 +15,7 @@
 //!   algorithmic cores (tree tuples, the chase) run on `PathId`s.
 
 use crate::dtd::{ContentModel, Dtd, ElemId};
+use crate::parse::is_name_byte;
 use crate::{DtdError, Result};
 use std::cmp::Ordering;
 use std::fmt;
@@ -168,7 +169,10 @@ impl FromStr for Path {
     /// Parses the dotted form, e.g. `courses.course.@cno` or
     /// `courses.course.title.S`. `S` is reserved for the #PCDATA step and
     /// `@`-prefixed components are attributes; both may appear only last.
+    /// Every other component is a DTD name (what the DTD parser accepts,
+    /// less the separator `.`); nothing is trimmed.
     fn from_str(s: &str) -> Result<Path> {
+        let is_name = |c: &str| !c.is_empty() && c.bytes().all(is_name_byte);
         let mut steps = Vec::new();
         let mut offset = 0usize;
         for (i, comp) in s.split('.').enumerate() {
@@ -181,10 +185,19 @@ impl FromStr for Path {
             }
             let step = if comp == "S" {
                 Step::Text
-            } else if let Some(att) = comp.strip_prefix('@') {
+            } else if let Some(att) = comp.strip_prefix('@').filter(|a| is_name(a)) {
                 Step::attr(att)
-            } else {
+            } else if is_name(comp) {
                 Step::elem(comp)
+            } else {
+                return Err(DtdError::syntax(
+                    s.as_bytes(),
+                    offset,
+                    format!(
+                        "path component `{comp}` in `{s}` is not a name, `@name` or `S` \
+                         (component {i})"
+                    ),
+                ));
             };
             steps.push(step);
             offset += comp.len() + 1; // component plus the following `.`
@@ -544,6 +557,17 @@ mod tests {
         assert!("a.@b.c".parse::<Path>().is_err());
         assert!("a.S.c".parse::<Path>().is_err());
         assert!("a..b".parse::<Path>().is_err());
+    }
+
+    #[test]
+    fn path_components_are_names() {
+        for bad in [
+            "a . b", " a.b", "a.b ", "the key", "a.@", "a.@b c", "a.b#c", "a.@@b",
+        ] {
+            assert!(bad.parse::<Path>().is_err(), "{bad:?}");
+        }
+        let p: Path = "x-1.y_2:z.@a-b".parse().unwrap();
+        assert_eq!(p.to_string(), "x-1.y_2:z.@a-b");
     }
 
     #[test]

@@ -11,12 +11,15 @@
 //!   scaled university-style (Example 1.1) and DBLP-style (Example 1.2)
 //!   documents that *satisfy* the paper's FDs by construction.
 //! * [`fd`] — random FD sets over a DTD's attribute paths.
+//! * [`dichotomy`] — simple specs whose implications hinge on an optional
+//!   element's presence, with their queries.
 //! * [`rel`] — relational schemas with planted BCNF violations and nested
 //!   schemas with planted NNF violations (Propositions 4/5 experiments).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod dichotomy;
 pub mod doc;
 pub mod dtd;
 pub mod fd;

@@ -49,9 +49,9 @@ fn check(name: &str, dtd: &Dtd, sigma: &XmlFdSet, want: Pinned) {
 #[test]
 fn e22_family_counters_are_pinned() {
     for (k, want) in [
-        (4, [38, 34, 328, 14, 38, 658, 694]),
-        (8, [124, 212, 1392, 44, 124, 4530, 4602]),
-        (12, [258, 662, 3576, 90, 258, 17122, 17230]),
+        (4, [38, 14, 424, 14, 38, 594, 646]),
+        (8, [124, 44, 1424, 44, 124, 2210, 2314]),
+        (12, [258, 90, 3000, 90, 258, 5106, 5262]),
     ] {
         let (dtd, sigma) = xnf::core::analyze::e22_family(k);
         check(&format!("e22_family({k})"), &dtd, &sigma, want);
@@ -72,7 +72,7 @@ fn wide_spec_counters_are_pinned() {
         "wide_dtd(12)",
         &dtd,
         &sigma,
-        [798, 180, 23374, 180, 720, 77716, 77920],
+        [798, 180, 9444, 180, 720, 17516, 17720],
     );
 }
 
@@ -80,7 +80,7 @@ fn wide_spec_counters_are_pinned() {
 fn paper_spec_counters_are_pinned() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs");
     for (name, want) in [
-        ("university", [17, 4, 306, 4, 16, 373, 543]),
+        ("university", [17, 4, 321, 4, 16, 372, 533]),
         ("dblp", [5, 2, 150, 2, 5, 172, 247]),
         ("ebxml", [0, 0, 0, 0, 0, 3, 32]),
     ] {

@@ -28,15 +28,18 @@ use xnf_govern::{Budget, Exhausted, FaultPlan, Resource};
 const UNIVERSITY_DTD: &str = include_str!("../examples/specs/university.dtd");
 const UNIVERSITY_FDS: &str = include_str!("../examples/specs/university.fds");
 
-/// The Fig. 8-style instance whose implication is only visible through a
-/// presence case-split (mirrors the chase's own split test): with
-/// `e0.e1 → e0.e1.e4`, the FD `e0.@a0 → e0.e1.e4.@a4` holds in both the
-/// `e1`-present and `e1`-absent cases.
-const SPLIT_DTD: &str = "<!ELEMENT e0 (e1?)>
-     <!ATTLIST e0 a0 CDATA #REQUIRED>
-     <!ELEMENT e1 (e4*)>
-     <!ELEMENT e4 EMPTY>
-     <!ATTLIST e4 a4 CDATA #REQUIRED>";
+/// A disjunctive instance whose implication is only visible through a
+/// presence case-split (the chase's own ablation case (c)): the `e4`
+/// under the root chooses `d0` or `d1`, and under either choice Σ makes
+/// the query's `@a` agree. Simple DTDs never split, so the instance
+/// needs the disjunction.
+const SPLIT_DTD: &str = "<!ELEMENT e0 (e1+, e4+)>
+     <!ELEMENT e1 (e2?, e3)>
+     <!ELEMENT e2 EMPTY> <!ATTLIST e2 a CDATA #REQUIRED>
+     <!ELEMENT e3 (e6*)>
+     <!ELEMENT e4 (d0 | d1)>
+     <!ELEMENT e6 (#PCDATA)>
+     <!ELEMENT d0 EMPTY> <!ELEMENT d1 EMPTY>";
 
 /// Every truth-bearing output of the pipeline. `PartialEq` equality over
 /// this struct is the "never a wrong answer" oracle: a governed run may
@@ -105,11 +108,11 @@ fn run_pipeline(budget: &Budget) -> Result<Verdicts, Exhausted> {
     // (sites `chase.*`, including `chase.split`).
     let split_dtd = xnf_dtd::parse_dtd(SPLIT_DTD).expect("split DTD parses");
     let split_paths = split_dtd.paths().expect("split DTD is non-recursive");
-    let split_sigma = XmlFdSet::parse("e0.e1 -> e0.e1.e4")
+    let split_sigma = XmlFdSet::parse("e0.e4.d0 -> e0.e1.e2.@a; e0.e4.d1 -> e0.e1.e3")
         .expect("sigma parses")
         .resolve(&split_paths)
         .expect("sigma resolves");
-    let split_query = XmlFdSet::parse("e0.@a0 -> e0.e1.e4.@a4")
+    let split_query = XmlFdSet::parse("e0.e1.e3.e6.S -> e0.e1.e2.@a")
         .expect("query parses")
         .resolve(&split_paths)
         .expect("query resolves")
@@ -273,9 +276,15 @@ fn governed_pipeline_visits_the_whole_injection_surface() {
             "no checkpoint site under `{prefix}` was visited; sites: {sites:?}"
         );
     }
-    // The shredder's checkpoints are load-bearing: they must be on the
-    // injection surface by name.
-    for site in ["shred.table", "shred.fd", "shred.row", "shred.rebuild"] {
+    // The shredder's checkpoints and the chase's case split are
+    // load-bearing: they must be on the injection surface by name.
+    for site in [
+        "shred.table",
+        "shred.fd",
+        "shred.row",
+        "shred.rebuild",
+        "chase.split",
+    ] {
         assert!(
             sites.contains(&site),
             "checkpoint site `{site}` was not visited; sites: {sites:?}"
