@@ -846,6 +846,24 @@ db.conf.issue -> db.conf.issue.inproceedings.@year";
     }
 
     #[test]
+    fn implies_lays_out_an_interleaved_witness() {
+        // `trees_d` puts both `a` children before `b`; the witness must
+        // read `a b a` to conform, and be verified.
+        let dtd = write_tmp(
+            "w1.dtd",
+            "<!ELEMENT r (a, b, a*)>\n<!ELEMENT a EMPTY>\n\
+             <!ATTLIST a x CDATA #REQUIRED>\n<!ELEMENT b EMPTY>\n",
+        );
+        let fds = write_tmp("w1.fds", "");
+        let out = run_ok(&["implies", &dtd, &fds, "r.a.@x -> r.a"]);
+        assert_eq!(
+            out,
+            "NOT implied  r.a.@x -> r.a; witness:\n\
+             <r>\n  <a x=\"s0\"/>\n  <b/>\n  <a x=\"s0\"/>\n</r>\n"
+        );
+    }
+
+    #[test]
     fn check_reports_conformance_and_fds() {
         let dtd = write_tmp("d7.dtd", DBLP_DTD);
         let fds = write_tmp("d7.fds", DBLP_FDS);

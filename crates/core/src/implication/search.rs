@@ -17,9 +17,14 @@ use crate::fd::ResolvedFd;
 use crate::implication::chase::{Chase, ChaseOutcome, Ternary};
 use crate::tuple::TreeTuple;
 use crate::tuples::{trees_d, tuples_d};
+use crate::UNLIMITED;
+use xnf_dtd::glushkov::{Marks, PositionTree};
 use xnf_dtd::{Dtd, PathId, PathSet};
 use xnf_relational::Value;
-use xnf_xml::XmlTree;
+use xnf_xml::{NodeId, XmlTree};
+
+/// The most symbols [`arrange`] tries for one node of a witness.
+const LAYOUT_STEPS: usize = 4096;
 
 /// A verified witness of non-implication.
 #[derive(Debug, Clone)]
@@ -396,7 +401,28 @@ impl<'a> CounterexampleSearch<'a> {
                 }
             }
         }
-        trees_d(&[t1, t2], paths).ok()
+        let mut tree = trees_d(&[t1, t2], paths).ok()?;
+        self.lay_out(&mut tree);
+        Some(tree)
+    }
+
+    /// Puts each node's children in the first order [`arrange`] finds:
+    /// `trees_d` orders them by path, so under `(a, b, a*)` two `a`
+    /// children read `a a b`. An order the model accepts is found first.
+    fn lay_out(&self, tree: &mut XmlTree) {
+        for v in tree.node_ids().collect::<Vec<_>>() {
+            let content = self.dtd.elem_id(tree.label(v)).map(|e| self.dtd.content(e));
+            let Some(Ok(model)) = content
+                .and_then(|c| c.as_regex())
+                .map(|re| PositionTree::new(re, UNLIMITED))
+            else {
+                continue;
+            };
+            let (mut kids, mut steps) = (tree.children(v).to_vec(), LAYOUT_STEPS);
+            if arrange(&model, tree, &Marks::default(), &mut kids, &mut steps) {
+                tree.sort_children_by_key(v, |c| kids.iter().position(|k| k == c));
+            }
+        }
     }
 
     /// Full end-to-end verification of a candidate witness.
@@ -409,6 +435,41 @@ impl<'a> CounterexampleSearch<'a> {
         };
         sigma.iter().all(|s| s.check_tuples(&tuples)) && !fd.check_tuples(&tuples)
     }
+}
+
+/// Whether `kids` can follow a prefix that left `marks` in an order
+/// `model` accepts; if so, puts them in the first one a depth-first search
+/// over viable prefixes finds, trying each label once per place with its
+/// first child in `kids`. Spends one of `steps` per symbol tried.
+fn arrange(
+    model: &PositionTree,
+    tree: &XmlTree,
+    marks: &Marks,
+    kids: &mut [NodeId],
+    steps: &mut usize,
+) -> bool {
+    if kids.is_empty() {
+        return model.accepts(marks);
+    }
+    for i in 0..kids.len() {
+        let label = tree.label(kids[i]);
+        if kids[..i].iter().any(|&d| tree.label(d) == label) {
+            continue;
+        }
+        let Some(left) = steps.checked_sub(1) else {
+            return false;
+        };
+        let mut next = marks.clone();
+        *steps = left;
+        if model.step(&mut next, label) {
+            kids[..=i].rotate_right(1);
+            if arrange(model, tree, &next, &mut kids[1..], steps) {
+                return true;
+            }
+            kids[..=i].rotate_left(1);
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -504,6 +565,40 @@ mod tests {
         check(&d, "", "r.e.x.@v -> r.e.x", false);
         // Declaring @v a key of e makes the branch choice shared too.
         check(&d, "r.e.x.@v -> r.e", "r.e.x.@v -> r.e.a.@w", true);
+    }
+
+    #[test]
+    fn witness_children_form_a_word_of_the_content_model() {
+        // `trees_d` orders children by path, so both `a`s come before
+        // `b`: a word of `(a*, b)`, which keeps that order, but not of
+        // `(a, b, a*)`, which needs `a b a`.
+        for (model, layout) in [
+            ("(a, b, a*)", ["a", "b", "a"]),
+            ("(a*, b)", ["a", "a", "b"]),
+        ] {
+            let d = xnf_dtd::parse_dtd(&format!(
+                "<!ELEMENT r {model}>
+                 <!ELEMENT a EMPTY> <!ATTLIST a x CDATA #REQUIRED>
+                 <!ELEMENT b EMPTY>"
+            ))
+            .unwrap();
+            check(&d, "", "r.a.@x -> r.a", false);
+            let paths = d.paths().unwrap();
+            let fd = XmlFd::parse("r.a.@x -> r.a")
+                .unwrap()
+                .resolve(&paths)
+                .unwrap();
+            let w = CounterexampleSearch::new(&d, &paths)
+                .find(&[], &fd)
+                .unwrap();
+            let labels: Vec<&str> = w
+                .tree
+                .children(w.tree.root())
+                .iter()
+                .map(|&c| w.tree.label(c))
+                .collect();
+            assert_eq!(labels, layout, "{model}");
+        }
     }
 
     #[test]

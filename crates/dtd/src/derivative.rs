@@ -1,17 +1,16 @@
-//! A second, independent membership engine: Brzozowski derivatives.
+//! A second, independent membership engine: Brzozowski derivatives — the
+//! test oracle of the position tree.
 //!
-//! `Matcher` (the Thompson NFA of [`crate::nfa`]) is the engine used by
-//! conformance checking; this module decides the same membership question
-//! by rewriting the expression — `w ∈ L(r)` iff the derivative of `r` by
-//! `w` is nullable. The two implementations share no code, which makes
-//! them ideal differential-testing oracles for each other (see the
-//! property tests here and in `tests/`).
+//! Conformance checking reads [`crate::glushkov::PositionTree`]; this
+//! module decides the same membership question by rewriting the
+//! expression — `w ∈ L(r)` iff the derivative of `r` by `w` is nullable.
+//! The two share no code, so the property tests here and in `tests/` hold
+//! each against the other; only tests call [`matches`](fn@matches).
 //!
 //! Derivatives also power [`shortest_word`], used by generators and tests
 //! to produce guaranteed members of a content model's language.
 
 use crate::regex::Regex;
-use crate::UNLIMITED;
 use xnf_govern::{Budget, Exhausted};
 
 /// The Brzozowski derivative `∂_a r`: a regex whose language is
@@ -54,19 +53,11 @@ fn union_opt(a: Option<Regex>, b: Option<Regex>) -> Option<Regex> {
 }
 
 /// Membership by iterated derivatives: `w ∈ L(re)` iff `∂_w re` is
-/// nullable.
-pub fn matches<'a>(re: &Regex, word: impl IntoIterator<Item = &'a str>) -> bool {
-    match matches_governed(re, word, UNLIMITED) {
-        Ok(b) => b,
-        Err(_) => unreachable!("an unlimited budget cannot exhaust"),
-    }
-}
-
-/// [`matches`](fn@matches) under a resource [`Budget`]: each derivative
-/// step spends one checkpoint and charges the intermediate expression's
-/// size against the memory cap (Brzozowski derivatives can grow large on
-/// adversarial expressions before simplification tames them).
-pub fn matches_governed<'a>(
+/// nullable. Each derivative step spends one checkpoint of `budget` and
+/// charges the intermediate expression's size against its memory cap
+/// (Brzozowski derivatives can grow large on adversarial expressions
+/// before simplification tames them).
+pub fn matches<'a>(
     re: &Regex,
     word: impl IntoIterator<Item = &'a str>,
     budget: &Budget,
@@ -127,9 +118,9 @@ pub fn shortest_word(re: &Regex) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nfa::Matcher;
+    use crate::glushkov::PositionTree;
     use crate::parse::parse_content_model;
-    use crate::ContentModel;
+    use crate::{ContentModel, UNLIMITED};
 
     fn re(s: &str) -> Regex {
         match parse_content_model(s).unwrap() {
@@ -139,10 +130,10 @@ mod tests {
     }
 
     fn agree(r: &Regex, word: &[&str]) {
-        let nfa = Matcher::new(r);
+        let tree = PositionTree::new(r, UNLIMITED).unwrap();
         assert_eq!(
-            nfa.matches(word.iter().copied()),
-            matches(r, word.iter().copied()),
+            tree.matches(word.iter().copied(), UNLIMITED).unwrap(),
+            matches(r, word.iter().copied(), UNLIMITED).unwrap(),
             "engines disagree on {r} vs {word:?}"
         );
     }
@@ -235,10 +226,13 @@ mod tests {
             let w = shortest_word(&r);
             let refs: Vec<&str> = w.iter().map(String::as_str).collect();
             assert!(
-                matches(&r, refs.iter().copied()),
+                matches(&r, refs.iter().copied(), UNLIMITED).unwrap(),
                 "{w:?} should match {shape}"
             );
-            assert!(Matcher::new(&r).matches(refs.iter().copied()));
+            assert!(PositionTree::new(&r, UNLIMITED)
+                .unwrap()
+                .matches(refs.iter().copied(), UNLIMITED)
+                .unwrap());
         }
     }
 
@@ -248,13 +242,13 @@ mod tests {
         let generous = Budget::builder().fuel(10_000).build();
         for w in [&["a", "b", "c"][..], &["c", "a"][..], &[][..]] {
             assert_eq!(
-                matches_governed(&r, w.iter().copied(), &generous).unwrap(),
-                matches(&r, w.iter().copied()),
+                matches(&r, w.iter().copied(), &generous).unwrap(),
+                matches(&r, w.iter().copied(), UNLIMITED).unwrap(),
             );
         }
         let tiny = Budget::builder().fuel(2).build();
         let long = ["a"; 32];
-        let err = matches_governed(&r, long.iter().copied(), &tiny).unwrap_err();
+        let err = matches(&r, long.iter().copied(), &tiny).unwrap_err();
         assert_eq!(err.resource, xnf_govern::Resource::Fuel);
     }
 
@@ -262,7 +256,7 @@ mod tests {
     fn derivative_of_empty_language_paths() {
         assert!(derivative(&Regex::Epsilon, "a").is_none());
         assert!(derivative(&re("(b)"), "a").is_none());
-        assert!(matches(&re("(a*)"), []));
-        assert!(!matches(&re("(a+)"), []));
+        assert!(matches(&re("(a*)"), [], UNLIMITED).unwrap());
+        assert!(!matches(&re("(a+)"), [], UNLIMITED).unwrap());
     }
 }

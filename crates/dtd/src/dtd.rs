@@ -10,7 +10,6 @@
 //! the small mutation API (declare element, move attribute, replace content
 //! model) that the XNF decomposition algorithm of Section 6 is built on.
 
-use crate::nfa::Matcher;
 use crate::paths::PathSet;
 use crate::regex::Regex;
 use crate::{DtdError, Result};
@@ -164,12 +163,6 @@ impl Dtd {
     /// Whether `@att` is defined for element `id`.
     pub fn has_attr(&self, id: ElemId, att: &str) -> bool {
         self.elems[id.index()].has_attr(att)
-    }
-
-    /// Compiles an NFA matcher for the content model of `id` (callers that
-    /// validate many nodes should cache the result per element type).
-    pub fn matcher(&self, id: ElemId) -> Option<Matcher> {
-        self.content(id).as_regex().map(Matcher::new)
     }
 
     /// The element types whose names occur in the content model of `id`

@@ -8,9 +8,9 @@
 //! disjunctive DTDs, and the complexity measure `N_D`).
 //!
 //! The crate is self-contained: it provides its own regular-expression AST
-//! ([`Regex`]), a parser for DTD declaration syntax ([`parse_dtd`]), an NFA
-//! membership engine used for conformance checking ([`nfa::Matcher`]), and a
-//! serializer back to DTD syntax.
+//! ([`Regex`]), a parser for DTD declaration syntax ([`parse_dtd`]), the
+//! Glushkov automaton for conformance checking and 1-unambiguity
+//! ([`glushkov::PositionTree`]), and a serializer back to DTD syntax.
 //!
 //! ## Example
 //!
@@ -34,7 +34,7 @@
 pub mod classify;
 pub mod derivative;
 pub mod dtd;
-pub mod nfa;
+pub mod glushkov;
 pub mod parse;
 pub mod paths;
 pub mod regex;

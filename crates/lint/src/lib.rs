@@ -56,7 +56,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod determinism;
 mod json;
 mod predictive;
 mod report;
@@ -471,10 +470,10 @@ pub enum OptIn {
 /// linted spec. Of the phases before those rules only the caller's DTD
 /// parse charges `budget`: the FD parse (the caller's too), the
 /// structural tier, FD resolution, `paths(D)` and the chase's fact
-/// tables run unmetered. These phases are not cheap on a hostile schema
-/// — the structural tier's determinism check builds every Glushkov
-/// `follow` set, quadratic in a content model's positions, and outlasts
-/// the budgeted chase by far (see "Hostile schemas" in `ROADMAP.md`).
+/// tables run unmetered. The structural tier's determinism check reads
+/// each content model's position tree in time linear in its size times
+/// its nesting depth; charging these phases to the budget is open (see
+/// "Hostile schemas" in `ROADMAP.md`).
 pub fn lint(
     dtd_src: &str,
     parsed: &Result<Dtd, DtdError>,

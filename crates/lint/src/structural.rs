@@ -8,10 +8,10 @@
 //! classification. Parse failures are mapped onto coded diagnostics by
 //! [`map_parse_error`].
 
-use crate::determinism::check_deterministic;
 use crate::report::{Code, Diagnostic, SourceKind, SourceText};
 use crate::source::{DeclIndex, NameSpan};
 use xnf_dtd::classify::{classify_content, DtdClass, DtdShapes};
+use xnf_dtd::glushkov::check_deterministic;
 use xnf_dtd::{ContentModel, Dtd, DtdError, Regex};
 
 /// Context handed to every model rule: the parsed DTD plus everything the

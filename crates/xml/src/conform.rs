@@ -4,7 +4,7 @@ use crate::tree::{NodeContent, NodeId, XmlTree};
 use crate::UNLIMITED;
 use std::collections::HashMap;
 use std::fmt;
-use xnf_dtd::{ContentModel, Dtd};
+use xnf_dtd::{glushkov::PositionTree, ContentModel, Dtd};
 use xnf_govern::{Budget, Exhausted};
 
 /// Why a tree fails to conform to a DTD.
@@ -115,8 +115,8 @@ pub fn conforms(t: &XmlTree, d: &Dtd) -> Result<(), ConformError> {
 }
 
 /// [`conforms`] under a resource [`Budget`]: one checkpoint is spent per
-/// document node, and content-model compilation/matching are charged
-/// through the same budget. On exhaustion the result is
+/// document node, and building and reading each element type's position
+/// tree are charged through the same budget. On exhaustion the result is
 /// [`ConformError::Exhausted`] — an "unknown" verdict, never a spurious
 /// mismatch.
 pub fn conforms_governed(t: &XmlTree, d: &Dtd, budget: &Budget) -> Result<(), ConformError> {
@@ -126,7 +126,7 @@ pub fn conforms_governed(t: &XmlTree, d: &Dtd, budget: &Budget) -> Result<(), Co
             found: t.label(t.root()).to_string(),
         });
     }
-    let mut matchers: HashMap<xnf_dtd::ElemId, xnf_dtd::nfa::Matcher> = HashMap::new();
+    let mut trees: HashMap<xnf_dtd::ElemId, PositionTree<'_>> = HashMap::new();
     for v in t.descendants() {
         budget.checkpoint("xml.conform.node")?;
         let label = t.label(v);
@@ -172,13 +172,13 @@ pub fn conforms_governed(t: &XmlTree, d: &Dtd, budget: &Budget) -> Result<(), Co
                 });
             }
             (ContentModel::Regex(re), NodeContent::Children(children)) => {
-                let m = match matchers.entry(elem) {
+                let tree = match trees.entry(elem) {
                     std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
                     std::collections::hash_map::Entry::Vacant(vac) => {
-                        vac.insert(xnf_dtd::nfa::Matcher::new_governed(re, budget)?)
+                        vac.insert(PositionTree::new(re, budget)?)
                     }
                 };
-                if !m.matches_governed(children.iter().map(|&c| t.label(c)), budget)? {
+                if !tree.matches(children.iter().map(|&c| t.label(c)), budget)? {
                     return Err(ConformError::ContentMismatch {
                         element: label.to_string(),
                         found: children.iter().map(|&c| t.label(c).to_string()).collect(),

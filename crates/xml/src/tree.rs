@@ -144,6 +144,14 @@ impl XmlTree {
         id
     }
 
+    /// Reorders the element children of `v` by `key`, keeping the order of
+    /// children with equal keys.
+    pub fn sort_children_by_key<K: Ord>(&mut self, v: NodeId, key: impl FnMut(&NodeId) -> K) {
+        if let NodeContent::Children(children) = &mut self.nodes[v.index()].content {
+            children.sort_by_key(key);
+        }
+    }
+
     /// Sets the content of `v` to the single string `text`.
     ///
     /// # Panics

@@ -86,8 +86,8 @@ fn run_pipeline(budget: &Budget) -> Result<Verdicts, Exhausted> {
         Err(e) => panic!("the generated document must parse: {e}"),
     };
 
-    // Stage 3: governed conformance, which also compiles the content
-    // models' Glushkov matchers (sites `xml.conform.*`, `nfa.*`).
+    // Stage 3: governed conformance, which also builds the content
+    // models' Glushkov position trees (sites `xml.conform.*`, `glushkov.*`).
     let doc_conforms = match xnf_xml::conforms_governed(&doc, &dtd, budget) {
         Ok(()) => true,
         Err(xnf_xml::ConformError::Exhausted(e)) => return Err(e),
@@ -101,8 +101,7 @@ fn run_pipeline(budget: &Budget) -> Result<Verdicts, Exhausted> {
         .as_regex()
         .expect("(course*) is a regular content model")
         .clone();
-    let word_matches =
-        xnf_dtd::derivative::matches_governed(&courses_re, ["course", "course"], budget)?;
+    let word_matches = xnf_dtd::derivative::matches(&courses_re, ["course", "course"], budget)?;
 
     // Stage 5: governed chase on the case-split instance
     // (sites `chase.*`, including `chase.split`).
@@ -261,7 +260,7 @@ fn governed_pipeline_visits_the_whole_injection_surface() {
     for prefix in [
         "dtd.",
         "xml.",
-        "nfa.",
+        "glushkov.",
         "derivative.",
         "chase.",
         "cache.",

@@ -12,7 +12,7 @@ use xnf::core::implication::{CounterexampleSearch, Implication};
 use xnf::core::{is_xnf, normalize, trees_d, tuples_d, NormalizeOptions};
 use xnf_dtd::classify::{simple_multiplicities, Multiplicity};
 use xnf_dtd::derivative;
-use xnf_dtd::nfa::Matcher;
+use xnf_dtd::glushkov::PositionTree;
 use xnf_dtd::Regex;
 use xnf_gen::doc::{random_document, DocParams};
 use xnf_gen::dtd::{disjunctive_dtd, simple_dtd, SimpleDtdParams};
@@ -24,15 +24,21 @@ use xnf_gen::fd::{random_fds, FdParams};
 //   cc e14c5a… # shrinks to re = Alt([Epsilon, Epsilon])
 // ---------------------------------------------------------------------
 
+const UNLIMITED: &xnf_govern::Budget = &xnf_govern::Budget::unlimited();
+
+/// Whether `word ∈ L(re)`, by the position tree.
+fn member(re: &Regex, word: &[&str]) -> bool {
+    PositionTree::new(re, UNLIMITED)
+        .and_then(|tree| tree.matches(word.iter().copied(), UNLIMITED))
+        .expect("an unlimited budget cannot exhaust")
+}
+
 /// Runs every single-regex property from `dtd_props` on one value.
 fn check_regex_properties(re: &Regex) {
     // shortest_word_is_always_a_member
     let w = derivative::shortest_word(re);
     let refs: Vec<&str> = w.iter().map(String::as_str).collect();
-    assert!(
-        Matcher::new(re).matches(refs.iter().copied()),
-        "{w:?} is not in L({re})"
-    );
+    assert!(member(re, &refs), "{w:?} is not in L({re})");
     // regex_display_parse_roundtrip
     let s = re.simplified();
     let text = s.to_string();
@@ -50,25 +56,25 @@ fn check_regex_properties(re: &Regex) {
     ];
     for word in words {
         assert_eq!(
-            Matcher::new(&s).matches(word.iter().copied()),
-            Matcher::new(&reparsed).matches(word.iter().copied()),
+            member(&s, word),
+            member(&reparsed, word),
             "roundtrip changed the language of {s} (word {word:?})"
         );
-        // nfa_and_derivatives_agree + simplified_preserves_language
+        // position_tree_and_derivatives_agree + simplified_preserves_language
         assert_eq!(
-            Matcher::new(re).matches(word.iter().copied()),
-            derivative::matches(re, word.iter().copied()),
+            member(re, word),
+            derivative::matches(re, word.iter().copied(), UNLIMITED).unwrap(),
             "engines disagree on {re} vs {word:?}"
         );
         assert_eq!(
-            Matcher::new(re).matches(word.iter().copied()),
-            Matcher::new(&s).matches(word.iter().copied()),
+            member(re, word),
+            member(&s, word),
             "simplification changed the language: {re} vs {s}"
         );
     }
     // simplicity_is_sound (on the empty word, the only member here)
     if let Some(m) = simple_multiplicities(re) {
-        if Matcher::new(re).matches(std::iter::empty()) {
+        if member(re, &[]) {
             for letter in ["a", "b", "c"] {
                 match m.get(letter) {
                     None | Some(Multiplicity::Opt) | Some(Multiplicity::Star) => {}
