@@ -19,7 +19,7 @@ use crate::CliError;
 use xnf_core::fd::FdListing;
 use xnf_core::lossless::{transform_document, verify_lossless};
 use xnf_core::{normalize, NormalizeOptions, XmlFdSet};
-use xnf_dtd::{Dtd, DtdError};
+use xnf_dtd::{Dtd, DtdListing};
 use xnf_govern::{Budget, Recorder};
 
 /// How a spec arrived, selecting the parser hardening profile:
@@ -87,26 +87,26 @@ impl Gate {
 }
 
 /// The one parse of a spec, shared by [`intake`] and [`lint_sources`]:
-/// the DTD under the `trust` profile's limits and `budget`, and Σ's
-/// listing (unmetered), inside one `spec.parse` span on the budget's
-/// recorder.
-fn parse_spec<'a>(
-    dtd_src: &str,
-    fds_src: Option<&'a str>,
+/// the DTD's listing under the `trust` profile's limits and `budget`,
+/// and Σ's listing (unmetered), inside one `spec.parse` span on the
+/// budget's recorder.
+fn parse_spec<'d, 'f>(
+    dtd_src: &'d str,
+    fds_src: Option<&'f str>,
     trust: Trust,
     budget: &Budget,
-) -> (Result<Dtd, DtdError>, Option<FdListing<'a>>) {
+) -> (DtdListing<'d>, Option<FdListing<'f>>) {
     let _span = budget.recorder().span("spec.parse", "parse");
-    let dtd = xnf_dtd::parse_dtd_governed(dtd_src, trust.dtd_limits(), budget);
+    let dtd = DtdListing::read(dtd_src, trust.dtd_limits(), budget);
     (dtd, fds_src.map(FdListing::read))
 }
 
 /// The one spec intake of every spec-level operation: parses `(D, Σ)`
-/// once — the DTD under the `trust` profile's limits and `budget`, and
-/// Σ's [`FdListing`], inside one `spec.parse` span on the budget's
-/// recorder — then runs the lint `gate` ([`xnf_lint::preflight`]) on
-/// that same parse of both. A clean gate costs no chase; a failing one
-/// renders its full report under `budget`.
+/// once — the DTD's [`DtdListing`] under the `trust` profile's limits
+/// and `budget`, and Σ's [`FdListing`], inside one `spec.parse` span on
+/// the budget's recorder — then runs the lint `gate`
+/// ([`xnf_lint::preflight`]) on those same listings. A clean gate costs
+/// no chase; a failing one renders its full report under `budget`.
 ///
 /// # Errors
 ///
@@ -123,8 +123,7 @@ pub fn intake(
     let (dtd, fds) = parse_spec(dtd_src, Some(fds_src), trust, budget);
     if gate != Gate::Off {
         let shred_tier = gate == Gate::Shred;
-        if let Some(report) = xnf_lint::preflight(dtd_src, &dtd, fds.as_ref(), shred_tier, budget)?
-        {
+        if let Some(report) = xnf_lint::preflight(&dtd, fds.as_ref(), shred_tier, budget)? {
             return Err(CliError::Lint(format!(
                 "{}preflight lint failed; fix the errors above or rerun with --no-lint\n",
                 report.render_human()
@@ -132,7 +131,7 @@ pub fn intake(
         }
     }
     let sigma = fds.map_or_else(|| Ok(XmlFdSet::new()), FdListing::into_set);
-    Ok((dtd?, sigma?))
+    Ok((dtd.into_dtd()?, sigma?))
 }
 
 /// Options of [`is_xnf`].
@@ -448,7 +447,7 @@ pub fn lint_sources(
     } else {
         xnf_lint::OptIn::None
     };
-    let report = xnf_lint::lint(dtd_src, &dtd, fds.as_ref(), opt_in, budget)?;
+    let report = xnf_lint::lint(&dtd, fds.as_ref(), opt_in, budget)?;
     let rendered = if options.json {
         let mut j = report.to_json();
         j.push('\n');

@@ -233,3 +233,33 @@ fn the_gate_reads_the_ops_metered_parse() {
         assert!(stdout.contains("preflight lint failed"), "{op}: {stdout}");
     }
 }
+
+/// Comments inside a declaration: the lint gate reads the parser's own
+/// listing, so the gated ops answer exactly what `--no-lint` answers. A
+/// declaration inside a comment inside a content model is no duplicate,
+/// and a comment inside `(#PCDATA)` is no element name.
+#[test]
+fn comments_inside_declarations_pass_the_gate() {
+    let dup_dtd = write_tmp(
+        "commented-dup.dtd",
+        "<!ELEMENT r (a <!-- > <!ELEMENT a EMPTY> --> )>\n<!ELEMENT a EMPTY>\n",
+    );
+    let dup_fds = write_tmp("commented-dup.fds", "r -> r\n");
+    let text_dtd = write_tmp(
+        "commented-text.dtd",
+        "<!ELEMENT r (t)>\n<!ELEMENT t (#PCDATA <!-- note -->)>\n",
+    );
+    let text_fds = write_tmp("commented-text.fds", "r.t.S -> r\n");
+    let doc = write_tmp("commented-text.xml", "<r><t>hello</t></r>\n");
+    for args in [
+        vec!["is-xnf", &dup_dtd, &dup_fds],
+        vec!["shred", &text_dtd, &text_fds, &doc],
+    ] {
+        let gated = xnf_tool(&args);
+        let ungated = xnf_tool(&[args.as_slice(), &["--no-lint"]].concat());
+        assert_eq!(gated.status.code(), Some(0), "{args:?}: {gated:?}");
+        assert_eq!(ungated.status.code(), Some(0), "{args:?}: {ungated:?}");
+        assert_eq!(gated.stdout, ungated.stdout, "{args:?}");
+        assert!(gated.stderr.is_empty(), "{args:?}: {gated:?}");
+    }
+}

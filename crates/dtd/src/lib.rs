@@ -42,7 +42,10 @@ pub mod span;
 
 pub use crate::classify::{DtdClass, Multiplicity, SimpleContent};
 pub use crate::dtd::{ContentModel, Dtd, DtdBuilder, ElemId, ElementDecl};
-pub use crate::parse::{parse_dtd, parse_dtd_governed, ParseLimits};
+pub use crate::parse::{
+    parse_dtd, parse_dtd_governed, AttlistEntry, AttributeEntry, DtdListing, ElementEntry, Outcome,
+    ParseLimits,
+};
 pub use crate::paths::{Path, PathId, PathSet, Step};
 pub use crate::regex::Regex;
 pub use crate::span::LineCol;

@@ -1,4 +1,5 @@
-//! Parser for DTD declaration syntax (`<!ELEMENT …>` / `<!ATTLIST …>`).
+//! The one reader of DTD declaration syntax (`<!ELEMENT …>` /
+//! `<!ATTLIST …>`).
 //!
 //! Supports the fragment of XML 1.0 DTD syntax used throughout the paper:
 //! element declarations with `EMPTY`, `(#PCDATA)` or a regular-expression
@@ -11,11 +12,17 @@
 //! disallows mixed content. The root element type is the one named by the
 //! first `<!ELEMENT …>` declaration, matching how the paper presents all of
 //! its DTDs.
+//!
+//! [`DtdListing::read`] lists every declaration of a text with its name's
+//! byte offset, reading on past a declaration that does not parse, and
+//! builds the [`Dtd`] or keeps the first error; [`parse_dtd_governed`] is
+//! that listing's DTD, and the linter reports off its entries.
 
 use crate::dtd::{ContentModel, Dtd};
 use crate::regex::Regex;
 use crate::{DtdError, Result};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::ops::Range;
 use xnf_govern::Budget;
 
 /// Hard limits guarding the parser against adversarial input. The
@@ -61,30 +68,40 @@ pub(crate) fn is_name_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':')
 }
 
-struct Scanner<'a> {
+/// A cursor over DTD text: names are slices of the text (`'a`), and
+/// checkpoints go to a budget borrowed for `'b`.
+struct Scanner<'a, 'b> {
     input: &'a [u8],
     pos: usize,
     limits: ParseLimits,
     /// Current content-model nesting depth (checked against
     /// `limits.max_depth`).
     depth: usize,
-    budget: &'a Budget,
+    budget: &'b Budget,
+    /// The first rejection of `#PCDATA` in the content model being read.
+    /// The read goes on past it, to learn whether the model also names
+    /// an element.
+    pcdata: Option<DtdError>,
+    /// Whether the content model being read names an element.
+    named: bool,
 }
 
 use crate::UNLIMITED;
 
-impl<'a> Scanner<'a> {
+impl<'a, 'b> Scanner<'a, 'b> {
     fn new(input: &'a str) -> Self {
         Scanner::with_limits(input, ParseLimits::default(), UNLIMITED)
     }
 
-    fn with_limits(input: &'a str, limits: ParseLimits, budget: &'a Budget) -> Self {
+    fn with_limits(input: &'a str, limits: ParseLimits, budget: &'b Budget) -> Self {
         Scanner {
             input: input.as_bytes(),
             pos: 0,
             limits,
             depth: 0,
             budget,
+            pcdata: None,
+            named: false,
         }
     }
 
@@ -117,6 +134,8 @@ impl<'a> Scanner<'a> {
         Some(c)
     }
 
+    /// Skips whitespace and comments. An unterminated comment is an error
+    /// at its start, and leaves the scanner at the end of the input.
     fn skip_ws_and_comments(&mut self) -> Result<()> {
         loop {
             while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
@@ -127,8 +146,7 @@ impl<'a> Scanner<'a> {
                 self.pos += 4;
                 loop {
                     if self.pos >= self.input.len() {
-                        self.pos = start;
-                        return Err(self.err("unterminated comment"));
+                        return Err(DtdError::syntax(self.input, start, "unterminated comment"));
                     }
                     if self.input[self.pos..].starts_with(b"-->") {
                         self.pos += 3;
@@ -140,6 +158,14 @@ impl<'a> Scanner<'a> {
                 return Ok(());
             }
         }
+    }
+
+    /// Advances one past the next `>`, or to the end of the input.
+    fn skip_past_gt(&mut self) {
+        self.pos = match self.input[self.pos..].iter().position(|&c| c == b'>') {
+            Some(at) => self.pos + at + 1,
+            None => self.input.len(),
+        };
     }
 
     fn eat(&mut self, token: &str) -> bool {
@@ -172,6 +198,16 @@ impl<'a> Scanner<'a> {
             return Err(self.err("expected a name"));
         }
         Ok(std::str::from_utf8(&self.input[start..self.pos]).expect("name bytes are ASCII"))
+    }
+
+    /// Rejects a `#PCDATA` in the content model being read, keeping the
+    /// first rejection. A parse stops at its first error, so nothing after
+    /// it is metered.
+    fn reject_pcdata(&mut self, message: &str) {
+        if self.pcdata.is_none() {
+            self.pcdata = Some(self.err(message));
+            self.budget = UNLIMITED;
+        }
     }
 
     /// Parses a content-model regular expression at alternation precedence.
@@ -247,12 +283,15 @@ impl<'a> Scanner<'a> {
             self.depth -= 1;
             Ok(inner)
         } else if self.eat("#PCDATA") {
-            Err(self.err(
+            self.reject_pcdata(
                 "#PCDATA may only appear alone as (#PCDATA); mixed content is not supported \
                  (Definition 2 disallows mixed content)",
-            ))
+            );
+            Ok(Regex::Epsilon)
         } else {
-            Ok(Regex::elem(self.name()?))
+            let name = self.name()?;
+            self.named = true;
+            Ok(Regex::elem(name))
         }
     }
 }
@@ -269,7 +308,12 @@ pub fn parse_content_model(input: &str) -> Result<ContentModel> {
     Ok(cm)
 }
 
-fn content_spec(s: &mut Scanner<'_>) -> Result<ContentModel> {
+/// Parses a content model. A model rejected for a `#PCDATA` is read on
+/// to its end, so `s.named` afterwards tells whether it mixes `#PCDATA`
+/// with element names; the rejection, the model's first error, is the
+/// result.
+fn content_spec(s: &mut Scanner<'_, '_>) -> Result<ContentModel> {
+    (s.pcdata, s.named) = (None, false);
     s.skip_ws_and_comments()?;
     if s.eat("EMPTY") {
         return Ok(ContentModel::Regex(Regex::Epsilon));
@@ -286,14 +330,357 @@ fn content_spec(s: &mut Scanner<'_>) -> Result<ContentModel> {
             if s.eat(")") {
                 return Ok(ContentModel::Text);
             }
-            return Err(
-                s.err("mixed content (#PCDATA | …) is not supported (Definition 2 disallows it)")
+            s.reject_pcdata(
+                "mixed content (#PCDATA | …) is not supported (Definition 2 disallows it)",
             );
         }
         s.pos = save;
     }
-    let re = s.regex_alt()?;
-    Ok(ContentModel::Regex(re))
+    let re = s.regex_alt();
+    match &s.pcdata {
+        Some(e) => Err(e.clone()),
+        None => Ok(ContentModel::Regex(re?)),
+    }
+}
+
+/// An attribute definition after its name: the type, a name (CDATA, ID,
+/// NMTOKEN, …) or an enumeration `(a|b|c)`, then the default
+/// declaration: #REQUIRED, #IMPLIED, #FIXED "…" or "…".
+fn attribute_def(s: &mut Scanner<'_, '_>) -> Result<()> {
+    s.skip_ws_and_comments()?;
+    if s.eat("(") {
+        loop {
+            s.skip_ws_and_comments()?;
+            s.name()?;
+            s.skip_ws_and_comments()?;
+            if s.eat(")") {
+                break;
+            }
+            s.expect("|")?;
+        }
+    } else {
+        s.name()?;
+    }
+    s.skip_ws_and_comments()?;
+    if s.eat("#REQUIRED") || s.eat("#IMPLIED") {
+        return Ok(());
+    }
+    if s.eat("#FIXED") {
+        s.skip_ws_and_comments()?;
+    }
+    match s.peek() {
+        Some(q @ (b'"' | b'\'')) => {
+            s.pos += 1;
+            loop {
+                match s.bump() {
+                    Some(c) if c == q => return Ok(()),
+                    Some(_) => {}
+                    None => return Err(s.err("unterminated default value")),
+                }
+            }
+        }
+        // The error points past the byte in place of a quote, but leaves
+        // it unread: it may be the declaration's `>`.
+        other => {
+            let offset = s.pos + usize::from(other.is_some());
+            Err(DtdError::syntax(
+                s.input,
+                offset,
+                "expected attribute default declaration",
+            ))
+        }
+    }
+}
+
+/// How an `<!ELEMENT …>` declaration of a [`DtdListing`] parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// It parsed through its closing `>`.
+    Parsed,
+    /// Its content model mixes `#PCDATA` with element names, which
+    /// Definition 2 disallows.
+    Mixed,
+    /// It has another syntax error.
+    Rejected,
+}
+
+/// One `<!ELEMENT …>` declaration whose name was read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ElementEntry<'a> {
+    /// The declared name, a slice of the source.
+    pub name: &'a str,
+    /// The byte offset of `name`.
+    pub offset: usize,
+    /// How the declaration parsed.
+    pub outcome: Outcome,
+    /// The first declaration of the same name, as a position in
+    /// [`DtdListing::elements`], when this one repeats it.
+    pub repeats: Option<usize>,
+}
+
+/// One `<!ATTLIST …>` declaration whose owner's name was read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AttlistEntry<'a> {
+    /// The owner's name, a slice of the source.
+    pub owner: &'a str,
+    /// The byte offset of `owner`.
+    pub offset: usize,
+    /// Its attributes, as positions in [`DtdListing::attributes`]: each
+    /// name read, up to a syntax error.
+    pub attrs: Range<usize>,
+}
+
+/// One attribute name of an `<!ATTLIST …>` declaration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AttributeEntry<'a> {
+    /// The attribute's name, a slice of the source.
+    pub name: &'a str,
+    /// The byte offset of `name`.
+    pub offset: usize,
+    /// The first attribute of the same owner and name, as a position in
+    /// [`DtdListing::attributes`], when this one repeats it.
+    pub repeats: Option<usize>,
+}
+
+/// Every declaration of a DTD text in source order, each with its name's
+/// byte offset, and the [`Dtd`] they declare or the text's first error.
+/// [`DtdListing::read`] is the one reader of the declaration syntax:
+/// [`parse_dtd_governed`] is its [`DtdListing::into_dtd`], and the linter
+/// reports off its entries.
+#[derive(Debug)]
+pub struct DtdListing<'a> {
+    src: &'a str,
+    elements: Vec<ElementEntry<'a>>,
+    attlists: Vec<AttlistEntry<'a>>,
+    attributes: Vec<AttributeEntry<'a>>,
+    /// The first declaration of each element name.
+    first: HashMap<&'a str, usize>,
+    dtd: Result<Dtd>,
+}
+
+impl<'a> DtdListing<'a> {
+    /// Reads a DTD text under `limits` and `budget`, which is checked once
+    /// per declaration and once per content-model atom until the text's
+    /// first error. After a declaration that does not parse, the reader
+    /// resumes past the next `>` and lists the rest, unmetered. A text
+    /// over the size limit, and a read that runs out of budget, list
+    /// nothing more.
+    pub fn read(src: &'a str, limits: ParseLimits, budget: &Budget) -> DtdListing<'a> {
+        let _span = budget.recorder().span("dtd.parse", "parse");
+        let mut reader = Reader {
+            s: Scanner::with_limits(src, limits, budget),
+            elements: Vec::new(),
+            attlists: Vec::new(),
+            attributes: Vec::new(),
+            first: HashMap::new(),
+            owned: HashMap::new(),
+            decls: Vec::new(),
+            error: None,
+        };
+        let dtd = reader.read();
+        DtdListing {
+            src,
+            elements: reader.elements,
+            attlists: reader.attlists,
+            attributes: reader.attributes,
+            first: reader.first,
+            dtd,
+        }
+    }
+
+    /// The text the listing was read from.
+    pub fn src(&self) -> &'a str {
+        self.src
+    }
+
+    /// Every `<!ELEMENT …>` whose name was read, in source order.
+    pub fn elements(&self) -> &[ElementEntry<'a>] {
+        &self.elements
+    }
+
+    /// Every `<!ATTLIST …>` whose owner's name was read, in source order.
+    pub fn attlists(&self) -> &[AttlistEntry<'a>] {
+        &self.attlists
+    }
+
+    /// Every attribute name read, in source order.
+    pub fn attributes(&self) -> &[AttributeEntry<'a>] {
+        &self.attributes
+    }
+
+    /// The first `<!ELEMENT …>` declaring `name`.
+    pub fn element(&self, name: &str) -> Option<&ElementEntry<'a>> {
+        self.first.get(name).map(|&e| &self.elements[e])
+    }
+
+    /// The declared [`Dtd`], or the text's first error.
+    pub fn parsed(&self) -> &Result<Dtd> {
+        &self.dtd
+    }
+
+    /// [`DtdListing::parsed`], moving the DTD out.
+    pub fn into_dtd(self) -> Result<Dtd> {
+        self.dtd
+    }
+}
+
+/// The state of one [`DtdListing::read`].
+struct Reader<'a, 'b> {
+    s: Scanner<'a, 'b>,
+    elements: Vec<ElementEntry<'a>>,
+    attlists: Vec<AttlistEntry<'a>>,
+    attributes: Vec<AttributeEntry<'a>>,
+    first: HashMap<&'a str, usize>,
+    /// The first attribute of each (owner, name) pair.
+    owned: HashMap<(&'a str, &'a str), usize>,
+    /// The content model of each element declaration, in source order,
+    /// while no error has come up.
+    decls: Vec<(&'a str, ContentModel)>,
+    /// The text's first error.
+    error: Option<DtdError>,
+}
+
+impl Reader<'_, '_> {
+    /// Lists every declaration, then builds the DTD if no error came up.
+    fn read(&mut self) -> Result<Dtd> {
+        self.s.check_input_size()?;
+        loop {
+            self.s.budget.checkpoint("dtd.parse.decl")?;
+            if let Err(e) = self.s.skip_ws_and_comments() {
+                self.fail(e);
+                break;
+            }
+            if self.s.pos == self.s.input.len() {
+                break;
+            }
+            match self.declaration() {
+                Ok(()) => {}
+                Err(e @ DtdError::Exhausted(_)) => return Err(e),
+                Err(e) => {
+                    self.fail(e);
+                    self.s.skip_past_gt();
+                }
+            }
+        }
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.build()
+    }
+
+    /// Keeps `e` if it is the text's first error. A parse stops at its
+    /// first error, so nothing after it is metered.
+    fn fail(&mut self, e: DtdError) {
+        if self.error.is_none() {
+            self.error = Some(e);
+            self.s.budget = UNLIMITED;
+        }
+    }
+
+    fn declaration(&mut self) -> Result<()> {
+        self.s.expect("<!")?;
+        if self.s.eat("ELEMENT") {
+            self.element()
+        } else if self.s.eat("ATTLIST") {
+            self.attlist()
+        } else {
+            Err(self.s.err("expected ELEMENT or ATTLIST"))
+        }
+    }
+
+    fn element(&mut self) -> Result<()> {
+        self.s.skip_ws_and_comments()?;
+        let offset = self.s.pos;
+        let name = self.s.name()?;
+        let entry = self.elements.len();
+        let first = *self.first.entry(name).or_insert(entry);
+        let repeats = (first != entry).then_some(first);
+        self.elements.push(ElementEntry {
+            name,
+            offset,
+            outcome: Outcome::Rejected,
+            repeats,
+        });
+        self.s.skip_ws_and_comments()?;
+        let cm = content_spec(&mut self.s);
+        if self.s.pcdata.is_some() && self.s.named {
+            self.elements[entry].outcome = Outcome::Mixed;
+        }
+        let cm = cm?;
+        self.s.skip_ws_and_comments()?;
+        self.s.expect(">")?;
+        self.elements[entry].outcome = Outcome::Parsed;
+        match repeats {
+            Some(_) => self.fail(DtdError::DuplicateElement(name.to_string())),
+            // A text with an error builds no DTD.
+            None if self.error.is_none() => self.decls.push((name, cm)),
+            None => {}
+        }
+        Ok(())
+    }
+
+    fn attlist(&mut self) -> Result<()> {
+        self.s.skip_ws_and_comments()?;
+        let offset = self.s.pos;
+        let owner = self.s.name()?;
+        let list = self.attlists.len();
+        let start = self.attributes.len();
+        self.attlists.push(AttlistEntry {
+            owner,
+            offset,
+            attrs: start..start,
+        });
+        loop {
+            self.s.skip_ws_and_comments()?;
+            if self.s.eat(">") {
+                return Ok(());
+            }
+            let offset = self.s.pos;
+            let name = self.s.name()?;
+            let entry = self.attributes.len();
+            let first = *self.owned.entry((owner, name)).or_insert(entry);
+            let repeats = (first != entry).then_some(first);
+            self.attributes.push(AttributeEntry {
+                name,
+                offset,
+                repeats,
+            });
+            self.attlists[list].attrs.end = entry + 1;
+            // A repeated name is an error only once its definition parsed.
+            attribute_def(&mut self.s)?;
+            if repeats.is_some() {
+                self.fail(DtdError::DuplicateAttribute {
+                    element: owner.to_string(),
+                    attribute: name.to_string(),
+                });
+            }
+        }
+    }
+
+    /// The DTD of a text with no error: the first element is the root,
+    /// and every ATTLIST owner must be declared.
+    fn build(&mut self) -> Result<Dtd> {
+        let Some(&(root, _)) = self.decls.first() else {
+            return Err(DtdError::syntax(
+                self.s.input,
+                0,
+                "no element declarations found",
+            ));
+        };
+        // With no error, the declarations are the element entries.
+        let mut attrs: Vec<Vec<&str>> = vec![Vec::new(); self.decls.len()];
+        for list in &self.attlists {
+            let Some(&e) = self.first.get(list.owner) else {
+                return Err(DtdError::AttlistForUndeclared(list.owner.to_string()));
+            };
+            attrs[e].extend(self.attributes[list.attrs.clone()].iter().map(|a| a.name));
+        }
+        let mut b = Dtd::builder(root);
+        for ((name, cm), attrs) in std::mem::take(&mut self.decls).into_iter().zip(attrs) {
+            b = b.decl(name, cm, attrs);
+        }
+        b.build()
+    }
 }
 
 /// Parses a sequence of `<!ELEMENT …>` and `<!ATTLIST …>` declarations into
@@ -307,116 +694,9 @@ pub fn parse_dtd(input: &str) -> Result<Dtd> {
 
 /// [`parse_dtd`] with explicit adversarial-input limits and a resource
 /// [`Budget`] (checked once per declaration and once per content-model
-/// atom).
+/// atom): the DTD of [`DtdListing::read`].
 pub fn parse_dtd_governed(input: &str, limits: ParseLimits, budget: &Budget) -> Result<Dtd> {
-    let _span = budget.recorder().span("dtd.parse", "parse");
-    let mut s = Scanner::with_limits(input, limits, budget);
-    s.check_input_size()?;
-    // Names are slices of `input`: no declaration check copies a name.
-    let mut decls: Vec<(&str, ContentModel)> = Vec::new();
-    let mut declared: HashSet<&str> = HashSet::new();
-    let mut attlists: HashMap<&str, Vec<&str>> = HashMap::new();
-    // ATTLIST owners in source order, so the undeclared-owner error names
-    // the first one rather than whichever the map yields.
-    let mut owners: Vec<&str> = Vec::new();
-    // Every (owner, attribute) pair so far, for the duplicate check.
-    let mut owned: HashSet<(&str, &str)> = HashSet::new();
-
-    loop {
-        budget.checkpoint("dtd.parse.decl")?;
-        s.skip_ws_and_comments()?;
-        if s.pos == s.input.len() {
-            break;
-        }
-        s.expect("<!")?;
-        if s.eat("ELEMENT") {
-            s.skip_ws_and_comments()?;
-            let name = s.name()?;
-            s.skip_ws_and_comments()?;
-            let cm = content_spec(&mut s)?;
-            s.skip_ws_and_comments()?;
-            s.expect(">")?;
-            if !declared.insert(name) {
-                return Err(DtdError::DuplicateElement(name.to_string()));
-            }
-            decls.push((name, cm));
-        } else if s.eat("ATTLIST") {
-            s.skip_ws_and_comments()?;
-            let elem = s.name()?;
-            let atts = attlists.entry(elem).or_insert_with(|| {
-                owners.push(elem);
-                Vec::new()
-            });
-            loop {
-                s.skip_ws_and_comments()?;
-                if s.eat(">") {
-                    break;
-                }
-                let att = s.name()?;
-                s.skip_ws_and_comments()?;
-                // Attribute type: a name (CDATA, ID, NMTOKEN, …) or an
-                // enumeration `(a|b|c)`.
-                if s.eat("(") {
-                    loop {
-                        s.skip_ws_and_comments()?;
-                        s.name()?;
-                        s.skip_ws_and_comments()?;
-                        if s.eat(")") {
-                            break;
-                        }
-                        s.expect("|")?;
-                    }
-                } else {
-                    s.name()?;
-                }
-                s.skip_ws_and_comments()?;
-                // Default declaration: #REQUIRED, #IMPLIED, #FIXED "…", "…".
-                if s.eat("#REQUIRED") || s.eat("#IMPLIED") {
-                } else {
-                    let fixed = s.eat("#FIXED");
-                    if fixed {
-                        s.skip_ws_and_comments()?;
-                    }
-                    let quote = s.bump();
-                    match quote {
-                        Some(q @ (b'"' | b'\'')) => loop {
-                            match s.bump() {
-                                Some(c) if c == q => break,
-                                Some(_) => {}
-                                None => return Err(s.err("unterminated default value")),
-                            }
-                        },
-                        _ => return Err(s.err("expected attribute default declaration")),
-                    }
-                }
-                if !owned.insert((elem, att)) {
-                    return Err(DtdError::DuplicateAttribute {
-                        element: elem.to_string(),
-                        attribute: att.to_string(),
-                    });
-                }
-                atts.push(att);
-            }
-        } else {
-            return Err(s.err("expected ELEMENT or ATTLIST"));
-        }
-    }
-
-    let root = decls
-        .first()
-        .ok_or_else(|| DtdError::syntax(s.input, 0, "no element declarations found"))?
-        .0;
-
-    if let Some(ghost) = owners.into_iter().find(|e| !declared.contains(e)) {
-        return Err(DtdError::AttlistForUndeclared(ghost.to_string()));
-    }
-
-    let mut b = Dtd::builder(root);
-    for (name, cm) in decls {
-        let attrs = attlists.remove(name).unwrap_or_default();
-        b = b.decl(name, cm, attrs);
-    }
-    b.build()
+    DtdListing::read(input, limits, budget).into_dtd()
 }
 
 #[cfg(test)]
@@ -731,6 +1011,113 @@ mod tests {
         let t = d.elem_id("t").unwrap();
         assert!(d.content(t).is_text());
         assert!(d.has_attr(t, "lang"));
+    }
+
+    fn listing(src: &str) -> DtdListing<'_> {
+        DtdListing::read(src, ParseLimits::default(), UNLIMITED)
+    }
+
+    #[test]
+    fn scans_elements_and_attlists_with_spans() {
+        let src =
+            "<!ELEMENT r (a)>\n<!ELEMENT a EMPTY>\n<!ATTLIST a x CDATA #REQUIRED y ID #IMPLIED>";
+        let idx = listing(src);
+        let elements = idx.elements();
+        assert_eq!(elements.len(), 2);
+        assert_eq!(elements[0].name, "r");
+        assert_eq!(&src[elements[0].offset..][..1], "r");
+        assert_eq!(elements[1].name, "a");
+        assert_eq!(idx.attlists().len(), 1);
+        assert_eq!(idx.attlists()[0].owner, "a");
+        let attrs: Vec<&str> = idx.attributes()[idx.attlists()[0].attrs.clone()]
+            .iter()
+            .map(|a| a.name)
+            .collect();
+        assert_eq!(attrs, ["x", "y"]);
+        let y = &idx.attributes()[1];
+        assert_eq!(&src[y.offset..][..1], "y");
+    }
+
+    #[test]
+    fn scanner_survives_comments_enums_and_defaults() {
+        let src = r#"<!-- <!ELEMENT fake (x)> -->
+            <!ELEMENT r (a)>
+            <!ELEMENT a EMPTY>
+            <!ATTLIST a kind (x | y) "x" fixed CDATA #FIXED 'v'>"#;
+        let idx = listing(src);
+        assert_eq!(idx.elements().len(), 2, "commented declaration skipped");
+        let attrs: Vec<&str> = idx.attributes()[idx.attlists()[0].attrs.clone()]
+            .iter()
+            .map(|a| a.name)
+            .collect();
+        assert_eq!(attrs, ["kind", "fixed"]);
+    }
+
+    #[test]
+    fn scanner_gives_up_quietly_on_garbage() {
+        let idx = listing("<!ELEMENT r (a>< junk <!ATTLIST ???>");
+        assert_eq!(idx.elements().len(), 1);
+        assert!(idx.attlists().is_empty() || idx.attlists()[0].attrs.is_empty());
+    }
+
+    #[test]
+    fn duplicate_declarations_are_all_recorded() {
+        let src = "<!ELEMENT a EMPTY> <!ELEMENT a (b)> <!ELEMENT b EMPTY>";
+        let idx = listing(src);
+        let names: Vec<&str> = idx.elements().iter().map(|e| e.name).collect();
+        assert_eq!(names, ["a", "a", "b"]);
+    }
+
+    #[test]
+    fn lookups_find_the_first_declaration_by_name() {
+        let src = "<!ELEMENT b EMPTY> <!ELEMENT a EMPTY> <!ELEMENT b (a)>
+                   <!ATTLIST b y CDATA #REQUIRED x CDATA #REQUIRED>
+                   <!ATTLIST a x CDATA #REQUIRED>
+                   <!ATTLIST b x CDATA #REQUIRED>";
+        let idx = listing(src);
+        assert_eq!(idx.element("b").map(|e| e.offset), Some(10));
+        assert_eq!(idx.element("a").map(|e| e.offset), Some(29));
+        assert!(idx.element("c").is_none() && idx.element("").is_none());
+    }
+
+    /// Repeats link back to the first declaration of their name, and the
+    /// reading goes on past the first error, which the DTD keeps.
+    #[test]
+    fn repeats_link_to_the_first_declaration_past_the_first_error() {
+        let src = "<!ELEMENT r (a)> <!ELEMENT a (x y)> <!ELEMENT a EMPTY>
+                   <!ATTLIST a k CDATA #REQUIRED k CDATA> <!ATTLIST a k ID #IMPLIED>";
+        let idx = listing(src);
+        let repeats: Vec<Option<usize>> = idx.elements().iter().map(|e| e.repeats).collect();
+        assert_eq!(repeats, [None, None, Some(1)]);
+        let outcomes: Vec<Outcome> = idx.elements().iter().map(|e| e.outcome).collect();
+        assert_eq!(
+            outcomes,
+            [Outcome::Parsed, Outcome::Rejected, Outcome::Parsed]
+        );
+        let repeats: Vec<Option<usize>> = idx.attributes().iter().map(|a| a.repeats).collect();
+        assert_eq!(repeats, [None, Some(0), Some(0)]);
+        let Err(DtdError::Syntax { message, .. }) = idx.parsed() else {
+            panic!("the first error is the syntax error: {:?}", idx.parsed());
+        };
+        assert_eq!(message, "expected `)`");
+    }
+
+    /// The mixed mark: `#PCDATA` rejected beside an element name, in
+    /// either position; a model rejected for `#PCDATA` alone is not
+    /// mixed, and a comment inside `(#PCDATA)` is no element name.
+    #[test]
+    fn mixed_marks_pcdata_beside_element_names() {
+        for (model, outcome) in [
+            ("(#PCDATA | em)*", Outcome::Mixed),
+            ("(em | #PCDATA)*", Outcome::Mixed),
+            ("((#PCDATA))", Outcome::Rejected),
+            ("(#PCDATA", Outcome::Rejected),
+            ("(#PCDATA <!-- note -->)", Outcome::Parsed),
+        ] {
+            let src = format!("<!ELEMENT r (t)> <!ELEMENT t {model}>");
+            let idx = listing(&src);
+            assert_eq!(idx.elements()[1].outcome, outcome, "{model}");
+        }
     }
 
     #[test]

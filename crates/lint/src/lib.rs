@@ -31,13 +31,16 @@
 //!   exhaustive derived-key search, driven by [`xnf_core::compile_schema`]
 //!   without emitting any DDL or rows.
 //!
-//! Three entry points run them. [`lint`] lints the caller's own parse of
-//! the DTD and its [`FdListing`] of Σ under the caller's budget;
-//! [`lint_spec`] parses both for itself, ungoverned, for tests and
-//! examples. The engine subcommands gate on [`preflight`]: the same
-//! rules, with every rule that can emit an error run first and an early
-//! exit when none did, so a clean spec never pays for the warnings and
-//! infos the preflight would not show.
+//! Three entry points run them. [`lint`] lints the caller's own reading
+//! of both inputs — the DTD's [`DtdListing`] and Σ's [`FdListing`] —
+//! under the caller's budget; [`lint_spec`] reads both for itself,
+//! ungoverned, for tests and examples. No rule reads the DTD text again:
+//! the listing gives every declaration its span, its parse outcome and
+//! its link to an earlier declaration of the same name, and the text is
+//! read only to render spans. The engine subcommands gate on
+//! [`preflight`]: the same rules, with every rule that can emit an error
+//! run first and an early exit when none did, so a clean spec never pays
+//! for the warnings and infos the preflight would not show.
 //!
 //! ## Example
 //!
@@ -61,16 +64,14 @@ mod predictive;
 mod report;
 mod semantic;
 mod shred;
-mod source;
 mod structural;
 
 pub use report::{Code, Diagnostic, LintReport, Severity, SourceKind, Span};
 
 use report::SourceText;
-use source::DeclIndex;
 use structural::DtdCtx;
 use xnf_core::fd::FdListing;
-use xnf_dtd::{parse_dtd, Dtd, DtdError};
+use xnf_dtd::{DtdError, DtdListing, ParseLimits};
 use xnf_govern::{Budget, Exhausted};
 
 /// The shared ungoverned budget backing the infallible [`lint_spec`].
@@ -79,10 +80,9 @@ const UNLIMITED: &Budget = &Budget::unlimited();
 /// Which tier a rule belongs to (how it is driven).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Mapped from a parser rejection (the strict parser is the analysis).
+    /// Read off the DTD's listing: its first parse error, and its links
+    /// between repeated declarations.
     Parse,
-    /// Runs over the raw declaration text, before parsing.
-    Scanner,
     /// Runs over the parsed DTD.
     Structural,
     /// Runs over (DTD, Σ); the implication-backed rules live here.
@@ -139,7 +139,7 @@ const RULES: &[Rule] = &[
         "XNF002",
         "duplicate-element",
         Severity::Error,
-        Tier::Scanner,
+        Tier::Parse,
         false,
         "an element is declared more than once",
     ),
@@ -148,7 +148,7 @@ const RULES: &[Rule] = &[
         "XNF003",
         "duplicate-attribute",
         Severity::Error,
-        Tier::Scanner,
+        Tier::Parse,
         false,
         "an attribute is declared more than once for one element",
     ),
@@ -409,14 +409,14 @@ const fn rule(
 }
 
 /// Lints a DTD text and (optionally) an FD-set text with the default
-/// tiers, parsing both itself — the DTD with the ungoverned
-/// [`parse_dtd`], the FDs with [`FdListing::read`] — and running
-/// unbudgeted, for tests and examples. Everything else is as [`lint`]
-/// with [`OptIn::None`].
+/// tiers, reading both itself — the DTD with [`DtdListing::read`] under
+/// [`ParseLimits::default`], the FDs with [`FdListing::read`] — and
+/// running unbudgeted, for tests and examples. Everything else is as
+/// [`lint`] with [`OptIn::None`].
 pub fn lint_spec(dtd_src: &str, fds_src: Option<&str>) -> LintReport {
-    let parsed = parse_dtd(dtd_src);
+    let dtd = DtdListing::read(dtd_src, ParseLimits::default(), UNLIMITED);
     let fds = fds_src.map(FdListing::read);
-    match lint(dtd_src, &parsed, fds.as_ref(), OptIn::None, UNLIMITED) {
+    match lint(&dtd, fds.as_ref(), OptIn::None, UNLIMITED) {
         Ok(report) => report,
         Err(_) => unreachable!("an unlimited budget cannot exhaust"),
     }
@@ -451,12 +451,12 @@ pub enum OptIn {
 /// applicable rule of the [`registry`] plus the `opt_in` tier, under
 /// `budget`.
 ///
-/// `lint` parses neither input: `parsed` is the caller's own parse of
-/// `dtd_src`, success or failure, and `fds` the caller's
-/// [`FdListing`] of the FD-set text, so an op that parses under its
-/// budget and trust limits has that one parse linted. A DTD parse that
-/// ran out of budget has no report: its [`Exhausted`] comes back as the
-/// error.
+/// `lint` parses neither input: `dtd` is the caller's [`DtdListing`] of
+/// the DTD text, its parse success or failure included, and `fds` the
+/// caller's [`FdListing`] of the FD-set text, so an op that parses under
+/// its budget and trust limits has that one parse linted. A DTD parse
+/// that ran out of budget has no report: its [`Exhausted`] comes back as
+/// the error.
 ///
 /// The structural tier always runs. The semantic tier runs when `fds` is
 /// given *and* the DTD parsed and is non-recursive — the chase needs a
@@ -468,27 +468,27 @@ pub enum OptIn {
 /// when it runs out. An `Err` means the report was *not* completed — no
 /// partial report is returned, so a clean report always means a fully
 /// linted spec. Of the phases before those rules only the caller's DTD
-/// parse charges `budget`: the FD parse (the caller's too), the
-/// structural tier, FD resolution, `paths(D)` and the chase's fact
-/// tables run unmetered. The structural tier's determinism check reads
-/// each content model's position tree in time linear in its size times
-/// its nesting depth; charging these phases to the budget is open (see
-/// "Hostile schemas" in `ROADMAP.md`).
+/// parse charges `budget`, up to the text's first error: the rest of
+/// that reading, the FD parse (the caller's too), the structural tier,
+/// FD resolution, `paths(D)` and the chase's fact tables run unmetered.
+/// The structural tier's determinism check reads each content model's
+/// position tree in time linear in its size times its nesting depth;
+/// charging these phases to the budget is open (see "Hostile schemas"
+/// in `ROADMAP.md`).
 pub fn lint(
-    dtd_src: &str,
-    parsed: &Result<Dtd, DtdError>,
+    dtd: &DtdListing<'_>,
     fds: Option<&FdListing<'_>>,
     opt_in: OptIn,
     budget: &Budget,
 ) -> Result<LintReport, Exhausted> {
-    lint_inner(dtd_src, parsed, fds, opt_in, false, budget)
+    lint_inner(dtd, fds, opt_in, false, budget)
 }
 
 /// The preflight gate of the engine subcommands: does the spec have a
 /// hard lint error? `None` when it has none; otherwise the full report —
 /// exactly [`lint`]'s with [`OptIn::None`], or with [`OptIn::Shred`]
 /// under `shred_tier` — for the caller to render. Like [`lint`], the
-/// gate reads the caller's parse of both inputs and never parses.
+/// gate reads the caller's listings of both inputs and never parses.
 ///
 /// Only the rules that can emit an error run first: the structural
 /// tier, FD syntax and path resolution (`XNF101`/`XNF102`), and with
@@ -500,8 +500,7 @@ pub fn lint(
 /// its report can exhaust like any governed lint. The gate runs inside
 /// a `lint.preflight` span on the budget's recorder.
 pub fn preflight(
-    dtd_src: &str,
-    parsed: &Result<Dtd, DtdError>,
+    dtd: &DtdListing<'_>,
     fds: Option<&FdListing<'_>>,
     shred_tier: bool,
     budget: &Budget,
@@ -512,40 +511,35 @@ pub fn preflight(
     } else {
         OptIn::None
     };
-    let report = lint_inner(dtd_src, parsed, fds, opt_in, true, budget)?;
+    let report = lint_inner(dtd, fds, opt_in, true, budget)?;
     Ok(report.has_errors().then_some(report))
 }
 
-/// The one rule sequence behind [`lint`] and [`preflight`], over
-/// `parsed`, the caller's parse of `dtd_src`, and `fds`, its listing of
-/// Σ. Every rule that can emit an error runs before every rule that
+/// The one rule sequence behind [`lint`] and [`preflight`], over the
+/// caller's listings of D and Σ. Every rule that can emit an error runs before every rule that
 /// cannot; with `gate`, a run that found no error stops between them.
 /// The order of rules does not reach the report: [`LintReport::new`]
 /// sorts stably by (source, offset, code), and each code comes from one
 /// rule.
 fn lint_inner(
-    dtd_src: &str,
-    parsed: &Result<Dtd, DtdError>,
+    dtd: &DtdListing<'_>,
     fds: Option<&FdListing<'_>>,
     opt_in: OptIn,
     gate: bool,
     budget: &Budget,
 ) -> Result<LintReport, Exhausted> {
+    let parsed = dtd.parsed();
     if let Err(DtdError::Exhausted(e)) = parsed {
         return Err(e.clone());
     }
     let mut diags = Vec::new();
     let structural_span = budget.recorder().span("lint.structural", "lint");
-    let index = DeclIndex::scan(dtd_src);
-    let ctx = parsed
-        .as_ref()
-        .ok()
-        .map(|dtd| DtdCtx::new(dtd_src, dtd, &index));
+    let ctx = parsed.as_ref().ok().map(|parsed| DtdCtx::new(dtd, parsed));
     // Every span into the DTD resolves through one line table: the
     // context's, or this one when the DTD did not parse.
-    let unparsed = SourceText::new(dtd_src);
+    let unparsed = SourceText::new(dtd.src());
     let dtd_text = ctx.as_ref().map_or(&unparsed, |ctx| &ctx.text);
-    structural::duplicate_decls(dtd_text, &index, &mut diags);
+    structural::duplicate_decls(dtd_text, dtd, &mut diags);
     if let Some(ctx) = &ctx {
         structural::rule_unreachable(ctx, &mut diags);
         structural::rule_non_generating(ctx, &mut diags);
@@ -555,7 +549,7 @@ fn lint_inner(
         structural::rule_general_class(ctx, &mut diags);
     }
     if let Err(err) = parsed {
-        structural::map_parse_error(dtd_text, &index, err, &mut diags);
+        structural::map_parse_error(dtd_text, dtd, err, &mut diags);
     }
     drop(structural_span);
     // The path-based rules need a finite paths(D): a parsed,
@@ -568,9 +562,9 @@ fn lint_inner(
     if opt_in == OptIn::Shred {
         let _span = budget.recorder().span("lint.shred", "lint");
         // Mixed content *is* a parse failure; explain it anyway.
-        shred::rule_mixed_content(dtd_text, &index, &mut diags);
+        shred::rule_mixed_content(dtd_text, dtd, &mut diags);
         if let Some(ctx) = &ctx {
-            shred::rule_recursive(ctx.dtd, dtd_text, &index, &mut diags);
+            shred::rule_recursive(ctx.dtd, dtd_text, dtd, &mut diags);
         }
     }
 
@@ -596,7 +590,7 @@ fn lint_inner(
             // Σ that does not parse has its XNF101 already; the layout
             // rules then run against the empty Σ.
             let sigma = fds.and_then(|l| l.to_set().ok()).unwrap_or_default();
-            shred::rule_layout(ctx.dtd, dtd_text, &index, &sigma, budget, &mut diags)?;
+            shred::rule_layout(ctx.dtd, dtd_text, dtd, &sigma, budget, &mut diags)?;
         }
     }
     Ok(LintReport::new(diags))
@@ -648,6 +642,11 @@ mod tests {
         assert_eq!(RULES.len(), Code::ShredWideTable as usize + 1);
     }
 
+    /// The listing `lint_spec` reads.
+    fn listing(dtd: &str) -> DtdListing<'_> {
+        DtdListing::read(dtd, ParseLimits::default(), UNLIMITED)
+    }
+
     /// [`lint`] over a parse of its own source, as `lint_spec` runs it.
     fn lint_parsed(
         dtd: &str,
@@ -656,7 +655,7 @@ mod tests {
         budget: &Budget,
     ) -> Result<LintReport, Exhausted> {
         let fds = fds.map(FdListing::read);
-        lint(dtd, &parse_dtd(dtd), fds.as_ref(), opt_in, budget)
+        lint(&listing(dtd), fds.as_ref(), opt_in, budget)
     }
 
     /// The predictive tier is strictly opt-in: the default lint stays
@@ -740,14 +739,14 @@ mod tests {
         let metered = Budget::builder().build();
         let warned = FdListing::read(warned);
         assert_eq!(
-            preflight(dtd, &parse_dtd(dtd), Some(&warned), false, &metered),
+            preflight(&listing(dtd), Some(&warned), false, &metered),
             Ok(None)
         );
         assert_eq!(metered.ticks(), 0);
         let broken = "r.a.@k -> r.a\nr.a -> r\nr.nope -> r";
         let tiny = Budget::builder().fuel(2).build();
         let broken = FdListing::read(broken);
-        let err = preflight(dtd, &parse_dtd(dtd), Some(&broken), false, &tiny).unwrap_err();
+        let err = preflight(&listing(dtd), Some(&broken), false, &tiny).unwrap_err();
         assert_eq!(err.resource, xnf_govern::Resource::Fuel);
     }
 
@@ -758,21 +757,21 @@ mod tests {
     fn preflight_passes_on_a_parse_exhaustion() {
         let dtd = "<!ELEMENT r (a*)> <!ELEMENT a EMPTY> <!ELEMENT a EMPTY>";
         let tiny = Budget::builder().fuel(1).build();
-        let parsed = xnf_dtd::parse_dtd_governed(dtd, xnf_dtd::ParseLimits::default(), &tiny);
-        let Err(DtdError::Exhausted(cause)) = &parsed else {
+        let parsed = DtdListing::read(dtd, ParseLimits::default(), &tiny);
+        let Err(DtdError::Exhausted(cause)) = parsed.parsed() else {
             panic!("fuel 1 must exhaust the parse: {parsed:?}");
         };
         let metered = Budget::builder().build();
-        let err = preflight(dtd, &parsed, None, false, &metered).unwrap_err();
+        let err = preflight(&parsed, None, false, &metered).unwrap_err();
         assert_eq!(&err, cause);
         for opt_in in [OptIn::None, OptIn::Predictive, OptIn::Shred] {
             let fds = FdListing::read("r.a -> r");
-            let err = lint(dtd, &parsed, Some(&fds), opt_in, &metered).unwrap_err();
+            let err = lint(&parsed, Some(&fds), opt_in, &metered).unwrap_err();
             assert_eq!(&err, cause);
         }
         assert_eq!(metered.ticks(), 0);
         // The same source, parsed in full, fails the gate (XNF002).
-        let report = preflight(dtd, &parse_dtd(dtd), None, false, &metered).unwrap();
+        let report = preflight(&listing(dtd), None, false, &metered).unwrap();
         assert_eq!(report.unwrap().codes(), vec![Code::DuplicateElement]);
     }
 

@@ -10,8 +10,8 @@
 //!   per-path table layout does not exist at all.
 //! * `XNF301` — a declaration mixes `#PCDATA` with child elements: the
 //!   text has no stable column to land in. (Mixed content is also a parse
-//!   error, so this rule runs over the raw declaration text and explains
-//!   the rejection in shredding terms.)
+//!   error; the DTD's listing marks each declaration the parser rejects
+//!   for it, and this rule explains the rejection in shredding terms.)
 //! * `XNF302` — two element types share a leaf name, so their tables fall
 //!   back to mangled full-path names.
 //! * `XNF303` — a table has more key-candidate columns than the FD
@@ -19,53 +19,38 @@
 //!   exhaustive to sampled.
 
 use crate::report::{Code, Diagnostic, SourceKind, SourceText};
-use crate::source::DeclIndex;
-use std::collections::BTreeSet;
+use crate::structural::at_element;
 use xnf_core::{compile_schema, CoreError, XmlFdSet, FD_ENUMERATION_WIDTH};
-use xnf_dtd::{Dtd, Step};
+use xnf_dtd::{Dtd, DtdListing, Outcome, Step};
 use xnf_govern::{Budget, Exhausted};
 
 /// `XNF301`: element declarations whose content model mixes `#PCDATA`
-/// with element names. Runs over the raw text (the strict parser rejects
-/// mixed content outright, so this is the only chance to explain it).
+/// with element names, as the listing marks them (the strict parser
+/// rejects mixed content outright, so this is the only chance to explain
+/// it).
 pub(crate) fn rule_mixed_content(
     dtd_text: &SourceText<'_>,
-    index: &DeclIndex,
+    listing: &DtdListing<'_>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let dtd_src = dtd_text.text();
-    let mut seen = BTreeSet::new();
-    for decl in &index.elements {
-        if !seen.insert(decl.name.as_str()) {
-            continue; // duplicate declaration: XNF001 owns that
-        }
-        let model_start = decl.offset + decl.len();
-        let model = match dtd_src[model_start..].find('>') {
-            Some(end) => &dtd_src[model_start..model_start + end],
-            None => &dtd_src[model_start..],
-        };
-        if !model.contains("#PCDATA") {
+    for decl in listing.elements() {
+        // A repeated declaration is XNF002's.
+        if decl.outcome != Outcome::Mixed || decl.repeats.is_some() {
             continue;
         }
-        // Mixed iff some content token besides the PCDATA keyword remains.
-        let mixed = model
-            .split(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':')))
-            .any(|tok| !tok.is_empty() && tok != "PCDATA");
-        if mixed {
-            diags.push(
-                Diagnostic::new(
-                    Code::ShredMixedContent,
-                    SourceKind::Dtd,
-                    format!(
-                        "element `{}` mixes #PCDATA with child elements; its text \
-                         has no stable column under shredding",
-                        decl.name
-                    ),
-                )
-                .with_span(dtd_text, decl.offset, decl.len())
-                .note("give the text its own wrapper element so it shreds to a column"),
-            );
-        }
+        diags.push(
+            Diagnostic::new(
+                Code::ShredMixedContent,
+                SourceKind::Dtd,
+                format!(
+                    "element `{}` mixes #PCDATA with child elements; its text \
+                     has no stable column under shredding",
+                    decl.name
+                ),
+            )
+            .with_span(dtd_text, decl.offset, decl.name.len())
+            .note("give the text its own wrapper element so it shreds to a column"),
+        );
     }
 }
 
@@ -73,7 +58,7 @@ pub(crate) fn rule_mixed_content(
 pub(crate) fn rule_recursive(
     dtd: &Dtd,
     dtd_text: &SourceText<'_>,
-    index: &DeclIndex,
+    listing: &DtdListing<'_>,
     diags: &mut Vec<Diagnostic>,
 ) {
     if !dtd.is_recursive() {
@@ -83,16 +68,11 @@ pub(crate) fn rule_recursive(
         .find_cycle_witness()
         .expect("recursive DTDs have a cycle witness");
     let name = dtd.name(witness);
-    let mut d = Diagnostic::new(
-        Code::ShredRecursive,
-        SourceKind::Dtd,
-        format!("element `{name}` is on a reference cycle; paths(D) is infinite and no per-path table layout exists"),
-    )
-    .note("shredding requires a non-recursive DTD; break the cycle or export the subtree as a document column");
-    if let Some(span) = index.element(name) {
-        d = d.with_span(dtd_text, span.offset, span.len());
-    }
-    diags.push(d);
+    let message = format!("element `{name}` is on a reference cycle; paths(D) is infinite and no per-path table layout exists");
+    diags.push(
+        at_element(dtd_text, listing, name, Code::ShredRecursive, message)
+            .note("shredding requires a non-recursive DTD; break the cycle or export the subtree as a document column"),
+    );
 }
 
 /// The layout rules (`XNF302`, `XNF303`) over a non-recursive DTD:
@@ -101,7 +81,7 @@ pub(crate) fn rule_recursive(
 pub(crate) fn rule_layout(
     dtd: &Dtd,
     dtd_text: &SourceText<'_>,
-    index: &DeclIndex,
+    listing: &DtdListing<'_>,
     sigma: &XmlFdSet,
     budget: &Budget,
     diags: &mut Vec<Diagnostic>,
@@ -120,20 +100,15 @@ pub(crate) fn rule_layout(
         };
         let table = &schema.design.tables[ix];
         if !schema.keeps_leaf_name(ix) {
-            let mut d = Diagnostic::new(
-                Code::ShredNameCollision,
-                SourceKind::Dtd,
-                format!(
-                    "element `{tail}` shreds to table `{}`: its leaf name is \
-                     claimed by another element path",
-                    table.name
-                ),
-            )
-            .note("rename one of the colliding element types to keep table names readable");
-            if let Some(span) = index.element(tail) {
-                d = d.with_span(dtd_text, span.offset, span.len());
-            }
-            diags.push(d);
+            let message = format!(
+                "element `{tail}` shreds to table `{}`: its leaf name is \
+                 claimed by another element path",
+                table.name
+            );
+            diags.push(
+                at_element(dtd_text, listing, tail, Code::ShredNameCollision, message)
+                    .note("rename one of the colliding element types to keep table names readable"),
+            );
         }
         // Key-candidate columns: everything the FD derivation can put on a
         // LHS (parent, attributes, text) — exactly the columns with a DTD
@@ -142,21 +117,17 @@ pub(crate) fn rule_layout(
             .filter(|&c| schema.column_path(ix, c).is_some())
             .count();
         if candidates > FD_ENUMERATION_WIDTH {
-            let mut d = Diagnostic::new(
-                Code::ShredWideTable,
-                SourceKind::Dtd,
-                format!(
-                    "table `{}` has {candidates} key-candidate columns \
-                     (> {FD_ENUMERATION_WIDTH}); the derived-key search is \
-                     sampled, not exhaustive",
-                    table.name
+            let message = format!(
+                "table `{}` has {candidates} key-candidate columns \
+                 (> {FD_ENUMERATION_WIDTH}); the derived-key search is \
+                 sampled, not exhaustive",
+                table.name
+            );
+            diags.push(
+                at_element(dtd_text, listing, tail, Code::ShredWideTable, message).note(
+                    "UNIQUE constraints on wide tables may be incomplete; declare extra keys in Σ",
                 ),
-            )
-            .note("UNIQUE constraints on wide tables may be incomplete; declare extra keys in Σ");
-            if let Some(span) = index.element(tail) {
-                d = d.with_span(dtd_text, span.offset, span.len());
-            }
-            diags.push(d);
+            );
         }
     }
     Ok(())
@@ -166,13 +137,13 @@ pub(crate) fn rule_layout(
 mod tests {
     use crate::{lint, lint_spec, Code, LintReport, OptIn, Severity, UNLIMITED};
     use xnf_core::fd::FdListing;
-    use xnf_dtd::parse_dtd;
+    use xnf_dtd::{DtdListing, ParseLimits};
 
     /// The lint with the shred tier, over a parse of `dtd`.
     fn lint_spec_shred(dtd: &str, fds: Option<&str>) -> LintReport {
         let fds = fds.map(FdListing::read);
-        lint(dtd, &parse_dtd(dtd), fds.as_ref(), OptIn::Shred, UNLIMITED)
-            .expect("unlimited budget cannot exhaust")
+        let dtd = DtdListing::read(dtd, ParseLimits::default(), UNLIMITED);
+        lint(&dtd, fds.as_ref(), OptIn::Shred, UNLIMITED).expect("unlimited budget cannot exhaust")
     }
 
     fn shred_codes(dtd: &str, fds: Option<&str>) -> Vec<Code> {

@@ -1,18 +1,17 @@
 //! Structural lint rules: analyses of the DTD alone (codes `XNF0xx`).
 //!
-//! Two groups live here. The *scanner* rules (duplicate declarations) run
-//! over the raw text via [`DeclIndex`] so they can fire even when the
-//! strict parser bails at the first duplicate. The *model* rules run over
-//! a successfully parsed [`Dtd`]: reachability, generating-ness,
-//! satisfiability, 1-unambiguity, recursion, and the Section 7
-//! classification. Parse failures are mapped onto coded diagnostics by
-//! [`map_parse_error`].
+//! Two groups live here. The *listing* rules read the DTD's
+//! [`DtdListing`]: [`duplicate_decls`] reports every repeated declaration
+//! off the listing's links, even past the first, where the parse stops,
+//! and [`map_parse_error`] maps the parse's first error onto a coded
+//! diagnostic. The *model* rules run over a successfully parsed [`Dtd`]:
+//! reachability, generating-ness, satisfiability, 1-unambiguity,
+//! recursion, and the Section 7 classification.
 
 use crate::report::{Code, Diagnostic, SourceKind, SourceText};
-use crate::source::{DeclIndex, NameSpan};
 use xnf_dtd::classify::{classify_content, DtdClass, DtdShapes};
 use xnf_dtd::glushkov::check_deterministic;
-use xnf_dtd::{ContentModel, Dtd, DtdError, Regex};
+use xnf_dtd::{ContentModel, Dtd, DtdError, DtdListing, Regex};
 
 /// Context handed to every model rule: the parsed DTD plus everything the
 /// driver precomputes once.
@@ -20,8 +19,8 @@ use xnf_dtd::{ContentModel, Dtd, DtdError, Regex};
 pub struct DtdCtx<'a> {
     /// The parsed DTD.
     pub dtd: &'a Dtd,
-    /// Declaration spans scanned from `src`.
-    pub index: &'a DeclIndex,
+    /// The listing `dtd` was read from, for declaration spans.
+    pub listing: &'a DtdListing<'a>,
     /// `reachable[e.index()]`: element `e` is reachable from the root.
     pub reachable: Vec<bool>,
     /// `generating[e.index()]`: some finite tree is derivable from `e`.
@@ -34,24 +33,36 @@ pub struct DtdCtx<'a> {
 impl<'a> DtdCtx<'a> {
     /// Builds the context, running the reachability and generating
     /// fixpoints.
-    pub fn new(src: &'a str, dtd: &'a Dtd, index: &'a DeclIndex) -> DtdCtx<'a> {
+    pub fn new(listing: &'a DtdListing<'a>, dtd: &'a Dtd) -> DtdCtx<'a> {
         DtdCtx {
             dtd,
-            index,
+            listing,
             reachable: reachable_set(dtd),
             generating: generating_set(dtd),
-            text: SourceText::new(src),
+            text: SourceText::new(listing.src()),
         }
     }
 
     /// A diagnostic at the `<!ELEMENT …>` name of `element` (span-less if
-    /// the scanner did not find the declaration).
+    /// the listing has no such declaration).
     fn at_decl(&self, code: Code, element: &str, message: String) -> Diagnostic {
-        let d = Diagnostic::new(code, SourceKind::Dtd, message);
-        match self.index.element(element) {
-            Some(span) => d.with_span(&self.text, span.offset, span.len()),
-            None => d,
-        }
+        at_element(&self.text, self.listing, element, code, message)
+    }
+}
+
+/// A diagnostic at the name of the first `<!ELEMENT …>` of `element` in
+/// `listing`, span-less if there is none.
+pub(crate) fn at_element(
+    src: &SourceText<'_>,
+    listing: &DtdListing<'_>,
+    element: &str,
+    code: Code,
+    message: String,
+) -> Diagnostic {
+    let d = Diagnostic::new(code, SourceKind::Dtd, message);
+    match listing.element(element) {
+        Some(decl) => d.with_span(src, decl.offset, decl.name.len()),
+        None => d,
     }
 }
 
@@ -117,61 +128,53 @@ fn has_generating_word(re: &Regex, allowed: &impl Fn(&str) -> bool) -> bool {
     }
 }
 
-fn fmt_at(src: &SourceText<'_>, span: &NameSpan) -> String {
-    format!("dtd:{}", src.line_col(span.offset))
-}
-
 /// XNF002/XNF003 — duplicate `<!ELEMENT>` / duplicate attribute
-/// declarations, found on the raw text so every duplicate is reported
-/// even though the strict parser stops at the first. In the index's name
-/// orders each run of one name starts at its first declaration; every
-/// later one in the run is a duplicate of it.
-pub fn duplicate_decls(src: &SourceText<'_>, index: &DeclIndex, out: &mut Vec<Diagnostic>) {
-    let elements = &index.elements;
-    let same_name = |&a: &usize, &b: &usize| elements[a].name == elements[b].name;
-    for run in index.element_order.chunk_by(same_name) {
-        let first = &elements[run[0]];
-        for decl in run[1..].iter().map(|&e| &elements[e]) {
+/// declarations: every entry of the listing that repeats an earlier one,
+/// with a note pointing back at the first, although the parse stops at
+/// the first repeat.
+pub fn duplicate_decls(src: &SourceText<'_>, listing: &DtdListing<'_>, out: &mut Vec<Diagnostic>) {
+    let first_at = |offset: usize| format!("first declared at dtd:{}", src.line_col(offset));
+    let elements = listing.elements();
+    for decl in elements {
+        if let Some(first) = decl.repeats {
             out.push(
                 Diagnostic::new(
                     Code::DuplicateElement,
                     SourceKind::Dtd,
                     format!("element `{}` is declared more than once", decl.name),
                 )
-                .with_span(src, decl.offset, decl.len())
-                .note(format!("first declared at {}", fmt_at(src, first))),
+                .with_span(src, decl.offset, decl.name.len())
+                .note(first_at(elements[first].offset)),
             );
         }
     }
-    let attr = |(block, a): (usize, usize)| &index.attlists[block].attrs[a];
-    let same_key =
-        |&x: &(usize, usize), &y: &(usize, usize)| index.attr_key(x) == index.attr_key(y);
-    for run in index.attr_order.chunk_by(same_key) {
-        let (element, _) = index.attr_key(run[0]);
-        let first = attr(run[0]);
-        for decl in run[1..].iter().map(|&x| attr(x)) {
-            out.push(
-                Diagnostic::new(
-                    Code::DuplicateAttribute,
-                    SourceKind::Dtd,
-                    format!(
-                        "attribute `@{}` is declared more than once for element `{element}`",
-                        decl.name
-                    ),
-                )
-                .with_span(src, decl.offset, decl.len())
-                .note(format!("first declared at {}", fmt_at(src, first))),
-            );
+    let attributes = listing.attributes();
+    for list in listing.attlists() {
+        for decl in &attributes[list.attrs.clone()] {
+            if let Some(first) = decl.repeats {
+                out.push(
+                    Diagnostic::new(
+                        Code::DuplicateAttribute,
+                        SourceKind::Dtd,
+                        format!(
+                            "attribute `@{}` is declared more than once for element `{}`",
+                            decl.name, list.owner
+                        ),
+                    )
+                    .with_span(src, decl.offset, decl.name.len())
+                    .note(first_at(attributes[first].offset)),
+                );
+            }
         }
     }
 }
 
-/// Maps a DTD parse failure onto a coded
-/// diagnostic. Duplicate-declaration errors are suppressed when the
-/// scanner already reported the same duplicate with a span.
+/// Maps a DTD parse failure onto a coded diagnostic. A duplicate
+/// declaration maps onto none: [`duplicate_decls`] reports it, and every
+/// later one, off the listing.
 pub fn map_parse_error(
     src: &SourceText<'_>,
-    index: &DeclIndex,
+    listing: &DtdListing<'_>,
     err: &DtdError,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -186,60 +189,32 @@ pub fn map_parse_error(
             )
             .with_span(src, *offset, 1),
         ),
-        DtdError::DuplicateElement(name) => {
-            let scanner_saw_it = index.elements.iter().filter(|e| e.name == *name).count() > 1;
-            if !scanner_saw_it {
-                out.push(Diagnostic::new(
-                    Code::DuplicateElement,
-                    SourceKind::Dtd,
-                    err.to_string(),
-                ));
-            }
-        }
-        DtdError::DuplicateAttribute { element, attribute } => {
-            let scanner_saw_it = index
-                .attlists
-                .iter()
-                .filter(|b| b.element.name == *element)
-                .flat_map(|b| b.attrs.iter())
-                .filter(|a| a.name == *attribute)
-                .count()
-                > 1;
-            if !scanner_saw_it {
-                out.push(Diagnostic::new(
-                    Code::DuplicateAttribute,
-                    SourceKind::Dtd,
-                    err.to_string(),
-                ));
-            }
-        }
+        DtdError::DuplicateElement(_) | DtdError::DuplicateAttribute { .. } => {}
         DtdError::UndeclaredElement {
             name,
             referenced_by,
         } => {
-            let d = Diagnostic::new(
+            let message =
+                format!("element `{name}` is referenced by `{referenced_by}` but never declared");
+            let d = at_element(
+                src,
+                listing,
+                referenced_by,
                 Code::UndeclaredElement,
-                SourceKind::Dtd,
-                format!("element `{name}` is referenced by `{referenced_by}` but never declared"),
+                message,
             );
-            out.push(match index.element(referenced_by) {
-                Some(span) => d
-                    .with_span(src, span.offset, span.len())
-                    .note(format!("`{name}` occurs in this element's content model")),
+            out.push(match d.span {
+                Some(_) => d.note(format!("`{name}` occurs in this element's content model")),
                 None => d,
             });
         }
         DtdError::RootReferenced { referenced_by } => {
-            let d = Diagnostic::new(
-                Code::RootReferenced,
-                SourceKind::Dtd,
-                format!("the root element occurs in the content model of `{referenced_by}`"),
-            )
-            .note("Definition 1 requires the root not to occur in any P(\u{3c4})");
-            out.push(match index.element(referenced_by) {
-                Some(span) => d.with_span(src, span.offset, span.len()),
-                None => d,
-            });
+            let message =
+                format!("the root element occurs in the content model of `{referenced_by}`");
+            out.push(
+                at_element(src, listing, referenced_by, Code::RootReferenced, message)
+                    .note("Definition 1 requires the root not to occur in any P(\u{3c4})"),
+            );
         }
         DtdError::AttlistForUndeclared(name) => {
             let d = Diagnostic::new(
@@ -247,13 +222,9 @@ pub fn map_parse_error(
                 SourceKind::Dtd,
                 format!("ATTLIST for undeclared element `{name}`"),
             );
-            let span = index
-                .attlists
-                .iter()
-                .find(|b| b.element.name == *name)
-                .map(|b| &b.element);
-            out.push(match span {
-                Some(span) => d.with_span(src, span.offset, span.len()),
+            let list = listing.attlists().iter().find(|list| list.owner == name);
+            out.push(match list {
+                Some(list) => d.with_span(src, list.offset, list.owner.len()),
                 None => d,
             });
         }
@@ -434,7 +405,9 @@ mod tests {
                    <!ATTLIST b x CDATA #REQUIRED x CDATA #IMPLIED>\n\
                    <!ATTLIST a x CDATA #IMPLIED>";
         let mut out = Vec::new();
-        duplicate_decls(&SourceText::new(src), &DeclIndex::scan(src), &mut out);
+        let listing =
+            xnf_dtd::DtdListing::read(src, xnf_dtd::ParseLimits::default(), crate::UNLIMITED);
+        duplicate_decls(&SourceText::new(src), &listing, &mut out);
         out.sort_by_key(|d| d.span.as_ref().map(|s| s.offset));
         let found: Vec<String> = out
             .iter()

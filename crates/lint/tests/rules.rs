@@ -4,7 +4,9 @@
 //! rules, ≥ 4 structural and ≥ 4 implication-backed — is pinned by
 //! `registry_floor` at the bottom.
 
-use xnf_lint::{lint_spec, Code, Severity, Tier};
+use xnf_dtd::{DtdListing, ParseLimits};
+use xnf_govern::Budget;
+use xnf_lint::{lint, lint_spec, Code, LintReport, OptIn, Severity, Tier};
 
 /// The university spec (Figure 1 / Example 1.1) — the canonical clean spec.
 const UNIVERSITY_DTD: &str = "\
@@ -29,6 +31,13 @@ fn codes(dtd: &str, fds: Option<&str>) -> Vec<Code> {
 
 fn fires(dtd: &str, fds: Option<&str>, code: Code) -> bool {
     codes(dtd, fds).contains(&code)
+}
+
+/// The lint with the shred tier, over the listing `lint_spec` reads.
+fn lint_shred(dtd: &str) -> LintReport {
+    let unlimited = Budget::unlimited();
+    let listing = DtdListing::read(dtd, ParseLimits::default(), &unlimited);
+    lint(&listing, None, OptIn::Shred, &unlimited).expect("unlimited budget cannot exhaust")
 }
 
 #[test]
@@ -79,6 +88,16 @@ fn xnf002_fires_on_duplicate_element_with_note_to_first() {
 #[test]
 fn xnf002_does_not_fire_without_duplicates() {
     assert!(!fires(UNIVERSITY_DTD, None, Code::DuplicateElement));
+}
+
+/// A declaration inside a comment inside a content model declares
+/// nothing: the parser skips the comment, and so does the lint.
+#[test]
+fn xnf002_does_not_fire_on_a_declaration_inside_a_comment() {
+    let dtd = "<!ELEMENT r (a <!-- > <!ELEMENT a EMPTY> --> )>\n<!ELEMENT a EMPTY>\n";
+    let report = lint_spec(dtd, Some("r -> r"));
+    assert!(!report.has_errors(), "{}", report.render_human());
+    assert_eq!(report.codes(), vec![Code::TrivialFd]);
 }
 
 // ---------------------------------------------------------------- XNF003
@@ -506,6 +525,36 @@ fn xnf108_does_not_fire_on_a_minimal_lhs() {
         Some(UNIVERSITY_FDS),
         Code::RedundantLhsPath
     ));
+}
+
+// ---------------------------------------------------------------- XNF301
+
+#[test]
+fn xnf301_fires_on_pcdata_beside_an_element_name_in_either_position() {
+    for model in ["(#PCDATA | em)*", "(em | #PCDATA)*"] {
+        let dtd = format!("<!ELEMENT r (p)>\n<!ELEMENT p {model}>\n<!ELEMENT em EMPTY>");
+        let report = lint_shred(&dtd);
+        assert_eq!(
+            report.codes(),
+            vec![Code::ShredMixedContent, Code::DtdSyntax],
+            "{model}: {}",
+            report.render_human()
+        );
+    }
+}
+
+#[test]
+fn xnf301_does_not_fire_on_pcdata_alone() {
+    // Nested parentheses and a truncated model: syntax errors, not mixing.
+    for model in ["((#PCDATA))>", "(#PCDATA"] {
+        let dtd = format!("<!ELEMENT r (p)>\n<!ELEMENT p {model}");
+        let report = lint_shred(&dtd);
+        assert_eq!(report.codes(), vec![Code::DtdSyntax], "{model}");
+    }
+    // A comment inside `(#PCDATA)` names no element: the spec shreds.
+    let dtd = "<!ELEMENT r (t)>\n<!ELEMENT t (#PCDATA <!-- note -->)>\n";
+    let report = lint_shred(dtd);
+    assert!(report.is_clean(), "{}", report.render_human());
 }
 
 // ----------------------------------------------------------- registry

@@ -187,41 +187,30 @@ impl Recorder {
         if !histograms.is_empty() {
             out.push_str("# TYPE xnf_duration_microseconds histogram\n");
             for (name, h) in &histograms {
-                render_histogram(&mut out, name, h);
+                let labels = format!("name=\"{}\"", escape_label(name));
+                write_histogram(&mut out, "xnf_duration_microseconds", &labels, h);
             }
         }
         out
     }
 }
 
-fn render_histogram(out: &mut String, name: &str, h: &Histogram) {
-    let name = escape_label(name);
+/// Appends one histogram to `out` in Prometheus text exposition format
+/// under `metric`, each line carrying `labels` (escaped already):
+/// cumulative `_bucket` lines with `le = 2^k − 1` bounds up to the
+/// highest non-empty bucket, then `+Inf`, `_sum` and `_count`.
+pub(crate) fn write_histogram(out: &mut String, metric: &str, labels: &str, h: &Histogram) {
     let max = h.max_bucket().unwrap_or(0);
     let mut cumulative = 0u64;
     for (k, count) in h.buckets.iter().enumerate().take(max + 1) {
         cumulative += count;
         // Bucket k holds values < 2^k, i.e. le = 2^k − 1.
         let le = (1u128 << k) - 1;
-        let _ = writeln!(
-            out,
-            "xnf_duration_microseconds_bucket{{name=\"{name}\",le=\"{le}\"}} {cumulative}"
-        );
+        let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
     }
-    let _ = writeln!(
-        out,
-        "xnf_duration_microseconds_bucket{{name=\"{name}\",le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(
-        out,
-        "xnf_duration_microseconds_sum{{name=\"{name}\"}} {}",
-        h.sum
-    );
-    let _ = writeln!(
-        out,
-        "xnf_duration_microseconds_count{{name=\"{name}\"}} {}",
-        h.count
-    );
+    let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"+Inf\"}} {}", h.count);
+    let _ = writeln!(out, "{metric}_sum{{{labels}}} {}", h.sum);
+    let _ = writeln!(out, "{metric}_count{{{labels}}} {}", h.count);
 }
 
 #[cfg(test)]
@@ -319,6 +308,28 @@ mod tests {
         assert!(
             out.contains("xnf_duration_microseconds_bucket{name=\"chase.run\",le=\"+Inf\"} 1"),
             "{out}"
+        );
+    }
+
+    /// One recorder histogram in full: cumulative buckets up to the
+    /// highest non-empty one, then `+Inf`, `_sum` and `_count`, with the
+    /// name escaped.
+    #[test]
+    fn prometheus_histogram_is_pinned() {
+        let r = Recorder::enabled();
+        for value in [0, 5, 5] {
+            r.observe("queue.\"wait", value);
+        }
+        assert_eq!(
+            r.prometheus(),
+            "# TYPE xnf_duration_microseconds histogram\n\
+             xnf_duration_microseconds_bucket{name=\"queue.\\\"wait\",le=\"0\"} 1\n\
+             xnf_duration_microseconds_bucket{name=\"queue.\\\"wait\",le=\"1\"} 1\n\
+             xnf_duration_microseconds_bucket{name=\"queue.\\\"wait\",le=\"3\"} 1\n\
+             xnf_duration_microseconds_bucket{name=\"queue.\\\"wait\",le=\"7\"} 3\n\
+             xnf_duration_microseconds_bucket{name=\"queue.\\\"wait\",le=\"+Inf\"} 3\n\
+             xnf_duration_microseconds_sum{name=\"queue.\\\"wait\"} 10\n\
+             xnf_duration_microseconds_count{name=\"queue.\\\"wait\"} 3\n"
         );
     }
 

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::export::{chrome_trace_events, escape_label};
+use crate::export::{chrome_trace_events, escape_label, write_histogram};
 use crate::json::quoted;
 use crate::{Histogram, SpanEvent};
 
@@ -344,16 +344,7 @@ impl LabeledHistograms {
                 escape_label(tenant),
                 escape_label(cache)
             );
-            let max = h.max_bucket().unwrap_or(0);
-            let mut cumulative = 0u64;
-            for (k, count) in h.buckets.iter().enumerate().take(max + 1) {
-                cumulative += count;
-                let le = (1u128 << k) - 1;
-                let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{metric}_bucket{{{labels},le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{metric}_sum{{{labels}}} {}", h.sum);
-            let _ = writeln!(out, "{metric}_count{{{labels}}} {}", h.count);
+            write_histogram(out, metric, &labels, h);
         }
     }
 }
@@ -513,6 +504,26 @@ mod tests {
         assert!(
             out.contains("le=\"+Inf\"} 2"),
             "+Inf bucket carries the count: {out}"
+        );
+    }
+
+    /// One labeled histogram in full, in the recorder's bucket layout.
+    #[test]
+    fn labeled_histogram_is_pinned() {
+        let h = LabeledHistograms::new(16);
+        h.observe("/v1/lint", "t\"1", "miss", 2);
+        h.observe("/v1/lint", "t\"1", "miss", 1);
+        let mut out = String::new();
+        h.prometheus("m", &mut out);
+        assert_eq!(
+            out,
+            "# TYPE m histogram\n\
+             m_bucket{route=\"/v1/lint\",tenant=\"t\\\"1\",cache=\"miss\",le=\"0\"} 0\n\
+             m_bucket{route=\"/v1/lint\",tenant=\"t\\\"1\",cache=\"miss\",le=\"1\"} 1\n\
+             m_bucket{route=\"/v1/lint\",tenant=\"t\\\"1\",cache=\"miss\",le=\"3\"} 2\n\
+             m_bucket{route=\"/v1/lint\",tenant=\"t\\\"1\",cache=\"miss\",le=\"+Inf\"} 2\n\
+             m_sum{route=\"/v1/lint\",tenant=\"t\\\"1\",cache=\"miss\"} 3\n\
+             m_count{route=\"/v1/lint\",tenant=\"t\\\"1\",cache=\"miss\"} 2\n"
         );
     }
 

@@ -117,8 +117,7 @@ fn visited_sites() -> Vec<(&'static str, u64)> {
     .expect("normalization succeeds");
     assert!(r.exhausted.is_none());
     xnf_lint::lint(
-        UNIVERSITY_DTD,
-        &xnf_dtd::parse_dtd(UNIVERSITY_DTD),
+        &xnf_dtd::DtdListing::read(UNIVERSITY_DTD, Default::default(), &Budget::unlimited()),
         Some(&xnf_core::fd::FdListing::read(UNIVERSITY_FDS)),
         xnf_lint::OptIn::Predictive,
         &budget,

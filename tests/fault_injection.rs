@@ -151,8 +151,7 @@ fn run_pipeline(budget: &Budget) -> Result<Verdicts, Exhausted> {
 
     // Stage 8: governed lint (site `lint.semantic.fd`).
     let lint_report = xnf_lint::lint(
-        UNIVERSITY_DTD,
-        &xnf_dtd::parse_dtd(UNIVERSITY_DTD),
+        &xnf_dtd::DtdListing::read(UNIVERSITY_DTD, Default::default(), &Budget::unlimited()),
         Some(&xnf_core::fd::FdListing::read(UNIVERSITY_FDS)),
         xnf_lint::OptIn::None,
         budget,

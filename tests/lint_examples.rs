@@ -11,14 +11,19 @@
 //!   to the default tiers.
 
 use xnf::core::fd::FdListing;
+use xnf::dtd::{DtdListing, ParseLimits};
 use xnf::lint::{lint, lint_spec, preflight, LintReport, OptIn};
 use xnf_govern::Budget;
+
+/// The listing `lint_spec` reads.
+fn listing(dtd: &str) -> DtdListing<'_> {
+    DtdListing::read(dtd, ParseLimits::default(), &Budget::unlimited())
+}
 
 /// The lint with the shred tier, over a parse of `dtd`.
 fn lint_spec_shred(dtd: &str, fds: Option<&str>) -> LintReport {
     lint(
-        dtd,
-        &xnf::dtd::parse_dtd(dtd),
+        &listing(dtd),
         fds.map(FdListing::read).as_ref(),
         OptIn::Shred,
         &Budget::unlimited(),
@@ -203,14 +208,14 @@ fn preflight_gate_agrees_with_the_full_report() {
             let fds = fds_file.as_deref().map(read);
             let fds = fds.as_deref().map(FdListing::read);
             for shred_tier in [false, true] {
-                let parsed = xnf::dtd::parse_dtd(&dtd);
+                let parsed = listing(&dtd);
                 let opt_in = if shred_tier {
                     OptIn::Shred
                 } else {
                     OptIn::None
                 };
-                let full = lint(&dtd, &parsed, fds.as_ref(), opt_in, &unlimited).unwrap();
-                let gate = preflight(&dtd, &parsed, fds.as_ref(), shred_tier, &unlimited).unwrap();
+                let full = lint(&parsed, fds.as_ref(), opt_in, &unlimited).unwrap();
+                let gate = preflight(&parsed, fds.as_ref(), shred_tier, &unlimited).unwrap();
                 let what = format!("{dtd_file} + {fds_file:?} (shred tier: {shred_tier})");
                 match gate {
                     None => {
@@ -233,4 +238,72 @@ fn preflight_gate_agrees_with_the_full_report() {
         passed >= 20 && failed >= 20,
         "{passed} passed, {failed} failed"
     );
+}
+
+/// Every report this file's corpus yields, rendered in full: each
+/// checked-in DTD crossed with no FDs and with each checked-in FD file,
+/// under the default and the shred tier, then the paper specs under the
+/// predictive tier. Returns the human and the JSON renderings, each
+/// report under a header line naming its inputs and tier.
+fn corpus_reports() -> (String, String) {
+    let unlimited = Budget::unlimited();
+    let fds_files: Vec<Option<String>> = std::iter::once(None)
+        .chain(corpus_files(".fds").into_iter().map(Some))
+        .collect();
+    let mut runs: Vec<(String, Option<String>, OptIn)> = Vec::new();
+    for dtd_file in corpus_files(".dtd") {
+        for fds_file in &fds_files {
+            for opt_in in [OptIn::None, OptIn::Shred] {
+                runs.push((dtd_file.clone(), fds_file.clone(), opt_in));
+            }
+        }
+    }
+    for name in ["university", "dblp", "ebxml"] {
+        let dtd_file = format!("examples/specs/{name}.dtd");
+        let fds_file = format!("examples/specs/{name}.fds");
+        runs.push((dtd_file, Some(fds_file), OptIn::Predictive));
+    }
+    let (mut human, mut json) = (String::new(), String::new());
+    for (dtd_file, fds_file, opt_in) in runs {
+        let dtd = read(&dtd_file);
+        let fds = fds_file.as_deref().map(read);
+        let fds = fds.as_deref().map(FdListing::read);
+        let report = lint(&listing(&dtd), fds.as_ref(), opt_in, &unlimited).unwrap();
+        let fds_name = fds_file.as_deref().unwrap_or("-");
+        let header = format!("=== {dtd_file} + {fds_name} ({opt_in:?}) ===\n");
+        human.push_str(&header);
+        human.push_str(&report.render_human());
+        json.push_str(&header);
+        json.push_str(&report.to_json());
+        json.push('\n');
+    }
+    (human, json)
+}
+
+/// The corpus reports byte for byte: messages, spans, snippets and notes,
+/// not just codes. The golden files were rendered by the linter before
+/// its DTD scanner was folded into the parser's declaration listing.
+#[test]
+fn corpus_reports_match_the_golden_files() {
+    let (human, json) = corpus_reports();
+    for (got, golden) in [
+        (human, "tests/golden/lint_reports.human.txt"),
+        (json, "tests/golden/lint_reports.json.txt"),
+    ] {
+        let want = read(golden);
+        if got == want {
+            continue;
+        }
+        let (got_lines, want_lines) = (got.lines(), want.lines());
+        let first = got_lines
+            .zip(want_lines)
+            .position(|(g, w)| g != w)
+            .unwrap_or(got.lines().count().min(want.lines().count()));
+        panic!(
+            "{golden} differs first at line {}:\n got: {:?}\nwant: {:?}",
+            first + 1,
+            got.lines().nth(first),
+            want.lines().nth(first)
+        );
+    }
 }
