@@ -428,10 +428,50 @@ fn exp12_lossless(c: &mut Criterion) {
     group.finish();
 }
 
-/// E13 — ablation: the chase with each completeness rule disabled, on
-/// the randomized corpus. Measures the cost of the rules (they are
-/// nearly free) and, via the returned counts, their effect on how many
-/// implications are proven.
+/// E13 case (a): DTD, Σ and φ of an implication only the swap rule
+/// proves (a copy of the chase tests' `ablation_rules_are_load_bearing`).
+const SWAP_CASE: [&str; 3] = [
+    "<!ELEMENT e0 (e1*, e2+)>
+     <!ATTLIST e0 a0_0 CDATA #REQUIRED>
+     <!ELEMENT e1 (#PCDATA)> <!ELEMENT e2 (#PCDATA)>",
+    "e0.e2, e0.@a0_0 -> e0.e1",
+    "e0.@a0_0 -> e0.e1",
+];
+
+/// E13 case (b): an implication only the contrapositive rule proves once
+/// case splits are off.
+const CONTRAPOSITIVE_CASE: [&str; 3] = [
+    "<!ELEMENT e0 (e1*, e2+)>
+     <!ELEMENT e1 (d0 | d1)>
+     <!ATTLIST e1 a CDATA #REQUIRED>
+     <!ELEMENT e2 EMPTY>
+     <!ELEMENT d0 EMPTY> <!ATTLIST d0 v CDATA #REQUIRED>
+     <!ELEMENT d1 EMPTY> <!ATTLIST d1 w CDATA #REQUIRED>",
+    "e0.e1.d0.@v -> e0.e2
+     e0.e1.d1.@w, e0.e1.@a -> e0.e2
+     e0.e1.@a -> e0.e1.d0.@v",
+    "e0.e1.@a -> e0.e2",
+];
+
+/// E13 case (c): an implication only a presence split on a disjunction
+/// proves.
+const SPLIT_CASE: [&str; 3] = [
+    "<!ELEMENT e0 (e1+, e4+)>
+     <!ELEMENT e1 (e2?, e3)>
+     <!ELEMENT e2 EMPTY> <!ATTLIST e2 a CDATA #REQUIRED>
+     <!ELEMENT e3 (e6*)>
+     <!ELEMENT e4 (d0 | d1)>
+     <!ELEMENT e6 (#PCDATA)>
+     <!ELEMENT d0 EMPTY> <!ELEMENT d1 EMPTY>",
+    "e0.e4.d0 -> e0.e1.e2.@a; e0.e4.d1 -> e0.e1.e3",
+    "e0.e1.e3.e6.S -> e0.e1.e2.@a",
+];
+
+/// E13 — ablation: the chase with each completeness rule disabled. On the
+/// randomized corpus no configuration implies any query, so those rows
+/// price the rules alone. Each hand-built case is implied with its rule on
+/// and not implied with it off (asserted before timing), so its two rows
+/// price a rule that changes a verdict.
 fn exp13_ablation(c: &mut Criterion) {
     use xnf_core::ChaseConfig;
     let mut rng = xnf_gen::rng(23);
@@ -505,6 +545,58 @@ fn exp13_ablation(c: &mut Criterion) {
                     .count()
             })
         });
+    }
+    let no_split = ChaseConfig {
+        split_budget: 0,
+        ..ChaseConfig::default()
+    };
+    for (case, [dtd, sigma, fd], with, without) in [
+        (
+            "swap_case",
+            SWAP_CASE,
+            ("full", ChaseConfig::default()),
+            (
+                "no_swap",
+                ChaseConfig {
+                    swap_rule: false,
+                    ..ChaseConfig::default()
+                },
+            ),
+        ),
+        (
+            "contrapositive_case",
+            CONTRAPOSITIVE_CASE,
+            ("no_split", no_split),
+            (
+                "no_split_no_contrapositive",
+                ChaseConfig {
+                    contrapositive_rule: false,
+                    ..no_split
+                },
+            ),
+        ),
+        (
+            "split_case",
+            SPLIT_CASE,
+            ("full", ChaseConfig::default()),
+            ("no_split", no_split),
+        ),
+    ] {
+        let dtd = xnf_dtd::parse_dtd(dtd).unwrap();
+        let paths = dtd.paths().unwrap();
+        let sigma = XmlFdSet::parse(sigma).unwrap().resolve(&paths).unwrap();
+        let fd = XmlFd::parse(fd).unwrap().resolve(&paths).unwrap();
+        for ((name, cfg), implied) in [(with, true), (without, false)] {
+            let chase = Chase::with_config(&dtd, &paths, cfg);
+            assert_eq!(
+                chase.implies(&sigma, &fd),
+                implied,
+                "E13 {case} under {name}"
+            );
+            group.bench_function(format!("{case}/{name}"), |b| {
+                b.iter(|| chase.implies(black_box(&sigma), &fd))
+            });
+        }
     }
     group.finish();
 }

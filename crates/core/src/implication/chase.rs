@@ -102,7 +102,7 @@ use crate::implication::Implication;
 use crate::UNLIMITED;
 use std::collections::{BTreeMap, VecDeque};
 use xnf_dtd::classify::{classify_content, letter_bounds, Factor, SimpleContent};
-use xnf_dtd::{ContentModel, Dtd, PathId, PathSet, Step};
+use xnf_dtd::{ContentModel, Dtd, ElemId, PathId, PathSet, Step};
 use xnf_govern::{Budget, Exhausted};
 use xnf_obs::{Counter, CounterSnapshot};
 
@@ -221,7 +221,8 @@ struct PathFacts {
 }
 
 /// One element type's content model as the chase reads it: classified
-/// once per chase, applied to every path ending in that type.
+/// once per [`ContentTable`], applied to every path ending in that type.
+#[derive(PartialEq)]
 enum ContentFacts {
     /// `#PCDATA`: no element children.
     Text,
@@ -242,6 +243,44 @@ impl ContentFacts {
             Some(SimpleContent::Text) => unreachable!("regex content"),
             None => ContentFacts::Bounds(letter_bounds(re)),
         }
+    }
+}
+
+/// The chase's [`ContentFacts`] per element type, indexed by `ElemId`. An
+/// entry is filled on its type's first path and then serves every chase
+/// built over the table, so a content model is classified once per table.
+/// [`Chase::with_config`] lends a fresh table to each chase; Figure 4
+/// carries one across its steps and refreshes the types whose content
+/// model a step sets.
+#[derive(Default)]
+pub(crate) struct ContentTable {
+    entries: Vec<Option<ContentFacts>>,
+}
+
+impl ContentTable {
+    /// Drops `elem`'s entry after its content model changed; the next chase
+    /// that reaches the type classifies it again.
+    pub(crate) fn refresh(&mut self, elem: ElemId) {
+        if let Some(entry) = self.entries.get_mut(elem.index()) {
+            *entry = None;
+        }
+    }
+
+    /// Whether the entry of every type that `paths` reaches equals a fresh
+    /// classification of its current content model in `dtd`.
+    pub(crate) fn is_current(&self, dtd: &Dtd, paths: &PathSet) -> bool {
+        paths.iter().filter_map(|p| paths.last_elem(p)).all(|e| {
+            self.entries.get(e.index()).and_then(Option::as_ref)
+                == Some(&ContentFacts::of(dtd.content(e)))
+        })
+    }
+
+    /// `elem`'s entry, classifying its content model on first use.
+    fn get(&mut self, dtd: &Dtd, elem: ElemId) -> &ContentFacts {
+        if self.entries.len() < dtd.num_elements() {
+            self.entries.resize_with(dtd.num_elements(), || None);
+        }
+        self.entries[elem.index()].get_or_insert_with(|| ContentFacts::of(dtd.content(elem)))
     }
 }
 
@@ -329,10 +368,22 @@ impl<'a> Chase<'a> {
     /// once, on its first path; every path ending in it then finds its
     /// letters' child paths through the path set's child index.
     pub fn with_config(dtd: &'a Dtd, paths: &'a PathSet, config: ChaseConfig) -> Chase<'a> {
+        Chase::with_contents(dtd, paths, config, &mut ContentTable::default())
+    }
+
+    /// [`Chase::with_config`] over a borrowed [`ContentTable`]: types with
+    /// an entry are not classified again, and the others fill theirs.
+    pub(crate) fn with_contents(
+        dtd: &'a Dtd,
+        paths: &'a PathSet,
+        config: ChaseConfig,
+        contents: &mut ContentTable,
+    ) -> Chase<'a> {
         let mut facts = vec![PathFacts::default(); paths.len()];
         let mut groups: Vec<Group> = Vec::new();
-        let mut contents: Vec<Option<ContentFacts>> = Vec::new();
-        contents.resize_with(dtd.num_elements(), || None);
+        // Whether a type that `paths` reaches fell back to interval hulls;
+        // the table may hold entries of types no longer reached.
+        let mut hull = false;
         for p in paths.iter() {
             let Some(elem) = paths.last_elem(p) else {
                 continue;
@@ -351,9 +402,7 @@ impl<'a> Chase<'a> {
                 }
             }
             let child_of = |name: &str| paths.child_elem(p, name);
-            let content =
-                contents[elem.index()].get_or_insert_with(|| ContentFacts::of(dtd.content(elem)));
-            match content {
+            match contents.get(dtd, elem) {
                 ContentFacts::Text => {}
                 ContentFacts::Factors(factors) => {
                     for f in factors.iter() {
@@ -392,6 +441,7 @@ impl<'a> Chase<'a> {
                     }
                 }
                 ContentFacts::Bounds(bounds) => {
+                    hull = true;
                     for (name, &(lo, hi)) in bounds.iter() {
                         if let Some(cp) = child_of(name) {
                             facts[cp.index()] = PathFacts {
@@ -404,11 +454,7 @@ impl<'a> Chase<'a> {
                 }
             }
         }
-        let simple = groups.is_empty()
-            && !paths.truncated()
-            && !contents
-                .iter()
-                .any(|c| matches!(c, Some(ContentFacts::Bounds(_))));
+        let simple = groups.is_empty() && !paths.truncated() && !hull;
         Chase {
             paths,
             facts,

@@ -30,7 +30,8 @@
 //! the full algorithm.
 
 use crate::fd::{ResolvedFd, XmlFd, XmlFdSet};
-use crate::implication::{Chase, ChaseStatsSnapshot, Implication, ImplicationCache};
+use crate::implication::chase::ContentTable;
+use crate::implication::{Chase, ChaseConfig, ChaseStatsSnapshot, Implication, ImplicationCache};
 use crate::xnf::{anomalous_candidate, Violation};
 use crate::{CoreError, Result};
 use std::time::{Duration, Instant};
@@ -366,6 +367,11 @@ pub fn normalize(
     let mut dtd = dtd.clone();
     let mut steps = Vec::new();
     let mut stages: Vec<(Dtd, XmlFdSet)> = Vec::new();
+    // The chase's per-type content facts for the whole run: each
+    // iteration's chase fills the entries of types it reaches first, and
+    // a step refreshes the types whose content model it sets. No chase
+    // runs during preprocessing, so its folds find the table empty.
+    let mut contents = ContentTable::default();
 
     // ---------------- Preprocessing ----------------
     // Split right-hand sides.
@@ -373,7 +379,7 @@ pub fn normalize(
     // Fold `.S` paths into attributes.
     {
         let before = steps.len();
-        fold_text_paths(&mut dtd, &mut fds, &mut steps)?;
+        fold_text_paths(&mut dtd, &mut fds, &mut contents, &mut steps)?;
         if options.record_stages {
             for _ in before..steps.len() {
                 // Preprocessing snapshots all share the post-preprocessing
@@ -428,7 +434,12 @@ pub fn normalize(
         // search, so with the cache those are pure hits instead of fresh
         // chase runs against a rebuilt engine.
         let decided = {
-            let chase = Chase::new(&dtd, &paths).with_budget(options.budget.clone());
+            let chase = Chase::with_contents(&dtd, &paths, ChaseConfig::default(), &mut contents)
+                .with_budget(options.budget.clone());
+            debug_assert!(
+                contents.is_current(&dtd, &paths),
+                "a step left a stale content-facts entry"
+            );
             let resolved = sigma.resolve(&paths)?;
             let oracle = ImplicationCache::new(&chase, &resolved);
             let decided = decide_iteration(
@@ -488,11 +499,19 @@ pub fn normalize(
                 apply_move(&mut dtd, &mut sigma, &paths, q_attr, q, &mut steps)?;
             }
             Action::Create(lhs, target) => {
-                apply_create(&mut dtd, &mut sigma, &paths, &lhs, target, &mut steps)?;
+                apply_create(
+                    &mut dtd,
+                    &mut sigma,
+                    &paths,
+                    &lhs,
+                    target,
+                    &mut contents,
+                    &mut steps,
+                )?;
             }
             Action::Fold(s_path) => {
                 let mut fds: Vec<XmlFd> = std::mem::take(&mut sigma).into_iter().collect();
-                fold_one_text_path(&mut dtd, &mut fds, &s_path, &mut steps)?;
+                fold_one_text_path(&mut dtd, &mut fds, &s_path, &mut contents, &mut steps)?;
                 sigma = XmlFdSet::from_fds(fds);
                 // A fold does not resolve a violation; drop the AP sample
                 // so the Proposition 6 strict-decrease trace only records
@@ -708,12 +727,15 @@ fn apply_move(
 }
 
 /// Applies `D[p.@l := q.τ[τ₁.@l₁, …, τₙ.@lₙ, @l]]` and builds Σ'.
+/// `last(q)` is the one existing type whose content model changes, so it
+/// is the one entry of `contents` refreshed; τ and τᵢ are new types.
 fn apply_create(
     dtd: &mut Dtd,
     sigma: &mut XmlFdSet,
     paths: &PathSet,
     lhs: &[xnf_dtd::PathId],
     p_attr: xnf_dtd::PathId,
+    contents: &mut ContentTable,
     steps: &mut Vec<Step>,
 ) -> Result<()> {
     use xnf_dtd::PathId;
@@ -774,6 +796,7 @@ fn apply_create(
         q_elem,
         ContentModel::Regex(Regex::seq([q_content, Regex::elem(tau.as_str()).star()])),
     )?;
+    contents.refresh(q_elem);
     // Remove @l from last(p).
     dtd.remove_attribute(p_elem, &value_attr_name);
 
@@ -827,12 +850,7 @@ fn apply_create(
         d.extend(old_attr_paths.iter().cloned());
         d
     };
-    for fd in sigma.iter() {
-        let mentions_value = fd.lhs().contains(&value_path) || fd.rhs().contains(&value_path);
-        // Rule 1 (Σ-based): FDs whose paths all survive in D'.
-        if !mentions_value {
-            fds.push(fd.clone());
-        }
+    for fd in std::mem::take(sigma) {
         // Closure completion: an FD `X → Y` with the removed `p.@l` on its
         // left is re-expressed as `(X \ {p.@l}) ∪ S → Y`, where `S` is the
         // anomalous FD's determinant. Sound whenever some other LHS path
@@ -875,6 +893,11 @@ fn apply_create(
             if lhs2 != fd.lhs() || rhs2 != fd.rhs() {
                 fds.push(XmlFd::new(lhs2, rhs2).expect("non-empty sides"));
             }
+        }
+        // Rule 1 (Σ-based): FDs whose paths all survive in D', moved over
+        // after the two rules above read them.
+        if !fd.lhs().contains(&value_path) && !fd.rhs().contains(&value_path) {
+            fds.push(fd);
         }
     }
     // The anomalous FD itself, transferred: {q, new attrs} → q.τ.@l.
@@ -935,6 +958,7 @@ fn fold_one_text_path(
     dtd: &mut Dtd,
     fds: &mut [XmlFd],
     s_path: &Path,
+    contents: &mut ContentTable,
     steps: &mut Vec<Step>,
 ) -> Result<()> {
     let elem_path = s_path.parent().expect("S paths have parents");
@@ -985,9 +1009,13 @@ fn fold_one_text_path(
     }
     let attr = dtd.fresh_attr_name(parent_id, &elem_name);
     dtd.set_content(parent_id, ContentModel::Regex(new_re))?;
+    contents.refresh(parent_id);
     dtd.add_attribute(parent_id, &attr)?;
     let new_path = parent_path.child_attr(attr.as_str());
     for fd in fds.iter_mut() {
+        if !fd.lhs().contains(s_path) && !fd.rhs().contains(s_path) {
+            continue;
+        }
         let map = |side: &[Path]| -> Vec<Path> {
             side.iter()
                 .map(|p| {
@@ -1007,7 +1035,12 @@ fn fold_one_text_path(
 
 /// Folds every right-hand-side `.S` path of Σ (see
 /// [`fold_one_text_path`]).
-fn fold_text_paths(dtd: &mut Dtd, fds: &mut [XmlFd], steps: &mut Vec<Step>) -> Result<()> {
+fn fold_text_paths(
+    dtd: &mut Dtd,
+    fds: &mut [XmlFd],
+    contents: &mut ContentTable,
+    steps: &mut Vec<Step>,
+) -> Result<()> {
     loop {
         // Find an FD path ending in `.S` on a *right-hand side* (the
         // positions the transformations operate on). Left-hand `.S`
@@ -1027,7 +1060,7 @@ fn fold_text_paths(dtd: &mut Dtd, fds: &mut [XmlFd], steps: &mut Vec<Step>) -> R
         let Some(s_path) = target else {
             return Ok(());
         };
-        fold_one_text_path(dtd, fds, &s_path, steps)?;
+        fold_one_text_path(dtd, fds, &s_path, contents, steps)?;
     }
 }
 

@@ -379,16 +379,9 @@ fn attribute_def(s: &mut Scanner<'_, '_>) -> Result<()> {
                 }
             }
         }
-        // The error points past the byte in place of a quote, but leaves
-        // it unread: it may be the declaration's `>`.
-        other => {
-            let offset = s.pos + usize::from(other.is_some());
-            Err(DtdError::syntax(
-                s.input,
-                offset,
-                "expected attribute default declaration",
-            ))
-        }
+        // The error points at the byte in place of a quote and leaves it
+        // unread: it may be the declaration's `>`.
+        _ => Err(s.err("expected attribute default declaration")),
     }
 }
 

@@ -59,6 +59,23 @@ fn xnf001_fires_on_broken_dtd_with_line_col_span() {
 }
 
 #[test]
+fn xnf001_points_at_the_byte_in_place_of_an_attribute_default() {
+    // The declaration's `>` stands where the default's quote should: the
+    // caret marks that byte, the last of the 20-byte line, not the one
+    // past it.
+    let dtd = "<!ELEMENT r EMPTY>\n<!ATTLIST r x CDATA>";
+    let report = lint_spec(dtd, None);
+    assert_eq!(report.codes(), vec![Code::DtdSyntax]);
+    let span = report.diagnostics()[0]
+        .span
+        .as_ref()
+        .expect("syntax errors carry a span");
+    assert_eq!((span.at.line, span.at.col), (2, 20));
+    assert_eq!(&dtd[span.offset..], ">");
+    assert!(report.render_human().contains("--> dtd:2:20\n"));
+}
+
+#[test]
 fn xnf001_does_not_fire_on_parseable_dtd() {
     assert!(!fires(UNIVERSITY_DTD, None, Code::DtdSyntax));
 }

@@ -333,7 +333,13 @@ mod reference_parse {
                                     None => return Err(s.err("unterminated default value")),
                                 }
                             },
-                            _ => return Err(s.err("expected attribute default declaration")),
+                            _ => {
+                                return Err(DtdError::syntax(
+                                    s.input,
+                                    s.pos - usize::from(quote.is_some()),
+                                    "expected attribute default declaration",
+                                ))
+                            }
                         }
                     }
                     if !owned.insert((elem, att)) {
