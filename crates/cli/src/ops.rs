@@ -417,11 +417,14 @@ pub struct LintSpecOptions {
     pub json: bool,
     /// `--predictive`: add the XNF2xx forecast tier (needs FDs).
     pub predictive: bool,
+    /// Parser hardening profile (default [`Trust::Local`]).
+    pub trust: Option<Trust>,
 }
 
 /// The `lint` operation over raw sources: parses the spec once, through
-/// the step [`intake`] parses with, under [`Trust::Local`]'s limits and
-/// `budget`, and lints that parse.
+/// the step [`intake`] parses with, under the `trust` profile's limits
+/// and `budget`, and lints that parse. A text over the limits lints as
+/// XNF001.
 ///
 /// # Errors
 ///
@@ -441,7 +444,8 @@ pub fn lint_sources(
             "--predictive needs an FD file (the XNF2xx tier analyzes (D, \u{3a3}))".into(),
         ));
     }
-    let (dtd, fds) = parse_spec(dtd_src, fds_src, Trust::Local, budget);
+    let trust = options.trust.unwrap_or(Trust::Local);
+    let (dtd, fds) = parse_spec(dtd_src, fds_src, trust, budget);
     let opt_in = if options.predictive {
         xnf_lint::OptIn::Predictive
     } else {

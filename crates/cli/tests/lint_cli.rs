@@ -54,6 +54,25 @@ fn lint_budget_meters_its_dtd_parse() {
     assert!(stdout.contains("at `dtd.parse."), "{stdout}");
 }
 
+/// `lint` reads local files under the local limits: a content model
+/// nested 100 groups deep and a text over 1 MiB, both past the untrusted
+/// limits that `/v1/lint` applies, lint clean.
+#[test]
+fn lint_keeps_the_local_limits() {
+    let deep = format!(
+        "<!ELEMENT r {}a{}>\n<!ELEMENT a EMPTY>\n",
+        "(".repeat(100),
+        ")".repeat(100)
+    );
+    let big = format!("<!ELEMENT r EMPTY>\n<!-- {} -->\n", "x".repeat(1 << 20));
+    for (name, dtd) in [("deep.dtd", deep), ("big.dtd", big)] {
+        let out = xnf_tool(&["lint", &write_tmp(name, &dtd)]);
+        assert!(out.status.success(), "{name}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout, "lint: clean (no diagnostics)\n", "{name}");
+    }
+}
+
 #[test]
 fn lint_errors_exit_nonzero_with_report_on_stdout() {
     let dtd = write_tmp("err.dtd", "<!ELEMENT r (ghost)>");

@@ -486,6 +486,12 @@ impl<'a> Chase<'a> {
         &self.stats
     }
 
+    /// Whether this chase is simple, so saturation alone decides and a
+    /// verdict is monotone in the left-hand side (see the module doc).
+    pub(crate) fn is_simple(&self) -> bool {
+        self.simple
+    }
+
     /// Runs the chase for `(Σ, S → q)` and returns the outcome.
     ///
     /// Multi-path right-hand sides are handled by conjunction: `S → S₂`

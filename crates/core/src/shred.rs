@@ -32,7 +32,7 @@
 
 use crate::fd::ResolvedFd;
 use crate::implication::{Chase, Implication, ImplicationCache};
-use crate::{CoreError, Result};
+use crate::{CoreError, Result, XmlFdSet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use xnf_dtd::{Dtd, Path, PathId, PathSet, Step};
 use xnf_govern::Budget;
@@ -155,7 +155,7 @@ impl ShredSchema {
 /// [`CoreError::RecursiveNormalization`] on recursive DTDs (the
 /// shreddable subset is the non-recursive one) and with
 /// [`CoreError::Exhausted`] when `budget` runs out.
-pub fn compile_schema(dtd: &Dtd, sigma: &crate::XmlFdSet, budget: &Budget) -> Result<ShredSchema> {
+pub fn compile_schema(dtd: &Dtd, sigma: &XmlFdSet, budget: &Budget) -> Result<ShredSchema> {
     let _span = budget.recorder().span("shred.compile", "shred");
     if dtd.is_recursive() {
         return Err(CoreError::RecursiveNormalization);
@@ -177,9 +177,9 @@ pub fn compile_schema(dtd: &Dtd, sigma: &crate::XmlFdSet, budget: &Budget) -> Re
         .collect();
 
     // Table paths, parents before children (path length, then the
-    // rendered path, for determinism).
+    // rendered path, for determinism; each path is rendered once).
     let mut epaths: Vec<PathId> = paths.epaths().filter(|p| !inlined.contains(p)).collect();
-    epaths.sort_by_key(|&p| (paths.path_len(p), paths.format(p)));
+    epaths.sort_by_cached_key(|&p| (paths.path_len(p), paths.format(p)));
     let table_of: BTreeMap<PathId, usize> =
         epaths.iter().enumerate().map(|(i, &p)| (p, i)).collect();
 
@@ -307,6 +307,12 @@ pub fn compile_schema(dtd: &Dtd, sigma: &crate::XmlFdSet, budget: &Budget) -> Re
 /// not derived: Definition 8 only ranges over attribute and text
 /// right-hand sides, so `X → parent(p)` without `X → p` is not an
 /// anomaly and must not read as a BCNF defect.
+///
+/// On a simple chase the key and each value column are first asked about
+/// their largest left-hand side, and every later question is answered
+/// from its [`Target`]'s frontier where monotonicity decides it, so a
+/// target that nothing implies costs one chase. The FDs and keys are
+/// those that asking the chase about every left-hand side records.
 fn derive_table_fds(
     oracle: &ImplicationCache<'_>,
     sigma: &[ResolvedFd],
@@ -364,24 +370,23 @@ fn derive_table_fds(
 
     // Left-hand sides to probe: the full powerset on narrow tables,
     // singletons + pairs + Σ-mapped sets on wide ones.
-    let mut lhs_sets: Vec<Vec<usize>> = Vec::new();
+    let mut lhs_sets: Vec<AttrSet> = Vec::new();
     if lhs_candidates.len() <= FD_ENUMERATION_WIDTH {
         for mask in 1u32..(1 << lhs_candidates.len()) {
-            lhs_sets.push(
+            lhs_sets.push(attr_set(
                 (0..lhs_candidates.len())
                     .filter(|b| mask & (1 << b) != 0)
-                    .map(|b| lhs_candidates[b].0)
-                    .collect(),
-            );
+                    .map(|b| lhs_candidates[b].0),
+            ));
         }
     } else {
         for &(i, _) in &lhs_candidates {
-            lhs_sets.push(vec![i]);
+            lhs_sets.push(AttrSet::singleton(i));
         }
         for &(a, _) in &lhs_candidates {
             for &(b, _) in &lhs_candidates {
                 if a < b {
-                    lhs_sets.push(vec![a, b]);
+                    lhs_sets.push(attr_set([a, b]));
                 }
             }
         }
@@ -393,36 +398,58 @@ fn derive_table_fds(
             let cols: Option<Vec<usize>> = fd.lhs.iter().map(|q| by_path.get(q).copied()).collect();
             if let Some(cols) = cols {
                 if cols.len() > 2 {
-                    lhs_sets.push(cols);
+                    lhs_sets.push(attr_set(cols));
                 }
             }
         }
     }
 
-    let mut key_sets: Vec<AttrSet> = Vec::new();
-    for cols in lhs_sets {
-        budget.checkpoint("shred.fd")?;
-        let lhs_ids: Vec<PathId> = cols
-            .iter()
-            .map(|&i| col_path(i).expect("lhs candidates are chase-representable"))
-            .collect();
-        let mut lhs = AttrSet::empty();
-        for &i in &cols {
-            lhs.insert(i);
+    let mut col_paths = vec![None; ncols];
+    for &(i, q) in &lhs_candidates {
+        col_paths[i] = Some(q);
+    }
+    let probe = Probe {
+        oracle,
+        sigma,
+        col_paths,
+        monotone: oracle.chase().is_simple(),
+    };
+    let mut key = Target::new(p, false);
+    let mut implied: Vec<Target> = value_cols
+        .iter()
+        .map(|&(_, q)| Target::new(q, false))
+        .collect();
+    let mut trivial: Vec<Target> = value_cols
+        .iter()
+        .map(|&(_, q)| Target::new(q, true))
+        .collect();
+    if probe.monotone {
+        let all = attr_set(lhs_candidates.iter().map(|&(i, _)| i));
+        if !all.is_empty() {
+            probe.ask(&mut key, all)?;
         }
-        let node_fd = ResolvedFd::from_ids(lhs_ids.iter().copied(), [p]);
-        if oracle.try_implies(sigma, &node_fd)? {
+        for (target, &(y, _)) in implied.iter_mut().zip(&value_cols) {
+            let rest = all.minus(AttrSet::singleton(y));
+            if !rest.is_empty() {
+                probe.ask(target, rest)?;
+            }
+        }
+    }
+
+    let mut key_sets: Vec<AttrSet> = Vec::new();
+    for lhs in lhs_sets {
+        budget.checkpoint("shred.fd")?;
+        if probe.ask(&mut key, lhs)? {
             fds.push(Fd::new(lhs, AttrSet::singleton(id_col)));
             key_sets.push(lhs);
             continue;
         }
-        for &(y, yq) in &value_cols {
+        for (k, &(y, _)) in value_cols.iter().enumerate() {
             if lhs.contains(y) {
                 continue;
             }
             budget.checkpoint("shred.fd")?;
-            let fd = ResolvedFd::from_ids(lhs_ids.iter().copied(), [yq]);
-            if oracle.try_implies(sigma, &fd)? && !oracle.try_is_trivial(&fd)? {
+            if probe.ask(&mut implied[k], lhs)? && !probe.ask(&mut trivial[k], lhs)? {
                 fds.push(Fd::new(lhs, AttrSet::singleton(y)));
             }
         }
@@ -430,10 +457,7 @@ fn derive_table_fds(
 
     // Unique keys: minimal derived keys over data columns only (the
     // structural (parent, pos) pair is added as an integrity key).
-    let data_cols: AttrSet = value_cols.iter().fold(AttrSet::empty(), |mut s, &(i, _)| {
-        s.insert(i);
-        s
-    });
+    let data_cols = attr_set(value_cols.iter().map(|&(i, _)| i));
     let mut unique: Vec<AttrSet> = key_sets
         .iter()
         .copied()
@@ -459,6 +483,97 @@ fn derive_table_fds(
     }
     table.fds = fds;
     Ok(())
+}
+
+/// The set of the given column indices.
+fn attr_set(cols: impl IntoIterator<Item = usize>) -> AttrSet {
+    cols.into_iter().fold(AttrSet::empty(), |mut s, i| {
+        s.insert(i);
+        s
+    })
+}
+
+/// One question that [`derive_table_fds`] asks about many left-hand sides
+/// `X` of a table: whether `X → q` follows from Σ, or from ∅ when the
+/// question is the triviality of `X → q`, for one fixed `q`. On a simple
+/// chase the answer is monotone in `X`, so the sets the chase has answered
+/// decide every superset of an implied one and every subset of a refuted
+/// one.
+struct Target {
+    q: PathId,
+    trivial: bool,
+    /// Left-hand sides the chase found implied.
+    implied: Vec<AttrSet>,
+    /// Left-hand sides the chase refuted.
+    refuted: Vec<AttrSet>,
+}
+
+impl Target {
+    fn new(q: PathId, trivial: bool) -> Target {
+        Target {
+            q,
+            trivial,
+            implied: Vec::new(),
+            refuted: Vec::new(),
+        }
+    }
+
+    /// The verdict on `lhs` that the answered sets decide, if any.
+    fn inferred(&self, lhs: AttrSet) -> Option<bool> {
+        if self.implied.iter().any(|&s| s.is_subset(lhs)) {
+            Some(true)
+        } else if self.refuted.iter().any(|&s| lhs.is_subset(s)) {
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
+/// Asks the chase about one table's [`Target`]s.
+struct Probe<'o, 'a> {
+    oracle: &'o ImplicationCache<'a>,
+    sigma: &'o [ResolvedFd],
+    /// Each column's path, `None` for the columns no left-hand side holds.
+    col_paths: Vec<Option<PathId>>,
+    /// Whether the chase is simple, so that a target's verdicts are
+    /// monotone in the left-hand side. A chase with case splits answers
+    /// under a split budget that reads Σ in order, so every question goes
+    /// to the chase there.
+    monotone: bool,
+}
+
+impl Probe<'_, '_> {
+    /// `target`'s verdict on `lhs`: inferred from its frontier when the
+    /// chase is simple and the frontier decides, asked of the chase (and
+    /// added to the frontier) otherwise.
+    fn ask(&self, target: &mut Target, lhs: AttrSet) -> Result<bool> {
+        let sigma = if target.trivial { &[] } else { self.sigma };
+        let fd = || {
+            let lhs_ids = lhs
+                .iter()
+                .map(|i| self.col_paths[i].expect("lhs columns have paths"));
+            ResolvedFd::from_ids(lhs_ids, [target.q])
+        };
+        if !self.monotone {
+            return Ok(self.oracle.try_implies(sigma, &fd())?);
+        }
+        if let Some(verdict) = target.inferred(lhs) {
+            debug_assert_eq!(
+                verdict,
+                self.oracle.chase().implies(sigma, &fd()),
+                "the frontier inferred a verdict the chase does not give"
+            );
+            return Ok(verdict);
+        }
+        let verdict = self.oracle.try_implies(sigma, &fd())?;
+        if verdict {
+            target.implied.push(lhs);
+        } else {
+            target.refuted.push(lhs);
+        }
+        Ok(verdict)
+    }
 }
 
 /// Shreds a document into rows for every table of `schema`. The tree
@@ -768,11 +883,14 @@ fn unique_column_name(columns: &[Column], base: &str) -> String {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::exhaustive_design;
     use super::*;
     use crate::fd::{DBLP_FDS, UNIVERSITY_FDS};
     use crate::fixtures::{dblp_doc, dblp_dtd, figure_1a, university_dtd};
-    use crate::XmlFdSet;
     use xnf_xml::ordered_eq;
 
     fn compile(dtd: &Dtd, fds: &str) -> ShredSchema {
@@ -988,6 +1106,38 @@ mod tests {
             rebuild(&bad),
             Err(CoreError::InconsistentTuples(_))
         ));
+    }
+
+    /// An exclusive group makes the chase split, so every left-hand side
+    /// goes to the chase, as in the exhaustive loop.
+    #[test]
+    fn a_disjunctive_spec_asks_every_lhs() {
+        let dtd = xnf_dtd::parse_dtd(
+            "<!ELEMENT r (e*)>\n<!ELEMENT e (a | b)>\n<!ATTLIST e k CDATA #REQUIRED \
+             v CDATA #REQUIRED w CDATA #REQUIRED>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>",
+        )
+        .unwrap();
+        let sigma = XmlFdSet::parse("r.e.@k -> r.e.@v").unwrap();
+        let counting = || {
+            Budget::builder()
+                .recorder(xnf_obs::Recorder::enabled())
+                .build()
+        };
+        let chase_runs = |budget: &Budget| {
+            budget
+                .recorder()
+                .sites()
+                .into_iter()
+                .find(|&(site, _)| site == "chase.run")
+                .map_or(0, |(_, tally)| tally.visits)
+        };
+        let budget = counting();
+        let schema = compile_schema(&dtd, &sigma, &budget).unwrap();
+        let reference = counting();
+        let design = exhaustive_design(&dtd, &sigma, &schema, &reference).unwrap();
+        assert_eq!(schema.design, design);
+        assert_eq!(chase_runs(&budget), chase_runs(&reference));
+        assert!(chase_runs(&budget) > 0);
     }
 
     #[test]

@@ -1275,6 +1275,7 @@ fn run_lint(body: &Json, dtd_src: &str, budget: &Budget) -> Reply {
     let options = LintSpecOptions {
         json: flag(body, "json"),
         predictive: flag(body, "predictive"),
+        trust: Some(Trust::Network),
     };
     let fds_src = field(body, "fds");
     match ops::lint_sources(dtd_src, fds_src, &options, budget) {
@@ -1809,6 +1810,36 @@ mod tests {
             &[],
         );
         assert_eq!(status, 422, "{body}");
+        server.shutdown();
+    }
+
+    /// `/v1/lint` parses under the untrusted limits of the spec routes,
+    /// where the CLI's `lint` keeps the local ones: a content model
+    /// nested 100 groups deep, and a text over 1 MiB but under the body
+    /// cap, each lint as XNF001 naming its limit.
+    #[test]
+    fn lint_parses_under_the_untrusted_limits() {
+        let deep = format!(
+            "<!ELEMENT r {}a{}>\n<!ELEMENT a EMPTY>",
+            "(".repeat(100),
+            ")".repeat(100)
+        );
+        let big = format!("<!ELEMENT r EMPTY>\n<!-- {} -->", "x".repeat(1 << 20));
+        let server = Server::spawn(ServeConfig::default()).expect("spawn");
+        for (dtd, limit) in [
+            (&deep, "nested deeper than 64 groups"),
+            (&big, "over the 1048576-byte limit"),
+        ] {
+            let mut body = String::from("{\"dtd\":");
+            json::write_str(&mut body, dtd);
+            body.push('}');
+            assert!(body.len() < ServeConfig::default().max_body);
+            let (status, reply) = post(server.addr(), "/v1/lint", &body, &[]);
+            assert_eq!(status, 200, "{reply}");
+            assert!(reply.contains("\"status\":\"diagnostics\""), "{reply}");
+            assert!(reply.contains("XNF001"), "{reply}");
+            assert!(reply.contains(limit), "{reply}");
+        }
         server.shutdown();
     }
 

@@ -9,12 +9,16 @@
 //! and analyze fuel (the whole analysis: that run plus the minimal
 //! cover; the input's anomalies are read off the run's first search).
 //!
+//! `compile_schema` has its own rows: the ticks it charges and its
+//! `chase.run` visits under a limitless governed budget.
+//!
 //! A deliberate change of one of these numbers must be stated in
 //! CHANGES.md together with the new value.
 
 use std::path::PathBuf;
-use xnf::core::{analyze, normalize, AnalyzeOptions, NormalizeOptions, XmlFdSet};
+use xnf::core::{analyze, compile_schema, normalize, AnalyzeOptions, NormalizeOptions, XmlFdSet};
 use xnf::dtd::Dtd;
+use xnf_govern::{Budget, Recorder};
 
 /// One pinned row: chase runs, rule firings, ternary flips, cache hits,
 /// cache misses, predicted fuel, analyze fuel.
@@ -88,5 +92,33 @@ fn paper_spec_counters_are_pinned() {
         let dtd = xnf::dtd::parse_dtd(&read("dtd")).unwrap();
         let sigma = XmlFdSet::parse(&read("fds")).unwrap();
         check(name, &dtd, &sigma, want);
+    }
+}
+
+/// `compile_schema` on each paper spec: [ticks, `chase.run` visits].
+#[test]
+fn shred_compile_counters_are_pinned() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs");
+    for (name, want) in [
+        ("university", [1157, 36]),
+        ("dblp", [2029, 45]),
+        ("ebxml", [1693, 71]),
+    ] {
+        let read = |ext: &str| std::fs::read_to_string(root.join(format!("{name}.{ext}"))).unwrap();
+        let dtd = xnf::dtd::parse_dtd(&read("dtd")).unwrap();
+        let sigma = XmlFdSet::parse(&read("fds")).unwrap();
+        let budget = Budget::builder().recorder(Recorder::enabled()).build();
+        compile_schema(&dtd, &sigma, &budget).expect("compile_schema");
+        let runs = budget
+            .recorder()
+            .sites()
+            .into_iter()
+            .find(|&(site, _)| site == "chase.run")
+            .map_or(0, |(_, tally)| tally.visits);
+        assert_eq!(
+            [budget.ticks(), runs],
+            want,
+            "{name}: [ticks, chase.run visits] moved"
+        );
     }
 }
