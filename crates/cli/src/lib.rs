@@ -552,7 +552,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let gate = ops::Gate::unless(no_lint, ops::Gate::Shred);
                 let (dtd, sigma) =
                     ops::intake(&dtd_src, &fds_src, ops::Trust::Local, gate, budget)?;
-                let tree = load_xml(xml_path)?;
+                let tree = ops::parse_xml(&read(xml_path)?, ops::Trust::Local, budget)?;
                 // The whole pipeline runs before a single byte is emitted:
                 // exhaustion or any failure yields no partial SQL, and the
                 // document→rows→document round trip is verified first.

@@ -88,19 +88,65 @@
 //! verified witness):
 //!
 //! * `saturate` reaches the fixpoint of the rules as stated: each rule is
-//!   re-run when one of its premises changes (the worklist re-queues every
-//!   changed fact, and Σ is rescanned after every round that progressed).
+//!   re-run when one of its premises flips (the trigger table below). Debug
+//!   builds certify it after every saturation that ends consistent and not
+//!   exhausted: one more pass of every structural rule over every known
+//!   fact, and of the FD rules over Σ, must derive nothing. So every suite
+//!   run in a debug build checks this step.
 //! * The witness layout: `trees_d` orders a node's children by path. That
 //!   is a word of every *trivial* content model, the shape the generators
 //!   emit; a simple model whose words interleave letters, such as
 //!   `(a, b, a*)`, would need its children reordered. The verdict does not
 //!   depend on it, since tree tuples ignore sibling order and every letter
 //!   count in a simple model's Parikh box is some word's count.
+//!
+//! # Triggers and the root closure
+//!
+//! `saturate` pops each flipped fact off a worklist and re-runs the
+//! structural rules that fact is a premise of; Σ is rescanned after every
+//! round that made progress. A rule is re-run when one of its premises
+//! flips, and only then (`i` is a side, `j` the other one, `c` a child of
+//! `p`):
+//!
+//! | rule | derives | re-run on a flip of |
+//! |---|---|---|
+//! | presence up | `nᵢ(p) = F` ⇒ `nᵢ(parent(p)) = F` | `nᵢ(p)` |
+//! | required child | `nᵢ(p) = F`, `c` required ⇒ `nᵢ(c) = F` | `nᵢ(p)` |
+//! | null down | `nᵢ(p) = T` ⇒ `nᵢ(c) = T` | `nᵢ(p)` |
+//! | required child, contrapositive | `nᵢ(p) = T`, `p` required ⇒ `nᵢ(parent(p)) = T` | `nᵢ(p)` |
+//! | group exclusion | `nᵢ(p) = F` ⇒ `nᵢ(m) = T` for the other members `m` of `p`'s group | `nᵢ(p)` |
+//! | group completion | parent present, group not nullable, all members but one null ⇒ that one present (none left: contradiction) | `nᵢ` of the parent, `nᵢ` of a member |
+//! | `⊥ = ⊥` | `n₁(p) = n₂(p) = T` ⇒ `eq(p) = T` | `n₁(p)`, `n₂(p)` |
+//! | different is present | `eq(p) = F`, `nᵢ(p) = T` ⇒ `nⱼ(p) = F` | `nᵢ(p)`, `eq(p)` |
+//! | equal presence | `eq(p) = T`, `nᵢ(p)` known ⇒ `nⱼ(p)` the same | `nᵢ(p)`, `eq(p)` |
+//! | shared parent | `eq(parent(p)) = T`, `nᵢ(p)` known ⇒ `nⱼ(p)` the same | `nᵢ(p)`, `eq(parent(p))` |
+//! | functional child | `eq(p) = T`, `c` at most one ⇒ `eq(c) = T` | `eq(p)` |
+//! | different under a shared parent | `eq(parent(p)) = T`, `eq(p) = F` ⇒ `n₁(p) = n₂(p) = F` | `eq(p)`, `eq(parent(p))` |
+//! | shared vertex up | element `p`, `eq(p) = T`, `nᵢ(p) = F` ⇒ `eq(parent(p)) = T`, parent present on both sides | `nᵢ(p)`, `eq(p)` |
+//! | equal under a different parent | element `p`, `eq(p) = T`, `eq(parent(p)) = F` ⇒ `n₁(p) = n₂(p) = T` | `eq(p)`, `eq(parent(p))` |
+//! | FD: basic, swap, contrapositive | see `Session::apply_fd` | any fact: Σ is rescanned |
+//!
+//! A null-status flip of `p` does not re-run the rules of `eq(p) = T` or
+//! `eq(parent(p)) = T` on the other children: none of them reads it, and
+//! each already re-runs on its own last premise.
+//!
+//! Every goal states the same three root facts: `eq(root) = T` and the
+//! root non-null on both sides. A [`Chase`] saturates them once, under the
+//! structural rules with Σ = ∅, and keeps that state, the *root closure*.
+//! Each run copies it and assumes only its own `S` and `q`. That is exact:
+//! the closure lies inside every goal's least fixpoint, and since every
+//! rule re-runs on a flip of any of its premises, saturating from the
+//! closure reaches the fixpoint that saturating from nothing reaches. The
+//! closure is computed on the chase's first run, charged to that run's
+//! budget, and kept only once complete; a closure that contradicts makes
+//! every query "implied". [`Chase::session`], which the counterexample
+//! constructor uses, starts empty.
 
 use crate::fd::ResolvedFd;
 use crate::implication::Implication;
 use crate::UNLIMITED;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::OnceLock;
 use xnf_dtd::classify::{classify_content, letter_bounds, Factor, SimpleContent};
 use xnf_dtd::{ContentModel, Dtd, ElemId, PathId, PathSet, Step};
 use xnf_govern::{Budget, Exhausted};
@@ -337,6 +383,10 @@ pub struct Chase<'a> {
     /// group, no interval-hull fallback, and the whole of `paths(D)`. Such
     /// a chase decides by saturation alone (see the module doc).
     simple: bool,
+    /// The root closure: the three root facts every goal states, saturated
+    /// under the structural rules alone (`None` when they contradict). Set
+    /// by the first run whose saturation of them completes.
+    root: OnceLock<Option<Box<[PairState]>>>,
     stats: ChaseStats,
     /// Resource budget consulted by [`Chase::try_run`] (and every governed
     /// caller above it). `run`/`implies` ignore it by contract. The handle
@@ -461,6 +511,7 @@ impl<'a> Chase<'a> {
             groups,
             config,
             simple,
+            root: OnceLock::new(),
             stats: ChaseStats::default(),
             budget: Budget::unlimited(),
         }
@@ -544,8 +595,11 @@ impl<'a> Chase<'a> {
         self.stats.runs.bump();
         budget.checkpoint("chase.run")?;
         let _span = budget.recorder().span("chase.run", "implication");
-        let mut session = self.session_with(budget);
-        if !session.assume_goal(sigma, lhs, q) {
+        let Some(root) = self.root_closure(budget)? else {
+            return Ok(ChaseOutcome::Implied);
+        };
+        let mut session = self.session_with(budget, root.to_vec());
+        if !session.assume_query(sigma, lhs, q) {
             session.check_exhausted()?;
             return Ok(ChaseOutcome::Implied);
         }
@@ -606,18 +660,39 @@ impl<'a> Chase<'a> {
     /// decision (e.g. an FD firing because an optional subtree was
     /// materialized) is propagated before values are assigned.
     pub fn session(&self) -> Session<'_, 'a> {
-        self.session_with(UNLIMITED)
+        self.session_with(UNLIMITED, self.unknown_state())
     }
 
-    fn session_with<'c>(&'c self, budget: &'c Budget) -> Session<'c, 'a> {
+    fn unknown_state(&self) -> Vec<PairState> {
+        vec![PairState::UNKNOWN; self.paths.len()]
+    }
+
+    /// A session over `state`, which must be saturated: nothing is queued.
+    fn session_with<'c>(&'c self, budget: &'c Budget, state: Vec<PairState>) -> Session<'c, 'a> {
         Session {
             chase: self,
-            state: vec![PairState::UNKNOWN; self.paths.len()],
+            state,
             queue: VecDeque::new(),
             contradiction: false,
             budget,
             exhausted: None,
         }
+    }
+
+    /// The root closure (see the module doc), or `None` when the root
+    /// facts contradict. The first call saturates them under `budget`; the
+    /// state is kept only once that saturation completes, so an exhausted
+    /// attempt leaves the next run to try again.
+    fn root_closure(&self, budget: &Budget) -> Result<Option<&[PairState]>, Exhausted> {
+        if let Some(closure) = self.root.get() {
+            return Ok(closure.as_deref());
+        }
+        let mut session = self.session_with(budget, self.unknown_state());
+        session.assume_root();
+        session.saturate(&[]);
+        session.check_exhausted()?;
+        let closure = (!session.contradiction).then(|| session.into_state().into_boxed_slice());
+        Ok(self.root.get_or_init(|| closure).as_deref())
     }
 
     /// The exclusive-disjunction group of `p` (used by the
@@ -713,10 +788,21 @@ impl<'c, 'a> Session<'c, 'a> {
     /// tuples, and every rule treats both sides alike, so swapping the
     /// tuples puts it on `t₁`.
     pub fn assume_goal(&mut self, sigma: &[ResolvedFd], lhs: &[PathId], q: PathId) -> bool {
+        self.assume_root();
+        self.assume_query(sigma, lhs, q)
+    }
+
+    /// Queues the root facts every goal shares: one non-null root node.
+    fn assume_root(&mut self) {
         let root = self.chase.paths.root();
         self.set_eq(root, Ternary::True);
         self.set_null(0, root, Ternary::False);
         self.set_null(1, root, Ternary::False);
+    }
+
+    /// The query's part of [`Session::assume_goal`]: `eq` + non-null on the
+    /// premise paths, disequality on `q` with `t₁.q` non-null; saturates.
+    fn assume_query(&mut self, sigma: &[ResolvedFd], lhs: &[PathId], q: PathId) -> bool {
         for &p in lhs {
             self.set_eq(p, Ternary::True);
             self.set_null(0, p, Ternary::False);
@@ -823,6 +909,14 @@ impl Session<'_, '_> {
     }
 
     fn saturate(&mut self, sigma: &[ResolvedFd]) {
+        self.saturate_rounds(sigma);
+        debug_assert!(
+            self.contradiction || self.exhausted.is_some() || self.at_fixpoint(sigma),
+            "saturate stopped short of its fixpoint"
+        );
+    }
+
+    fn saturate_rounds(&mut self, sigma: &[ResolvedFd]) {
         // FD rule needs re-checking when any of its LHS paths change;
         // rather than indexing, re-scan Σ whenever progress was made —
         // each FD fires at most once per RHS path, so the total work stays
@@ -859,6 +953,29 @@ impl Session<'_, '_> {
                 return;
             }
         }
+    }
+
+    /// Whether one more pass of every rule derives nothing: each structural
+    /// rule re-run on every known fact of every path, and the FD rules on
+    /// every FD of `sigma`. The pass runs on a copy; at a fixpoint it flips
+    /// no fact, so it bumps no counter.
+    fn at_fixpoint(&self, sigma: &[ResolvedFd]) -> bool {
+        let mut probe = self.clone();
+        for p in self.chase.paths.iter() {
+            let s = self.state[p.index()];
+            for i in 0..2 {
+                if s.n(i).known() {
+                    probe.apply_structural(p, FactKind::Null(i));
+                }
+            }
+            if s.eq.known() {
+                probe.apply_structural(p, FactKind::Eq);
+            }
+        }
+        for fd in sigma {
+            probe.apply_fd(fd);
+        }
+        !probe.contradiction && probe.queue.is_empty()
     }
 
     /// The FD rule, in its strengthened *swap* form.
@@ -1006,10 +1123,18 @@ impl Session<'_, '_> {
                         // Required children of a non-null element path are
                         // non-null: conformance puts ≥1 such child (or the
                         // attribute/string) on the node, and maximal
-                        // tuples always pick one.
+                        // tuples always pick one. A group of children now
+                        // has a present parent, so it may be down to its
+                        // last open member: check it at its first member.
                         for cp in paths.children_of(p) {
-                            if self.chase.facts[cp.index()].required {
+                            let child = self.chase.facts[cp.index()];
+                            if child.required {
                                 self.set_null(i, cp, Ternary::False);
+                            }
+                            if let Some(gid) = child.group {
+                                if self.chase.groups[gid as usize].members[0] == cp {
+                                    self.check_group(gid, i);
+                                }
                             }
                         }
                     }
@@ -1068,12 +1193,9 @@ impl Session<'_, '_> {
                 if s2.n1 == Ternary::True && s2.n2 == Ternary::True {
                     self.set_eq(p, Ternary::True);
                 }
-                // Shared non-null element node: propagate downward
-                // equality facts that were waiting on the null-status.
-                self.try_eq_down(p);
-                if let Some(parent) = paths.parent(p) {
-                    self.try_eq_down(parent);
-                }
+                // No `try_eq_down` of `p` or of its parent here: of their
+                // rules only the shared-parent one reads `nᵢ(p)`, and it
+                // ran above; the rest re-run on their own premises.
                 self.try_eq_up(p);
             }
             FactKind::Eq => {
@@ -1406,6 +1528,26 @@ mod tests {
         assert!(!implies(&d, "", "r.e.a.@x -> r.e"));
         // If @x is declared a key for e, the exclusion composes.
         assert!(implies(&d, "r.e.a.@x -> r.e", "r.e.a.@x -> r.e.b.@y"));
+    }
+
+    /// The exactly-one rule of a non-nullable group re-runs when the
+    /// group's parent turns present, not only when a member turns null.
+    #[test]
+    fn a_group_completes_when_its_parent_turns_present() {
+        let d = xnf_dtd::parse_dtd(
+            "<!ELEMENT r (e*)>
+             <!ELEMENT e (a | b)>
+             <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>",
+        )
+        .unwrap();
+        let paths = d.paths().unwrap();
+        let [e, a, b] = ["r.e", "r.e.a", "r.e.b"].map(|p| paths.resolve_str(p).unwrap());
+        let chase = Chase::new(&d, &paths);
+        let mut session = chase.session();
+        assert!(session.assume_null(&[], 0, a, true));
+        assert_eq!(session.get(b).n1, Ternary::Unknown, "e may be absent");
+        assert!(session.assume_null(&[], 0, e, false));
+        assert_eq!(session.get(b).n1, Ternary::False, "e has one of a, b");
     }
 
     #[test]

@@ -53,9 +53,9 @@ fn check(name: &str, dtd: &Dtd, sigma: &XmlFdSet, want: Pinned) {
 #[test]
 fn e22_family_counters_are_pinned() {
     for (k, want) in [
-        (4, [38, 14, 424, 14, 38, 594, 646]),
-        (8, [124, 44, 1424, 44, 124, 2210, 2314]),
-        (12, [258, 90, 3000, 90, 258, 5106, 5262]),
+        (4, [38, 14, 322, 14, 38, 504, 547]),
+        (8, [124, 44, 1076, 44, 124, 1886, 1969]),
+        (12, [258, 90, 2262, 90, 258, 4404, 4527]),
     ] {
         let (dtd, sigma) = xnf::core::analyze::e22_family(k);
         check(&format!("e22_family({k})"), &dtd, &sigma, want);
@@ -76,7 +76,7 @@ fn wide_spec_counters_are_pinned() {
         "wide_dtd(12)",
         &dtd,
         &sigma,
-        [798, 180, 9444, 180, 720, 17516, 17720],
+        [798, 180, 7089, 180, 720, 15629, 15800],
     );
 }
 
@@ -84,8 +84,8 @@ fn wide_spec_counters_are_pinned() {
 fn paper_spec_counters_are_pinned() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs");
     for (name, want) in [
-        ("university", [17, 4, 321, 4, 16, 372, 533]),
-        ("dblp", [5, 2, 150, 2, 5, 172, 247]),
+        ("university", [17, 4, 276, 4, 16, 333, 482]),
+        ("dblp", [5, 2, 138, 2, 5, 163, 235]),
         ("ebxml", [0, 0, 0, 0, 0, 3, 32]),
     ] {
         let read = |ext: &str| std::fs::read_to_string(root.join(format!("{name}.{ext}"))).unwrap();
@@ -100,9 +100,9 @@ fn paper_spec_counters_are_pinned() {
 fn shred_compile_counters_are_pinned() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs");
     for (name, want) in [
-        ("university", [1157, 36]),
-        ("dblp", [2029, 45]),
-        ("ebxml", [1693, 71]),
+        ("university", [1052, 36]),
+        ("dblp", [1897, 45]),
+        ("ebxml", [1217, 71]),
     ] {
         let read = |ext: &str| std::fs::read_to_string(root.join(format!("{name}.{ext}"))).unwrap();
         let dtd = xnf::dtd::parse_dtd(&read("dtd")).unwrap();
